@@ -22,6 +22,18 @@ class ConfigError(Exception):
     """Bad key, bad value, or unreadable config file."""
 
 
+U32_MAX_US = 2**32 - 1  # event, APS, label and run-log stamps are u32 microseconds
+
+
+def steps_for_duration(duration_s, timestep_us):
+    """Kinematics steps in a run; refuses runs whose u32 stamps would wrap."""
+    n_steps = int(round(duration_s * 1e6 / timestep_us))
+    if n_steps * timestep_us > U32_MAX_US:
+        raise ConfigError(f"duration {duration_s} s ends past {U32_MAX_US / 1e6} s, "
+                          f"where u32 microsecond timestamps wrap")
+    return n_steps
+
+
 DEFAULTS = {
     "arena.width": 9.5,
     "arena.depth": 6.7,

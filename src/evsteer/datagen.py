@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from evsteer.behavior import VelocityCmd
+from evsteer.config import steps_for_duration
 from evsteer.frames import (EVENT_DTYPE, Recording, aps_resize)
 from evsteer.runner import WaypointPolicy
 from evsteer.sim import (Distractor, RobotState, SimConfig, WorldSim,
@@ -133,6 +134,7 @@ def _random_start(rng, arena):
 
 def generate_recording(cfg: DatagenConfig, seed: int) -> Recording:
     """One deterministic scripted chase; returns the in-memory recording."""
+    n_steps = steps_for_duration(cfg.duration_s, cfg.sim.timestep_us)
     seq = np.random.SeedSequence(seed)
     world_seed, script_seed, prey_seed, scene_seed = seq.spawn(4)
     scene_rng = np.random.default_rng(scene_seed)
@@ -158,7 +160,6 @@ def generate_recording(cfg: DatagenConfig, seed: int) -> Recording:
                              else world.ground_truth()]
     predator_cmd = VelocityCmd(0.0, 0.0)
     prey_cmd = VelocityCmd(0.0, 0.0)
-    n_steps = int(round(cfg.duration_s * 1e6 / sim_cfg.timestep_us))
 
     for _ in range(n_steps):
         world.set_commands(predator_cmd, prey_cmd)

@@ -577,6 +577,14 @@ def _parse_values(line, shape, dtype, what):
     return vals.reshape(shape)
 
 
+def _decl_numbers(decl, cast):
+    """Numeric fields of a layer declaration line; a bad number is malformed."""
+    try:
+        return [cast(v) for v in decl[1:]]
+    except ValueError:
+        raise MalformedWeightFileError(f"bad {decl[0]} declaration: {' '.join(decl)}") from None
+
+
 def load_weights(path, dtype=np.float32) -> Network:
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
@@ -611,8 +619,11 @@ def load_weights(path, dtype=np.float32) -> Network:
         if kind == "conv":
             if len(decl) != 3:
                 raise MalformedWeightFileError("conv declaration needs maps and kernel size")
-            n_maps, k = int(decl[1]), int(decl[2])
-            layer = Conv(n_maps, k)
+            n_maps, k = _decl_numbers(decl, int)
+            try:
+                layer = Conv(n_maps, k)
+            except ValueError as exc:
+                raise WeightShapeError(f"conv {n_maps} {k}: {exc}") from None
             if shape[0] < k or shape[1] < k:
                 raise WeightShapeError(f"conv kernel {k} larger than input {shape}")
             kern = _parse_values(next_line("conv kernels"), (n_maps, shape[2], k, k),
@@ -623,7 +634,7 @@ def load_weights(path, dtype=np.float32) -> Network:
         elif kind == "dense":
             if len(decl) != 2:
                 raise MalformedWeightFileError("dense declaration needs unit count")
-            n_units = int(decl[1])
+            (n_units,) = _decl_numbers(decl, int)
             layer = Dense(n_units)
             d = int(np.prod(shape))
             w = _parse_values(next_line("dense weights"), (n_units, d), dtype, "dense weights")
@@ -640,7 +651,11 @@ def load_weights(path, dtype=np.float32) -> Network:
         elif kind == "dropout":
             if len(decl) != 2:
                 raise MalformedWeightFileError("dropout declaration needs a rate")
-            layer = Dropout(float(decl[1]))
+            (rate,) = _decl_numbers(decl, float)
+            try:
+                layer = Dropout(rate)
+            except ValueError as exc:
+                raise MalformedWeightFileError(str(exc)) from None
         else:
             raise UnsupportedLayerError(f"unknown layer kind {kind!r}")
         layers.append(layer)

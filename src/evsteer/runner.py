@@ -27,6 +27,7 @@ import numpy as np
 
 from evsteer.behavior import (BehaviorConfig, BehaviorController, Mode,
                               VelocityCmd)
+from evsteer.config import steps_for_duration
 from evsteer.decision import DecisionFilter, FilterConfig
 from evsteer.frames import (DEFAULT_CAPACITY, DvsAccumulator, SOURCE_APS,
                             SOURCE_DVS, SOURCE_NAMES, aps_normalize,
@@ -141,6 +142,7 @@ def run_closed_loop(net, cfg: RunnerConfig, seed: int,
     on_datagram, when given, is called as on_datagram(t_us, DecisionDatagram)
     for every decision; the serve command uses it to feed the live sender.
     """
+    n_steps = steps_for_duration(cfg.duration_s, cfg.sim.timestep_us)
     seq = np.random.SeedSequence(seed)
     world_seed, prey_seed, behavior_seed = seq.spawn(3)
     predator, prey = _start_states(cfg)
@@ -156,7 +158,6 @@ def run_closed_loop(net, cfg: RunnerConfig, seed: int,
     lines = [RUNLOG_MAGIC, f"# seed {seed}"]
     predator_cmd = VelocityCmd(0.0, 0.0)
     prey_cmd = VelocityCmd(0.0, 0.0)
-    n_steps = int(round(cfg.duration_s * 1e6 / cfg.sim.timestep_us))
     decisions = 0
     catches = 0
     prev_mode = behavior.mode

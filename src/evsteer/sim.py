@@ -145,7 +145,15 @@ class Scene:
 
 
 class Camera:
-    """Equiangular projection helpers shared by the renderer and labeling."""
+    """Equiangular projection helpers shared by the renderer and labeling.
+
+    Also owns the renderer's per-frame scratch buffers, so a render step
+    allocates no full-frame temporaries besides the image it returns; one
+    Camera therefore renders in one thread at a time.
+    """
+
+    FLOOR_BLOBS = ((2.6, 2.1), (6.8, 4.4))  # specular highlights, 0.6 m radius
+    BLOB_REACH = 0.7  # a ray passing farther from a blob centre gets exactly +0.0
 
     def __init__(self, cfg: CameraConfig):
         self.cfg = cfg
@@ -158,19 +166,43 @@ class Camera:
         self.horizon = (h - 1) / 2.0
         self.rows = np.arange(h, dtype=np.float32)
         # background block pattern: value = 0.40 + 0.16 * ((a_idx + r_idx) % 3)
-        self.bg_row_mod = ((np.arange(h) // 24) % 3).astype(np.int16)[:, None]
-        self.bg_lut = (0.40 + 0.16 * (np.arange(5) % 3)).astype(np.float32)
-        psi = ((self.rows + 0.5) - h / 2.0) / self.k_v  # >0 below horizon
-        with np.errstate(divide="ignore"):
-            g = cfg.mount_height / np.tan(np.maximum(psi, 1e-9))
-        g[psi <= 0] = np.inf
-        self.ground_dist = np.minimum(g, 60.0)
+        # with a_idx the column's angle block and r_idx the row's 24-row band;
+        # bg_bands[r_idx, a_idx] holds it per band.
+        self.bg_row_band = (np.arange(h) // 24) % 3
+        self.bg_bands = (0.40 + 0.16 * ((np.arange(3)[:, None] + np.arange(3)) % 3)
+                         ).astype(np.float32)
+        # ground distance per floor row: rows strictly below the horizon
+        self.r_floor0 = int(self.horizon) + 1
+        psi = ((self.rows[self.r_floor0:] + 0.5) - h / 2.0) / self.k_v  # > 0
+        g = cfg.mount_height / np.tan(psi)
+        self.floor_dist = np.minimum(g, 60.0)[:, None].astype(np.float32)
+        n_floor = h - self.r_floor0
+        self._wx = np.empty((n_floor, w), np.float32)
+        self._wy = np.empty((n_floor, w), np.float32)
+        self._floor = np.empty((n_floor, w), np.float32)
+        self._half = np.empty((n_floor, w), np.float32)
+        self._in_wall = np.empty((h, w), bool)
+        self._scratch = np.empty((h, w), bool)
 
     def column_of_bearing(self, phi):
         return self.cfg.width * (0.5 - phi / self.hfov)
 
     def bearing_visible(self, phi):
         return abs(phi) <= self.hfov / 2.0
+
+    def columns_near(self, dx, dy, heading, reach):
+        """Column range [c0, c1) holding every ray that passes within reach
+        of the point (dx, dy) relative to the camera (empty when c1 <= c0)."""
+        w = self.cfg.width
+        dist = math.hypot(dx, dy)
+        if dist <= reach:
+            return 0, w
+        bearing = wrap_angle(math.atan2(dy, dx) - heading)
+        spread = math.asin(reach / dist)
+        # column c's ray has bearing col_phi[c], at position c + 0.5
+        c0 = math.floor(self.column_of_bearing(bearing + spread) - 0.5)
+        c1 = math.ceil(self.column_of_bearing(bearing - spread) - 0.5) + 1
+        return max(c0, 0), min(c1, w)
 
 
 def _wall_distances(arena, x, y, ang):
@@ -187,10 +219,10 @@ def _wall_distances(arena, x, y, ang):
     return d, hx, hy, ty <= tx
 
 
-def render_camera(scene: Scene, camera: Camera, pose, want_mask=False):
+def render_camera(scene: Scene, camera: Camera, pose):
     """Synthesize one 180x240 gray frame in [0, 1] from the predator's pose.
 
-    Returns (image, prey_mask or None). Deterministic given poses.
+    Returns a fresh C-contiguous float32 image. Deterministic given poses.
     """
     cfg = camera.cfg
     cx, cy, heading = pose
@@ -207,14 +239,25 @@ def render_camera(scene: Scene, camera: Camera, pose, want_mask=False):
 
     rows = camera.rows[:, None]  # (h, 1)
 
-    # background clutter above the walls: angle/row block pattern
-    a_mod = (np.floor(ang * (1.0 / 0.17)).astype(np.int64) % 3).astype(np.int16)
-    img = np.take(camera.bg_lut, a_mod[None, :] + camera.bg_row_mod)
+    # background clutter above the walls: angle/row block pattern, one row
+    # per band, then one row copy per image row (mode="wrap" because take()
+    # with the default mode="raise" buffers its output)
+    a_mod = np.floor(ang * (1.0 / 0.17)).astype(np.int64) % 3
+    img = np.empty((h, w), np.float32)
+    np.take(np.take(camera.bg_bands, a_mod, axis=1), camera.bg_row_band, axis=0,
+            out=img, mode="wrap")
 
-    # wall band, slightly darker with distance
+    # wall band, slightly darker with distance; only the rows some column's
+    # band reaches are compared (r < ceil(x) iff r < x for integer rows)
     wall_shade = (0.33 + 0.10 / (1.0 + 0.25 * d_wall)).astype(np.float32)
-    in_wall = (rows >= r_wall_top[None, :]) & (rows < r_wall_bot[None, :])
-    np.copyto(img, np.broadcast_to(wall_shade[None, :], img.shape), where=in_wall)
+    r_lo = min(max(math.ceil(r_wall_top.min()), 0), h)
+    r_hi = min(max(math.ceil(r_wall_bot.max()), r_lo), h)
+    in_wall, scratch = camera._in_wall[r_lo:r_hi], camera._scratch[r_lo:r_hi]
+    band = img[r_lo:r_hi]
+    np.greater_equal(rows[r_lo:r_hi], r_wall_top[None, :], out=in_wall)
+    np.less(rows[r_lo:r_hi], r_wall_bot[None, :], out=scratch)
+    np.logical_and(in_wall, scratch, out=in_wall)
+    np.copyto(band, wall_shade, where=in_wall)
 
     # poster: bright/dark vertical bars on the north wall segment
     if scene.poster is not None:
@@ -224,25 +267,42 @@ def render_camera(scene: Scene, camera: Camera, pose, want_mask=False):
         if np.any(on_poster_col):
             bars = np.floor(wall_hx / p.bar_width) % 2
             poster_shade = np.where(bars > 0, 0.95, 0.06).astype(np.float32)
-            np.copyto(img, np.broadcast_to(poster_shade[None, :], img.shape),
-                      where=in_wall & on_poster_col[None, :])
+            np.logical_and(in_wall, on_poster_col[None, :], out=scratch)
+            np.copyto(band, poster_shade, where=scratch)
 
     # floor: world-anchored stripes plus two specular highlight blobs;
-    # rows strictly below the horizon only, everything above is wall or sky
-    r_floor0 = int(camera.horizon) + 1
-    g = camera.ground_dist[r_floor0:, None].astype(np.float32)
-    wx = np.float32(cx) + np.cos(ang).astype(np.float32)[None, :] * g
-    wy = np.float32(cy) + np.sin(ang).astype(np.float32)[None, :] * g
-    floor = 0.64 + 0.14 * (np.floor(wx * np.float32(1.0 / 0.55)) % 2)
-    for bx, by in ((2.6, 2.1), (6.8, 4.4)):
-        r2 = (wx - np.float32(bx)) ** 2 + (wy - np.float32(by)) ** 2
+    # rows strictly below the horizon that some column's floor reaches
+    f_lo = min(max(math.ceil(r_wall_bot.min()), camera.r_floor0), h)
+    f = slice(f_lo - camera.r_floor0, None)
+    g = camera.floor_dist[f]
+    wx, wy, floor, q_half = camera._wx[f], camera._wy[f], camera._floor[f], camera._half[f]
+    cos_a, sin_a = np.cos(ang), np.sin(ang)
+    np.multiply(cos_a.astype(np.float32)[None, :], g, out=wx)
+    np.add(wx, np.float32(cx), out=wx)
+    np.multiply(sin_a.astype(np.float32)[None, :], g, out=wy)
+    np.add(wy, np.float32(cy), out=wy)
+    # stripe parity of the integer-valued q = floor(wx / 0.55): q - 2 floor(q / 2)
+    # equals q % 2 exactly and costs a fraction of float32 np.remainder
+    np.multiply(wx, np.float32(1.0 / 0.55), out=floor)
+    np.floor(floor, out=floor)
+    np.multiply(floor, np.float32(0.5), out=q_half)
+    np.floor(q_half, out=q_half)
+    np.multiply(q_half, np.float32(2.0), out=q_half)
+    np.subtract(floor, q_half, out=floor)
+    np.multiply(floor, np.float32(0.14), out=floor)
+    np.add(floor, np.float32(0.64), out=floor)
+    for bx, by in camera.FLOOR_BLOBS:
+        c0, c1 = camera.columns_near(bx - cx, by - cy, heading, camera.BLOB_REACH)
+        if c1 <= c0:
+            continue
+        cols = slice(c0, c1)
+        r2 = (wx[:, cols] - np.float32(bx)) ** 2 + (wy[:, cols] - np.float32(by)) ** 2
         bump = np.maximum(np.float32(1.0) - r2 * np.float32(1.0 / 0.36), 0.0)
-        floor += np.float32(0.22) * bump * bump
-    on_floor = rows[r_floor0:] >= r_wall_bot[None, :]
-    np.copyto(img[r_floor0:], floor, where=on_floor)
+        floor[:, cols] += np.float32(0.22) * bump * bump
+    on_floor = np.greater_equal(rows[f_lo:], r_wall_bot[None, :], out=camera._scratch[f_lo:])
+    np.copyto(img[f_lo:], floor, where=on_floor)
 
     # sprites, drawn far to near so closer bodies occlude
-    mask = np.zeros((h, w), dtype=bool) if want_mask else None
     sprites = []
     for dd in scene.distractors:
         sprites.append(("box", dd.x, dd.y, dd.radius, dd.height, dd.shade))
@@ -286,12 +346,10 @@ def render_camera(scene: Scene, camera: Camera, pose, want_mask=False):
                 img[wheel_r0:r1, wheel_cols] = 0.04
             stripe_r1 = r0 + max(1, int(0.16 * span))
             img[r0:stripe_r1, cols] = 0.88
-            if want_mask:
-                mask[r0:r1, cols] = True
     if scene.light_gain != 1.0:
         img *= np.float32(scene.light_gain)
     np.clip(img, 0.0, 1.0, out=img)
-    return img, mask
+    return img
 
 
 def corrupt_frame(img, rng, n_stripes=3):
@@ -310,7 +368,12 @@ def corrupt_frame(img, rng, n_stripes=3):
 
 
 class EventSynth:
-    """Per-pixel log-intensity memory with linear-ramp threshold crossings."""
+    """Per-pixel log-intensity memory with linear-ramp threshold crossings.
+
+    The memory and the per-update scratch buffers are C-contiguous and sized
+    by the first image, whatever that image's layout, so memory updates go
+    through flat indices into the memory itself.
+    """
 
     LOG_EPS = 0.02
 
@@ -322,32 +385,44 @@ class EventSynth:
 
     def update(self, image, t0_us: int, t1_us: int):
         """Events for the interval (t0, t1] given the new rendered image."""
-        log_img = np.log(image + self.LOG_EPS)
         if self.memory is None:
-            self.memory = log_img.copy()
+            self.memory = np.log(np.add(image, self.LOG_EPS, order="C"))
+            self._diff = np.empty_like(self.memory)
+            self._q = np.empty_like(self.memory)
+            self._hit = np.empty(self.memory.shape, bool)
             return np.zeros(0, dtype=EVENT_DTYPE)
-        diff = log_img - self.memory
-        n = np.floor(np.abs(diff) / self.threshold).astype(np.int64)
-        ys, xs = np.nonzero(n)
-        if len(ys) == 0:
+        diff, q = self._diff, self._q
+        np.add(image, self.LOG_EPS, out=diff)
+        np.log(diff, out=diff)
+        np.subtract(diff, self.memory, out=diff)
+        # crossings per pixel: floor(|diff| / theta), nonzero where the ratio >= 1
+        np.abs(diff, out=q)
+        np.divide(q, self.threshold, out=q)
+        np.greater_equal(q, 1.0, out=self._hit)
+        idx = np.flatnonzero(self._hit)
+        if len(idx) == 0:
             return np.zeros(0, dtype=EVENT_DTYPE)
-        counts = n[ys, xs]
+        counts = np.floor(q.reshape(-1)[idx]).astype(np.int64)
+        d_hit = diff.reshape(-1)[idx]
         total = int(counts.sum())
-        rep_y = np.repeat(ys, counts)
-        rep_x = np.repeat(xs, counts)
-        rep_diff = np.repeat(diff[ys, xs], counts)
+        rep_idx = np.repeat(idx, counts)
+        rep_diff = np.repeat(d_hit, counts)
         offsets = np.repeat(np.cumsum(counts) - counts, counts)
         k = np.arange(total) - offsets + 1
         frac = (k * self.threshold) / np.abs(rep_diff)
         ts = t0_us + frac * (t1_us - t0_us)
-        events = np.zeros(total, dtype=EVENT_DTYPE)
+        events = np.empty(total, dtype=EVENT_DTYPE)
         events["t"] = np.minimum(np.round(ts), t1_us).astype(np.uint32)
-        events["x"] = rep_x.astype(np.uint16)
-        events["y"] = rep_y.astype(np.uint16)
-        events["polarity"] = (rep_diff > 0).astype(np.uint8)
-        sign = np.sign(diff[ys, xs])
-        self.memory[ys, xs] += sign * counts * self.threshold
-        return events[np.argsort(events["t"], kind="stable")]
+        rep_y, rep_x = np.divmod(rep_idx, diff.shape[1])
+        events["x"] = rep_x
+        events["y"] = rep_y
+        events["polarity"] = rep_diff > 0
+        self.memory.reshape(-1)[idx] += np.sign(d_hit) * counts * self.threshold
+        # stable time order: offsets from t0 in the narrowest unsigned type
+        # (16 bits sort by radix); take() copies whole records at once
+        since_t0 = events["t"] - np.uint32(t0_us)
+        order = np.argsort(since_t0.astype(np.min_scalar_type(t1_us - t0_us)), kind="stable")
+        return events.take(order)
 
 
 def leak_events(rng, rate_per_pixel: float, t0_us: int, t1_us: int,
@@ -517,13 +592,12 @@ class WorldSim:
         self.prey.linear = prey_cmd.linear
         self.prey.angular = prey_cmd.angular
 
-    def _render(self, want_mask=False):
+    def _render(self):
         self.scene.prey = self.prey
         if self.scene.moving_distractor is not None:
             md = self.scene.moving_distractor
             md.x = 4.0 + 1.6 * math.sin(self._moving_phase)
-        return render_camera(self.scene, self.camera, self.predator.pose,
-                             want_mask=want_mask)
+        return render_camera(self.scene, self.camera, self.predator.pose)
 
     def _leak_rate(self, t_s):
         if self.rate_profile is not None:
@@ -547,11 +621,11 @@ class WorldSim:
         image = None
         if self.cfg.static_scene:
             if self._static_image is None:
-                self._static_image, _ = self._render()
+                self._static_image = self._render()
                 self.synth.update(self._static_image, t0, t1)
             image = self._static_image
         else:
-            image, _ = self._render()
+            image = self._render()
             chunks.append(self.synth.update(image, t0, t1))
         leak = leak_events(self.rng_noise, self._leak_rate(t1 / 1e6), t0, t1)
         if len(leak):
@@ -576,7 +650,8 @@ class WorldSim:
             events = chunks[0]
         else:
             events = np.concatenate(chunks)
-            events = events[np.argsort(events["t"], kind="stable")]
+            # take() copies whole records; indexing with [] goes field by field
+            events = events.take(np.argsort(events["t"], kind="stable"))
         return SensorBatch(events=events, aps=aps)
 
     def laser(self) -> LaserScan:

@@ -340,6 +340,20 @@ class TestWeightFiles:
         with pytest.raises(nnet.UnsupportedLayerError):
             load_weights(path)
 
+    @pytest.mark.parametrize("decl", ["conv four 5", "conv 4 5.0", "dense x",
+                                      "dropout half"])
+    def test_non_numeric_declaration_is_malformed(self, tmp_path, decl):
+        path = tmp_path / "w.net"
+        path.write_text(f"evsteer-net v1\ninput 36 36 1\n{decl}\n")
+        with pytest.raises(nnet.MalformedWeightFileError):
+            load_weights(path)
+
+    def test_even_kernel_is_shape_error(self, tmp_path):
+        path = tmp_path / "w.net"
+        path.write_text("evsteer-net v1\ninput 36 36 1\nconv 4 4\n")
+        with pytest.raises(nnet.WeightShapeError):
+            load_weights(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "w.net"
         path.write_text("something else\n")

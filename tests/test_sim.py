@@ -1,0 +1,150 @@
+import hashlib
+import math
+
+import numpy as np
+import pytest
+
+from evsteer.config import ConfigError
+from evsteer.datagen import DatagenConfig, generate_recording
+from evsteer.nnet import runtime_network
+from evsteer.runner import RunnerConfig, run_closed_loop
+from evsteer.sim import (ArenaConfig, Camera, CameraConfig, EventSynth,
+                         RobotState, SimConfig, default_scene, render_camera)
+
+# Poses (x, y, heading) through the 9.5 x 6.7 m arena: the chase start with
+# the prey in view, the poster and a floor highlight ahead, the dark box, the
+# moving distractor, both corners, a close prey, and a repeated pose (no
+# events). Consecutive poses differ, so the synth sees large and small steps.
+POSES = [
+    (3.55, 3.35, 0.0),
+    (3.60, 3.35, 0.02),
+    (6.80, 2.50, math.pi / 2),
+    (6.80, 2.40, math.pi / 2 + 0.01),
+    (6.80, 2.40, math.pi / 2 + 0.01),
+    (2.00, 1.00, 0.9),
+    (4.00, 4.50, 2.6),
+    (0.50, 0.50, 0.0),
+    (9.00, 6.20, -2.5),
+    (5.00, 3.00, -math.pi / 2),
+    (6.55, 2.90, math.pi / 2),
+    (7.50, 3.35, math.pi),
+]
+
+# sha256 of simulator outputs at fixed poses and seeds (numpy 2.4, x86-64).
+# They pin the output bytes: a change to any of them is a change of
+# simulator output and must be declared and versioned.
+RENDER_SYNTH_SHA256 = (
+    "17448adf3ab5c772fbbf26d5d5e547dceecf6a7ead3b6b3726cd291ae4a8d0f4")
+RUNLOG_SHA256 = (
+    "efc114a54ef5df5e60b6b8812386cc4eda650c12278ffda98072e0b540c1b9fa")
+RECORDING_SHA256 = (
+    "dd38d6c2f37313b291bc344acf7f07734b6c60a5eed70059e7be594f48dff347")
+
+
+def _scene(light_gain):
+    cfg = SimConfig(arena=ArenaConfig(moving_distractor=True), light_gain=light_gain)
+    return default_scene(cfg, RobotState(x=6.55, y=3.35, heading=math.pi / 2))
+
+
+def _frames(light_gain):
+    scene, camera = _scene(light_gain), Camera(CameraConfig())
+    return [render_camera(scene, camera, pose) for pose in POSES]
+
+
+def _synth_events(images):
+    synth = EventSynth(0.15)
+    return [synth.update(img, 5000 * k, 5000 * (k + 1))
+            for k, img in enumerate(images)], synth.memory
+
+
+def render_synth_digest():
+    h = hashlib.sha256()
+    for gain in (1.0, 0.8):
+        images = _frames(gain)
+        events, _ = _synth_events(images)
+        for img, ev in zip(images, events):
+            h.update(np.ascontiguousarray(img, dtype=np.float32).tobytes())
+            h.update(ev.tobytes())
+    return h.hexdigest()
+
+
+def runlog_digest():
+    net = runtime_network(np.random.default_rng(0))
+    result = run_closed_loop(net, RunnerConfig(duration_s=1.0), seed=11)
+    return hashlib.sha256(result.text().encode()).hexdigest()
+
+
+def recording_digest():
+    rec = generate_recording(DatagenConfig(sim=SimConfig(), duration_s=1.0), seed=5)
+    h = hashlib.sha256()
+    for arr in (rec.events, rec.aps_t, rec.aps_raw, rec.label_t, rec.label_x):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+class TestGolden:
+    def test_render_and_event_synth(self):
+        assert render_synth_digest() == RENDER_SYNTH_SHA256
+
+    def test_closed_loop_runlog(self):
+        assert runlog_digest() == RUNLOG_SHA256
+
+    def test_generated_recording(self):
+        assert recording_digest() == RECORDING_SHA256
+
+
+class TestRenderOutput:
+    def test_c_contiguous_float32_frame(self):
+        img = _frames(0.8)[2]
+        assert img.dtype == np.float32
+        assert img.shape == (180, 240)
+        assert img.flags.c_contiguous
+
+    def test_each_call_returns_a_fresh_image(self):
+        scene, camera = _scene(1.0), Camera(CameraConfig())
+        first = render_camera(scene, camera, POSES[0])
+        kept = first.copy()
+        second = render_camera(scene, camera, POSES[2])
+        assert second is not first
+        np.testing.assert_array_equal(first, kept)
+
+
+class TestEventSynthLayout:
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_events_do_not_depend_on_memory_layout(self, layout):
+        images = _frames(1.0)
+        if layout == "fortran":
+            others = [np.asfortranarray(img) for img in images]
+        else:
+            others = []
+            for img in images:
+                big = np.zeros((2 * img.shape[0], 2 * img.shape[1]), np.float32)
+                big[::2, ::2] = img
+                others.append(big[::2, ::2])
+        assert not others[0].flags.c_contiguous
+        want, want_memory = _synth_events(images)
+        got, got_memory = _synth_events(others)
+        assert sum(len(ev) for ev in want) > 0
+        for a, b in zip(want, got):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(want_memory, got_memory)
+
+    def test_still_scene_settles(self):
+        img = _frames(1.0)[0]
+        for make in (np.ascontiguousarray, np.asfortranarray):
+            synth = EventSynth(0.15)
+            synth.update(make(np.full_like(img, 0.2)), 0, 5000)
+            assert len(synth.update(make(img), 5000, 10000)) > 0
+            assert len(synth.update(make(img), 10000, 15000)) == 0
+
+
+class TestDurationLimit:
+    # u32 microsecond timestamps wrap after 4294.967295 s
+    def test_closed_loop_rejects_wrapping_duration(self):
+        net = runtime_network(np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="4294.967295"):
+            run_closed_loop(net, RunnerConfig(duration_s=4295.0), seed=0)
+
+    def test_recording_rejects_wrapping_duration(self):
+        with pytest.raises(ConfigError, match="4294.967295"):
+            generate_recording(DatagenConfig(sim=SimConfig(), duration_s=4295.0), seed=0)
