@@ -20,18 +20,18 @@ import numpy as np
 
 from evsteer import __version__
 from evsteer.config import (ConfigError, build_datagen_config,
-                            build_runner_config, build_sim_config,
-                            load_config)
+                            build_runner_config, load_config)
 from evsteer import evaluation, frames, wire
 from evsteer.datagen import generate_recording
-from evsteer.frames import (DvsAccumulator, FormatError, aps_normalize,
+# dvs_normalize and aps_normalize are unused here but stay bound: span
+# tracers that wrap them by their importers' names look them up on this module.
+from evsteer.frames import (FormatError, FrameStream, aps_normalize,
                             assemble_dataset, dvs_normalize, load_dataset,
                             load_recording, save_dataset, save_recording)
-from evsteer.nnet import (AdamState, Decision, Network, WeightFileError,
+from evsteer.nnet import (AdamState, Decision, WeightFileError,
                           adam_step, dump_activations, load_weights, op_count,
                           param_count, runtime_network, save_weights)
-from evsteer.runner import (RunnerConfig, parse_runlog, run_closed_loop,
-                            runlog_eval_records)
+from evsteer.runner import parse_runlog, run_closed_loop, runlog_eval_records
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -171,27 +171,24 @@ def _eval_dataset(net, ds, ps=range(0, 4)):
 
 
 def _sweep_capacities(net, rec_dir, capacities):
-    """DVS error rate at p=0 per histogram capacity, last 20% of each recording."""
+    """DVS error rate at p=0 per histogram capacity on the dataset test split.
+
+    The scored frames are exactly the DVS frames of assemble_dataset's test
+    split at that capacity, so no frame it trains on is scored.
+    """
     prefixes = sorted(p[:-7] for p in os.listdir(rec_dir) if p.endswith(".events"))
     if not prefixes:
         raise DataError(f"no .events recordings in {rec_dir}")
+    recordings = [load_recording(os.path.join(rec_dir, p)) for p in prefixes]
     results = {}
     for cap in capacities:
-        records = []
-        for prefix in prefixes:
-            rec = load_recording(os.path.join(rec_dir, prefix))
-            boundary = int(0.8 * rec.label_t[-1])
-            acc = DvsAccumulator(cap)
-            for t_emit, hist in acc.add_batch(rec.events):
-                if t_emit <= boundary:
-                    continue
-                values = dvs_normalize(hist, t_emit).values
-                dec = Decision(int(net.predict_batch(values[None, ..., None])[0]))
-                x = rec.label_at(t_emit)
-                records.append(evaluation.EvalRecord(
-                    decision=dec, truth_label=frames.label_from_target(x),
-                    truth_target_x=x, source=frames.SOURCE_DVS, t=t_emit))
-        results[cap] = 1.0 - evaluation.accuracy(records, 0)
+        # only the test split is read, so skip augmenting the training split
+        _, test, _ = assemble_dataset(recordings, capacity=cap, aps_target_fraction=0.0)
+        dvs = test.source == frames.SOURCE_DVS
+        if not dvs.any():
+            raise DataError(f"no DVS test frames at capacity {cap}")
+        wrong = net.predict_batch(test.frames[dvs][..., None]) != test.labels[dvs]
+        results[cap] = float(np.mean(wrong))
     return results
 
 
@@ -351,20 +348,10 @@ def cmd_serve(args, cfg):
 
             filt = DecisionFilter(build_runner_config(cfg).filter)
             encoder = wire.DecisionEncoder(cfg["wire.rate_cap_hz"])
-            acc = DvsAccumulator(cfg["frames.capacity"])
             events = frames.read_events(args.events)
-            queue = [(int(t), frames.SOURCE_DVS, hist)
-                     for t, hist in acc.add_batch(events)]
-            if args.aps:
-                aps_t, aps_raw = frames.read_aps(args.aps)
-                queue += [(int(t), frames.SOURCE_APS, raw)
-                          for t, raw in zip(aps_t, aps_raw)]
-            queue.sort(key=lambda item: (item[0], item[1]))
-            for t, source, payload in queue:
-                if source == frames.SOURCE_DVS:
-                    values = dvs_normalize(payload, t).values
-                else:
-                    values = aps_normalize(payload, t).values
+            aps_t, aps_raw = frames.read_aps(args.aps) if args.aps else ((), ())
+            stream = FrameStream(cfg["frames.capacity"])
+            for t, _, values, _ in stream.push(events, aps_t, aps_raw):
                 filtered = filt.update(net.predict(values))
                 t_dec, datagram = encoder.offer(filtered, t)
                 decisions += 1

@@ -108,16 +108,6 @@ def interval_histogram(timestamps_us):
     return buckets, 1e6 / median_us
 
 
-def histogram_text(buckets) -> str:
-    """(ms bucket, count) table with empty tails trimmed."""
-    lines = ["interval_ms count"]
-    if buckets:
-        for b in range(min(buckets), max(buckets) + 1):
-            if buckets.get(b):
-                lines.append(f"{b} {buckets[b]}")
-    return "\n".join(lines) + "\n"
-
-
 @dataclass
 class Report:
     curve: list

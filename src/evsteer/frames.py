@@ -3,16 +3,17 @@
 DVS events are binned into constant-count 36x36 histograms (5000 events, one
 gray step of 1/200 per event around a 0.5 zero level) and normalized by
 clipping deviations at three standard deviations. APS frames are resized with
-nearest-neighbor sampling and min-max normalized to [0, 1]. Exposure
-augmentation, thirds labeling, and the temporally split train/test assembly
-live here too, together with the on-disk formats for events, labels, raw APS
-frames, and assembled datasets.
+nearest-neighbor sampling and min-max normalized to [0, 1]. `FrameStream` is
+the frame queue every consumer reads: it accumulates events, normalizes both
+sources and merges them in (t, source) order, so the network runs on
+whichever frame completes next. Exposure augmentation, thirds labeling, and
+the temporally split train/test assembly live here too, together with the
+on-disk formats for events, labels, raw APS frames, and assembled datasets.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +35,9 @@ EVENT_DTYPE = np.dtype([("t", "<u4"), ("x", "<u2"), ("y", "<u2"), ("polarity", "
 EVENT_MAGIC = b"evsteer-evt v1".ljust(16, b"\0")
 APS_MAGIC = b"evsteer-aps v1".ljust(16, b"\0")
 DATASET_MAGIC = b"evsteer-ds v1".ljust(16, b"\0")
+APS_RECORD = np.dtype([("t", "<u4"), ("raw", "<f4", (FRAME_SIZE, FRAME_SIZE))])
+DATASET_RECORD = np.dtype([("source", "u1"), ("label", "u1"), ("target_x", "u1"),
+                           ("values", "<f4", (FRAME_SIZE, FRAME_SIZE))])
 
 SOURCE_APS = 0
 SOURCE_DVS = 1
@@ -42,35 +46,6 @@ SOURCE_NAMES = {SOURCE_APS: "APS", SOURCE_DVS: "DVS"}
 
 class FormatError(Exception):
     """A data file does not match its documented binary or text layout."""
-
-
-@dataclass
-class AddressEvent:
-    """One DVS brightness-change event. polarity is +1 (ON) or -1 (OFF)."""
-
-    t: int
-    x: int
-    y: int
-    polarity: int
-
-
-@dataclass
-class NormalizedFrame:
-    """A 36x36 unit-range image tagged with its source and capture time."""
-
-    values: np.ndarray
-    source: int
-    t: int = 0
-
-    def __post_init__(self):
-        assert self.values.shape == (FRAME_SIZE, FRAME_SIZE)
-
-
-def subsample_address(x, y):
-    """Map a 240x180 event address to its 36x36 histogram bin (floor bins)."""
-    if not (0 <= x < SENSOR_WIDTH and 0 <= y < SENSOR_HEIGHT):
-        raise ValueError(f"event address ({x}, {y}) outside {SENSOR_WIDTH}x{SENSOR_HEIGHT}")
-    return (x * FRAME_SIZE) // SENSOR_WIDTH, (y * FRAME_SIZE) // SENSOR_HEIGHT
 
 
 class DvsAccumulator:
@@ -90,17 +65,6 @@ class DvsAccumulator:
     def reset(self):
         self.values.fill(0.5)
         self.events_in = 0
-
-    def add(self, event: AddressEvent):
-        """Accumulate one event; returns the raw histogram on emission."""
-        bx, by = subsample_address(event.x, event.y)
-        self.values[by, bx] += event.polarity / GRAY_LEVELS
-        self.events_in += 1
-        if self.events_in == self.capacity:
-            hist = self.values.copy()
-            self.reset()
-            return hist
-        return None
 
     def add_batch(self, events: np.ndarray):
         """Vectorized accumulation of a structured event array.
@@ -125,19 +89,14 @@ class DvsAccumulator:
         return out
 
 
-def histogram_stats(hist):
-    """Mean and population standard deviation over all bins (diagnostics)."""
-    return float(np.mean(hist)), float(np.std(hist))
-
-
-def dvs_normalize(hist, t=0) -> NormalizedFrame:
+def dvs_normalize(hist):
     """Clip deviations from the 0.5 zero-event level at 3 sigma and rescale.
 
     Sigma is computed over all 1296 bins of the raw histogram, so clipped
     extremes land exactly on 0 and 1 while zero-event bins stay at 0.5. A
     flat histogram (sigma 0) maps to all 0.5.
     """
-    _, sigma = histogram_stats(hist)
+    sigma = float(np.std(hist))
     if sigma == 0.0:
         values = np.full((FRAME_SIZE, FRAME_SIZE), 0.5, dtype=np.float32)
     else:
@@ -145,7 +104,7 @@ def dvs_normalize(hist, t=0) -> NormalizedFrame:
         dev = np.clip(hist - 0.5, -bound, bound)
         # dividing by the bound first lands clipped extremes exactly on 0 and 1
         values = (0.5 + (dev / bound) * 0.5).astype(np.float32)
-    return NormalizedFrame(values=values, source=SOURCE_DVS, t=t)
+    return values
 
 
 def _nearest_indices(n_out, n_in):
@@ -167,7 +126,7 @@ def aps_resize(frame):
     return frame[np.ix_(_ROW_IDX, _COL_IDX)]
 
 
-def aps_normalize(frame, t=0) -> NormalizedFrame:
+def aps_normalize(frame):
     """Min-max rescale to [0, 1]; a constant frame maps to neutral 0.5."""
     frame = np.asarray(frame, dtype=np.float64)
     lo, hi = float(frame.min()), float(frame.max())
@@ -175,7 +134,31 @@ def aps_normalize(frame, t=0) -> NormalizedFrame:
         values = np.full(frame.shape, 0.5, dtype=np.float32)
     else:
         values = ((frame - lo) / (hi - lo)).astype(np.float32)
-    return NormalizedFrame(values=values, source=SOURCE_APS, t=t)
+    return values
+
+
+class FrameStream:
+    """Constant-count DVS frames and APS frames, normalized, in (t, source) order.
+
+    Holds the one DvsAccumulator of a stream. The normalizers are looked up
+    as module globals on every push, so a wrapper installed on this module
+    sees every frame of every consumer.
+    """
+
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
+        self.acc = DvsAccumulator(capacity)
+
+    def push(self, events, aps_t=(), aps_raw=()):
+        """Frames this push completes as (t, source, values, raw) tuples.
+
+        raw is the resized APS gray the values came from, None for DVS.
+        """
+        out = [(t, SOURCE_DVS, dvs_normalize(hist), None)
+               for t, hist in self.acc.add_batch(events)]
+        out += [(int(t), SOURCE_APS, aps_normalize(raw), raw)
+                for t, raw in zip(aps_t, aps_raw)]
+        out.sort(key=lambda item: (item[0], item[1]))
+        return out
 
 
 def exposure_augment(raw, shift):
@@ -190,13 +173,6 @@ def label_from_target(target_x) -> Decision:
     if not 0 <= target_x < FRAME_SIZE:
         raise ValueError(f"target column {target_x} outside [0, {FRAME_SIZE})")
     return Decision(int(target_x) // REGION_WIDTH)
-
-
-@dataclass
-class LabeledFrame:
-    frame: NormalizedFrame
-    label: Decision
-    target_x: int | None = None
 
 
 @dataclass
@@ -239,20 +215,6 @@ class Dataset:
         return {Decision(k).name: float(np.sum(self.labels == k)) / n for k in range(4)}
 
 
-def _concat_datasets(parts):
-    return Dataset(frames=np.concatenate([p.frames for p in parts]),
-                   labels=np.concatenate([p.labels for p in parts]),
-                   target_x=np.concatenate([p.target_x for p in parts]),
-                   source=np.concatenate([p.source for p in parts]))
-
-
-def _empty_dataset():
-    return Dataset(frames=np.zeros((0, FRAME_SIZE, FRAME_SIZE), dtype=np.float32),
-                   labels=np.zeros(0, dtype=np.uint8),
-                   target_x=np.zeros(0, dtype=np.int16),
-                   source=np.zeros(0, dtype=np.uint8))
-
-
 def frames_from_recording(rec: Recording, capacity=DEFAULT_CAPACITY):
     """Normalized, labeled frame stream of one recording in time order.
 
@@ -260,25 +222,18 @@ def frames_from_recording(rec: Recording, capacity=DEFAULT_CAPACITY):
     pre-normalization 36x36 gray for APS frames (None for DVS), kept so
     exposure augmentation can run on raw data later.
     """
-    acc = DvsAccumulator(capacity)
     stream = []
-    for t_emit, hist in acc.add_batch(rec.events):
-        frame = dvs_normalize(hist, t=t_emit)
-        x = rec.label_at(t_emit)
-        stream.append((t_emit, SOURCE_DVS, frame.values, label_from_target(x), x, None))
-    for t_cap, raw in zip(rec.aps_t, rec.aps_raw):
-        frame = aps_normalize(raw, t=int(t_cap))
-        x = rec.label_at(int(t_cap))
-        stream.append((int(t_cap), SOURCE_APS, frame.values, label_from_target(x), x, raw))
-    stream.sort(key=lambda item: (item[0], item[1]))
+    pushed = FrameStream(capacity).push(rec.events, rec.aps_t, rec.aps_raw)
+    for t, source, values, raw in pushed:
+        x = rec.label_at(t)
+        stream.append((t, source, values, label_from_target(x), x, raw))
     return stream
 
 
 def _to_dataset(items):
-    if not items:
-        return _empty_dataset()
     return Dataset(
-        frames=np.stack([v for _, _, v, _, _, _ in items]).astype(np.float32),
+        frames=np.array([v for _, _, v, _, _, _ in items],
+                        dtype=np.float32).reshape(-1, FRAME_SIZE, FRAME_SIZE),
         labels=np.array([int(lab) for _, _, _, lab, _, _ in items], dtype=np.uint8),
         target_x=np.array([-1 if x is None else x for _, _, _, _, x, _ in items],
                           dtype=np.int16),
@@ -298,45 +253,30 @@ def assemble_dataset(recordings, capacity=DEFAULT_CAPACITY,
     of training APS frames are appended until the training source mix is
     about `aps_target_fraction` APS. Returns (train, test, report).
     """
-    train_parts, test_parts = [], []
+    train_items, test_items = [], []
     for rec in recordings:
         stream = frames_from_recording(rec, capacity)
         if not stream:
             raise ValueError("recording produced no frames")
         n_train = int(0.8 * len(stream))
-        train_parts.append(stream[:n_train])
-        test_parts.append(stream[n_train:])
+        train_items += stream[:n_train]
+        test_items += stream[n_train:]
 
-    train_items = [item for part in train_parts for item in part]
-    test_items = [item for part in test_parts for item in part]
-    train = _to_dataset(train_items)
-    test = _to_dataset(test_items)
-
-    n_aps, n_dvs = train.source_counts()
+    aps_items = [item for item in train_items if item[1] == SOURCE_APS]
+    n_aps, n_dvs = len(aps_items), len(train_items) - len(aps_items)
     report = {
-        "train_frames": len(train),
-        "test_frames": len(test),
+        "train_frames": len(train_items),
+        "test_frames": len(test_items),
         "train_aps_before_augment": n_aps,
         "train_dvs": n_dvs,
     }
 
     target_aps = int(round(n_dvs * aps_target_fraction / (1.0 - aps_target_fraction)))
-    need = max(0, target_aps - n_aps)
-    if need > 0:
-        raws = [(item[3], item[4], item[5]) for item in train_items
-                if item[1] == SOURCE_APS]
-        aug_frames = np.zeros((need, FRAME_SIZE, FRAME_SIZE), dtype=np.float32)
-        aug_labels = np.zeros(need, dtype=np.uint8)
-        aug_x = np.zeros(need, dtype=np.int16)
-        for i in range(need):
-            label, x, raw = raws[i % len(raws)]
-            shift = shift_grid[i % len(shift_grid)]
-            aug_frames[i] = aps_normalize(exposure_augment(raw, shift)).values
-            aug_labels[i] = int(label)
-            aug_x[i] = -1 if x is None else x
-        aug = Dataset(frames=aug_frames, labels=aug_labels, target_x=aug_x,
-                      source=np.full(need, SOURCE_APS, dtype=np.uint8))
-        train = _concat_datasets([train, aug])
+    for i in range(max(0, target_aps - n_aps)):
+        t, source, _, label, x, raw = aps_items[i % len(aps_items)]
+        shifted = exposure_augment(raw, shift_grid[i % len(shift_grid)])
+        train_items.append((t, source, aps_normalize(shifted), label, x, raw))
+    train, test = _to_dataset(train_items), _to_dataset(test_items)
 
     n_aps_after, n_dvs_after = train.source_counts()
     total = max(n_aps_after + n_dvs_after, 1)
@@ -382,39 +322,41 @@ def read_events(path):
     events = np.frombuffer(body, dtype=EVENT_DTYPE)
     if len(events) and np.any(np.diff(events["t"].astype(np.int64)) < 0):
         raise FormatError(f"{path}: timestamps decrease")
+    if np.any(events["x"] >= SENSOR_WIDTH) or np.any(events["y"] >= SENSOR_HEIGHT):
+        raise FormatError(f"{path}: event address outside {SENSOR_WIDTH}x{SENSOR_HEIGHT}")
+    if np.any(events["polarity"] > 1):
+        raise FormatError(f"{path}: polarity byte other than 0 or 1")
     return events
 
 
+def _read_counted(path, magic, n_header, record):
+    """Header u32s and the packed records of an APS or dataset file."""
+    with open(path, "rb") as fh:
+        if fh.read(16) != magic:
+            raise FormatError(f"{path}: bad magic")
+        head = fh.read(4 * n_header)
+        body = fh.read()
+    if len(head) != 4 * n_header:
+        raise FormatError(f"{path}: missing header")
+    header = [int(v) for v in np.frombuffer(head, dtype="<u4")]
+    if len(body) != header[0] * record.itemsize:
+        raise FormatError(f"{path}: expected {header[0]} frames")
+    return header, np.frombuffer(body, dtype=record)
+
+
 def write_aps(path, aps_t, aps_raw):
-    aps_t = np.asarray(aps_t, dtype="<u4")
-    aps_raw = np.asarray(aps_raw, dtype="<f4")
+    recs = np.empty(len(aps_t), dtype=APS_RECORD)
+    recs["t"] = aps_t
+    recs["raw"] = aps_raw
     with open(path, "wb") as fh:
         fh.write(APS_MAGIC)
-        fh.write(np.uint32(len(aps_t)).tobytes())
-        for t, frame in zip(aps_t, aps_raw):
-            fh.write(t.tobytes())
-            fh.write(frame.tobytes())
+        fh.write(np.uint32(len(recs)).tobytes())
+        fh.write(recs)
 
 
 def read_aps(path):
-    frame_bytes = 4 + FRAME_SIZE * FRAME_SIZE * 4
-    with open(path, "rb") as fh:
-        if fh.read(16) != APS_MAGIC:
-            raise FormatError(f"{path}: bad APS file magic")
-        count_raw = fh.read(4)
-        if len(count_raw) != 4:
-            raise FormatError(f"{path}: missing frame count")
-        count = int(np.frombuffer(count_raw, dtype="<u4")[0])
-        body = fh.read()
-    if len(body) != count * frame_bytes:
-        raise FormatError(f"{path}: expected {count} frames")
-    ts = np.zeros(count, dtype=np.uint32)
-    frames = np.zeros((count, FRAME_SIZE, FRAME_SIZE), dtype=np.float32)
-    for i in range(count):
-        rec = body[i * frame_bytes:(i + 1) * frame_bytes]
-        ts[i] = np.frombuffer(rec[:4], dtype="<u4")[0]
-        frames[i] = np.frombuffer(rec[4:], dtype="<f4").reshape(FRAME_SIZE, FRAME_SIZE)
-    return ts, frames
+    _, recs = _read_counted(path, APS_MAGIC, 1, APS_RECORD)
+    return recs["t"].astype(np.uint32), recs["raw"].astype(np.float32)
 
 
 def write_labels(path, label_t, label_x):
@@ -425,19 +367,28 @@ def write_labels(path, label_t, label_x):
 
 def read_labels(path):
     ts, xs = [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 't x' or 't N'")
-            try:
-                ts.append(int(parts[0]))
-                xs.append(-1 if parts[1] == "N" else int(parts[1]))
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: bad label line") from None
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: label track is not text") from None
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise FormatError(f"{path}:{lineno}: expected 't x' or 't N'")
+        try:
+            t = int(parts[0])
+            x = -1 if parts[1] == "N" else int(parts[1])
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: bad label line") from None
+        if not (0 <= t < 2**32 and (parts[1] == "N" or 0 <= x < FRAME_SIZE)):
+            raise FormatError(f"{path}:{lineno}: label outside the u32 time "
+                              f"or 0..{FRAME_SIZE - 1} column range")
+        ts.append(t)
+        xs.append(x)
     return np.array(ts, dtype=np.uint32), np.array(xs, dtype=np.int16)
 
 
@@ -457,39 +408,28 @@ def save_recording(prefix, rec: Recording):
 
 
 def save_dataset(path, ds: Dataset):
-    n_aps, n_dvs = ds.source_counts()
+    recs = np.empty(len(ds), dtype=DATASET_RECORD)
+    recs["source"] = ds.source
+    recs["label"] = ds.labels
+    recs["target_x"] = np.where(ds.target_x < 0, 255, ds.target_x)
+    recs["values"] = ds.frames
     with open(path, "wb") as fh:
         fh.write(DATASET_MAGIC)
-        fh.write(np.array([len(ds), n_aps, n_dvs], dtype="<u4").tobytes())
-        tx = np.where(ds.target_x < 0, 255, ds.target_x).astype(np.uint8)
-        for i in range(len(ds)):
-            fh.write(bytes([int(ds.source[i]), int(ds.labels[i]), int(tx[i])]))
-            fh.write(ds.frames[i].astype("<f4").tobytes())
+        fh.write(np.array([len(ds), *ds.source_counts()], dtype="<u4").tobytes())
+        fh.write(recs)
 
 
 def load_dataset(path) -> Dataset:
-    rec_bytes = 3 + FRAME_SIZE * FRAME_SIZE * 4
-    with open(path, "rb") as fh:
-        if fh.read(16) != DATASET_MAGIC:
-            raise FormatError(f"{path}: bad dataset magic")
-        head = fh.read(12)
-        if len(head) != 12:
-            raise FormatError(f"{path}: missing dataset header")
-        count, n_aps, n_dvs = (int(v) for v in np.frombuffer(head, dtype="<u4"))
-        body = fh.read()
-    if len(body) != count * rec_bytes:
-        raise FormatError(f"{path}: expected {count} frames")
-    frames = np.zeros((count, FRAME_SIZE, FRAME_SIZE), dtype=np.float32)
-    labels = np.zeros(count, dtype=np.uint8)
-    target_x = np.zeros(count, dtype=np.int16)
-    source = np.zeros(count, dtype=np.uint8)
-    for i in range(count):
-        rec = body[i * rec_bytes:(i + 1) * rec_bytes]
-        source[i], labels[i], tx = rec[0], rec[1], rec[2]
-        target_x[i] = -1 if tx == 255 else tx
-        frames[i] = np.frombuffer(rec[3:], dtype="<f4").reshape(FRAME_SIZE, FRAME_SIZE)
-    ds = Dataset(frames=frames, labels=labels, target_x=target_x, source=source)
-    got_aps, got_dvs = ds.source_counts()
-    if (got_aps, got_dvs) != (n_aps, n_dvs):
+    (_, n_aps, n_dvs), recs = _read_counted(path, DATASET_MAGIC, 3, DATASET_RECORD)
+    tx = recs["target_x"]
+    if np.any(recs["label"] > Decision.N) or np.any(recs["source"] > SOURCE_DVS):
+        raise FormatError(f"{path}: label byte above 3 or source byte above 1")
+    if np.any((tx >= FRAME_SIZE) & (tx != 255)):
+        raise FormatError(f"{path}: target byte outside 0..{FRAME_SIZE - 1} and 255")
+    ds = Dataset(frames=recs["values"].astype(np.float32),
+                 labels=recs["label"].copy(),
+                 target_x=np.where(tx == 255, -1, tx.astype(np.int16)),
+                 source=recs["source"].copy())
+    if ds.source_counts() != (n_aps, n_dvs):
         raise FormatError(f"{path}: source counts disagree with header")
     return ds

@@ -2,10 +2,10 @@
 
 The world advances on a fixed 1 ms kinematics step; rendering and event
 synthesis run on a coarser grid (default 5 ms) with event timestamps
-interpolated inside the interval. Completed constant-count DVS histograms and
-APS captures form a frame queue processed in timestamp order under the 240 Hz
-processing cap; each frame yields one decision, one log line, and one UDP
-datagram record.
+interpolated inside the interval. A `frames.FrameStream` turns each step's
+events and APS capture into the frame queue, processed in (t, source) order
+under the 240 Hz processing cap; each frame yields one decision, one log
+line, and one UDP datagram record.
 
 Run logs are line-oriented text, one record per line:
 
@@ -29,10 +29,12 @@ from evsteer.behavior import (BehaviorConfig, BehaviorController, Mode,
                               VelocityCmd)
 from evsteer.config import steps_for_duration
 from evsteer.decision import DecisionFilter, FilterConfig
-from evsteer.frames import (DEFAULT_CAPACITY, DvsAccumulator, SOURCE_APS,
-                            SOURCE_DVS, SOURCE_NAMES, aps_normalize,
+# dvs_normalize and aps_normalize are unused here but stay bound: span
+# tracers that wrap them by their importers' names look them up on this module.
+from evsteer.frames import (DEFAULT_CAPACITY, SOURCE_APS, SOURCE_DVS,
+                            SOURCE_NAMES, FrameStream, aps_normalize,
                             aps_resize, dvs_normalize, label_from_target)
-from evsteer.nnet import Decision, decision_from_logits
+from evsteer.nnet import Decision
 from evsteer.sim import (RobotState, SimConfig, WorldSim, wrap_angle)
 from evsteer.wire import DecisionEncoder
 
@@ -153,7 +155,7 @@ def run_closed_loop(net, cfg: RunnerConfig, seed: int,
                                   seed=int(behavior_seed.generate_state(1)[0]))
     filt = DecisionFilter(cfg.filter)
     encoder = DecisionEncoder(cfg.rate_cap_hz)
-    acc = DvsAccumulator(cfg.capacity)
+    stream = FrameStream(cfg.capacity)
 
     lines = [RUNLOG_MAGIC, f"# seed {seed}"]
     predator_cmd = VelocityCmd(0.0, 0.0)
@@ -194,16 +196,12 @@ def run_closed_loop(net, cfg: RunnerConfig, seed: int,
         t_now = world.t_us
         prey_cmd = prey_policy.command(world.prey, t_now / 1e6)
 
-        queue = []
-        if len(batch.events):
-            for t_emit, hist in acc.add_batch(batch.events):
-                queue.append((t_emit, SOURCE_DVS, dvs_normalize(hist, t_emit).values))
-        if batch.aps is not None:
+        if batch.aps is None:
+            queue = stream.push(batch.events)
+        else:
             t_aps, image = batch.aps
-            raw36 = aps_resize(image)
-            queue.append((t_aps, SOURCE_APS, aps_normalize(raw36, t_aps).values))
-        queue.sort(key=lambda item: (item[0], item[1]))
-        for t_frame, source, values in queue:
+            queue = stream.push(batch.events, [t_aps], [aps_resize(image)])
+        for t_frame, source, values, _ in queue:
             process_frame(t_frame, source, values)
 
     lines.append(f"END {world.t_us}")
@@ -240,11 +238,11 @@ def parse_runlog(text: str):
 def runlog_eval_records(parsed, use_filtered=False):
     """EvalRecords joining DEC and GT lines (emitted pairwise by the runner)."""
     from evsteer.evaluation import EvalRecord
-    from evsteer.frames import SOURCE_APS as APS, SOURCE_DVS as DVS
 
     records = []
     for (t, src, raw, filt), (_, target, label) in zip(parsed["DEC"], parsed["GT"]):
         records.append(EvalRecord(decision=filt if use_filtered else raw,
                                   truth_label=label, truth_target_x=target,
-                                  source=APS if src == "APS" else DVS, t=t))
+                                  source=SOURCE_APS if src == "APS" else SOURCE_DVS,
+                                  t=t))
     return records

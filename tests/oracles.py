@@ -1,10 +1,12 @@
 """Independent brute-force reference implementations used only by tests.
 
-These deliberately avoid the vectorized code paths in evsteer.nnet: the
-convolution is a plain nested loop over output positions, pooling walks 2x2
-windows one by one, and the low-pass replay keeps scalar state. Keep them
-slow and obvious.
+These deliberately avoid the vectorized code paths in evsteer.nnet and
+evsteer.frames: the convolution is a plain nested loop over output positions,
+pooling walks 2x2 windows one by one, the low-pass replay keeps scalar state,
+and the DVS histogram takes one event at a time. Keep them slow and obvious.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,3 +87,41 @@ def replay_lowpass(decisions, alpha, init_states=(0.0, 0.0, 0.0, 1.0),
                     break
         winners.append(winner)
     return winners
+
+
+@dataclass
+class AddressEvent:
+    """One DVS brightness-change event. polarity is +1 (ON) or -1 (OFF)."""
+
+    t: int
+    x: int
+    y: int
+    polarity: int
+
+
+def subsample_address(x, y):
+    """Map a 240x180 event address to its 36x36 histogram bin (floor bins)."""
+    if not (0 <= x < 240 and 0 <= y < 180):
+        raise ValueError(f"event address ({x}, {y}) outside 240x180")
+    return (x * 36) // 240, (y * 36) // 180
+
+
+class ScalarAccumulator:
+    """Constant-count histogram fed one event at a time (DvsAccumulator reference)."""
+
+    def __init__(self, capacity=5000):
+        self.capacity = capacity
+        self.values = np.full((36, 36), 0.5)
+        self.events_in = 0
+
+    def add(self, event):
+        """Accumulate one event; returns the raw histogram on emission."""
+        bx, by = subsample_address(event.x, event.y)
+        self.values[by, bx] += event.polarity / 200
+        self.events_in += 1
+        if self.events_in < self.capacity:
+            return None
+        hist = self.values
+        self.values = np.full((36, 36), 0.5)
+        self.events_in = 0
+        return hist

@@ -1,7 +1,15 @@
+import hashlib
+import socket
+
 import numpy as np
 import pytest
 
-from evsteer.cli import EXIT_DATA, EXIT_USAGE, main
+from evsteer import wire
+from evsteer.cli import (EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
+                         _sweep_capacities, main)
+from evsteer.evaluation import dataset_records, source_split_errors
+from evsteer.frames import (EVENT_DTYPE, Recording, assemble_dataset,
+                            save_recording, write_events)
 from evsteer.nnet import runtime_network, save_weights
 
 HEADER = "evsteer-net v1\ninput 36 36 1\n"
@@ -37,3 +45,133 @@ class TestDurationExitCodes:
                 "--out", str(tmp_path / "gen")]
         assert main(argv) == EXIT_USAGE
         assert "4294.967295" in capsys.readouterr().err
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+# serve --events rec.events --aps rec.aps --listen 0 over the seed-5 1 s
+# recording and the seed-0 runtime network (numpy 2.4, x86-64): stdout and
+# the concatenated datagram payloads, hashed before the replay moved onto
+# FrameStream.
+SERVE_STDOUT_SHA256 = (
+    "de131671f03e7196dc1b0cb404c55e3d85eddd06dd97c41765f892311d57bb78")
+SERVE_DATAGRAMS_SHA256 = (
+    "8cab627fe474a44f5e0395cdfeba1c3a141f2b5681ad8b6199182f7f345ef050")
+
+
+class TestServeReplay:
+    def test_file_replay_output_is_pinned(self, tmp_path, weights, generated_recordings,
+                                          monkeypatch, capsys):
+        save_recording(tmp_path / "rec", generated_recordings[0])
+        sent = []
+        monkeypatch.setattr(wire.UdpEndpoint, "send",
+                            lambda self, payload: sent.append(payload) or True)
+        argv = ["serve", "--weights", weights, "--events", str(tmp_path / "rec.events"),
+                "--aps", str(tmp_path / "rec.aps"), "--listen", "0"]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("decisions 52, datagrams sent 52,")
+        assert _sha256(out.encode()) == SERVE_STDOUT_SHA256
+        assert _sha256(b"".join(sent)) == SERVE_DATAGRAMS_SHA256
+
+
+def _ramped_recording(seed, duration_us=2_000_000, n_events=300_000):
+    """Event rate growing linearly in time, 15 Hz APS, labels sweeping N, 0..35.
+
+    80% of the frames fall well after 80% of the label time, so a split by
+    time and a split by frame count disagree.
+    """
+    rng = np.random.default_rng(seed)
+    events = np.zeros(n_events, dtype=EVENT_DTYPE)
+    events["t"] = np.sort(duration_us * np.sqrt(rng.random(n_events)))
+    events["x"] = rng.integers(0, 240, n_events)
+    events["y"] = rng.integers(0, 180, n_events)
+    events["polarity"] = rng.integers(0, 2, n_events)
+    aps_t = np.arange(66_667, duration_us, 66_667, dtype=np.uint32)
+    label_t = np.arange(0, duration_us, 5000, dtype=np.uint32)
+    return Recording(events=events, aps_t=aps_t,
+                     aps_raw=rng.random((len(aps_t), 36, 36), dtype=np.float32),
+                     label_t=label_t,
+                     label_x=((label_t // 50_000) % 37).astype(np.int16) - 1)
+
+
+class ContentNet:
+    """Stand-in network whose decision follows the frame content."""
+
+    def predict_batch(self, x):
+        return (x.reshape(len(x), -1).sum(axis=1) * 1e4).astype(np.int64) % 4
+
+
+class TestCapacitySweep:
+    def test_sweep_scores_the_dataset_test_split(self, tmp_path):
+        recs = [_ramped_recording(seed) for seed in (0, 1)]
+        for i, rec in enumerate(recs):
+            save_recording(tmp_path / f"rec{i:03d}", rec)
+        net = ContentNet()
+        got = _sweep_capacities(net, str(tmp_path), [2000, 5000])
+        for cap, error in got.items():
+            _, test, _ = assemble_dataset(recs, capacity=cap)
+            records = dataset_records(test, net.predict_batch(test.frames[..., None]))
+            assert error == pytest.approx(source_split_errors(records)["DVS"], abs=1e-12)
+
+
+class TestReaderExitCodes:
+    def test_event_address_outside_sensor_is_data_error(self, tmp_path, weights, capsys):
+        events = np.zeros(2, dtype=EVENT_DTYPE)
+        events["x"] = [10, 240]
+        write_events(tmp_path / "bad.events", events)
+        argv = ["serve", "--weights", weights, "--events", str(tmp_path / "bad.events"),
+                "--listen", "0"]
+        assert main(argv) == EXIT_DATA
+        assert "outside 240x180" in capsys.readouterr().err
+
+
+class TestConfigExitCodes:
+    @pytest.mark.parametrize("override", [
+        "no.such_key=1",  # unknown key
+        "filter.constraints=maybe",  # bad bool
+        "sim.timestep_us=1.5",  # bad int
+        "filter.alpha=fast",  # bad float
+        "sim.rate_profile=1:2000000,2:lots",  # bad rate profile segment
+    ])
+    def test_bad_override_is_usage_error(self, weights, capsys, override):
+        argv = ["--set", override, "simulate", "--weights", weights, "--dry-run"]
+        assert main(argv) == EXIT_USAGE
+        assert "config error" in capsys.readouterr().err
+
+    def test_config_line_without_equals_is_usage_error(self, tmp_path, weights, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("# comment\nfilter.alpha 0.3\n")
+        argv = ["--config", str(path), "simulate", "--weights", weights, "--dry-run"]
+        assert main(argv) == EXIT_USAGE
+        assert "bad.cfg:2" in capsys.readouterr().err
+
+    def test_unreadable_config_file_is_usage_error(self, tmp_path, weights, capsys):
+        argv = ["--config", str(tmp_path / "missing.cfg"), "simulate",
+                "--weights", weights, "--dry-run"]
+        assert main(argv) == EXIT_USAGE
+        assert "cannot read config" in capsys.readouterr().err
+
+
+class TestSuccessAndRuntimeExitCodes:
+    def test_simulate_dry_run_succeeds(self, weights, capsys):
+        assert main(["simulate", "--weights", weights, "--dry-run"]) == EXIT_OK
+        assert "6472 parameters" in capsys.readouterr().out
+
+    def test_inspect_weights_succeeds(self, weights, capsys):
+        assert main(["inspect-weights", "--weights", weights]) == EXIT_OK
+        assert "operations per forward pass" in capsys.readouterr().out
+
+    def test_serve_on_a_held_port_is_runtime_error(self, tmp_path, weights, capsys):
+        held = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        held.bind(("0.0.0.0", 0))
+        try:
+            argv = ["serve", "--weights", weights, "--events",
+                    str(tmp_path / "unused.events"), "--listen",
+                    str(held.getsockname()[1])]
+            assert main(argv) == EXIT_RUNTIME
+        finally:
+            held.close()
+        assert "cannot bind port" in capsys.readouterr().err

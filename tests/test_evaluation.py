@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from evsteer.evaluation import (EvalRecord, accuracy, accuracy_curve,
                                 class_distribution, confusion_matrix,
-                                evaluate_records, histogram_text,
-                                interval_histogram, is_correct,
+                                evaluate_records, interval_histogram, is_correct,
                                 source_split_errors)
 from evsteer.frames import SOURCE_APS, SOURCE_DVS, label_from_target
 from evsteer.nnet import Decision
@@ -137,12 +136,6 @@ class TestIntervals:
         ts = np.cumsum(rng.integers(1000, 50_000, 300))
         buckets, _ = interval_histogram(ts)
         assert sum(buckets.values()) == 299
-
-    def test_dump_trims_empty_tails(self):
-        text = histogram_text({3: 5, 10: 1})
-        lines = text.strip().splitlines()
-        assert lines[0] == "interval_ms count"
-        assert lines[1] == "3 5" and lines[-1] == "10 1"
 
 
 class TestReport:

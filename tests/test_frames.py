@@ -1,16 +1,19 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evsteer import frames
-from evsteer.frames import (AddressEvent, Dataset, DvsAccumulator, Recording,
-                            aps_normalize, aps_resize, assemble_dataset,
+from evsteer.frames import (SOURCE_APS, SOURCE_DVS, Dataset, DvsAccumulator,
+                            FormatError, FrameStream, Recording, aps_normalize, aps_resize, assemble_dataset,
                             dvs_normalize, exposure_augment, label_from_target,
-                            load_dataset, load_recording, read_events,
-                            save_dataset, save_recording, subsample_address,
-                            write_events)
+                            load_dataset, load_recording, read_aps,
+                            read_events, read_labels, save_dataset,
+                            save_recording, write_events)
 from evsteer.nnet import Decision
+from oracles import AddressEvent, ScalarAccumulator, subsample_address
 
 
 def make_events(ts, xs, ys, pols):
@@ -51,18 +54,18 @@ class TestSubsample:
 class TestAccumulator:
     def test_fifty_on_events_reach_three_quarters(self):
         acc = DvsAccumulator()
-        for _ in range(50):
-            assert acc.add(AddressEvent(0, 10, 10, +1)) is None
+        ones = np.ones(50)
+        assert acc.add_batch(make_events(0 * ones, 10 * ones, 10 * ones, ones)) == []
         bx, by = subsample_address(10, 10)
         assert acc.values[by, bx] == pytest.approx(0.75)
 
     def test_alternating_five_thousand_emits_neutral(self):
         acc = DvsAccumulator()
-        hist = None
-        for i in range(5000):
-            hist = acc.add(AddressEvent(i, 5, 5, +1 if i % 2 == 0 else -1))
-        assert hist is not None
-        np.testing.assert_allclose(hist, 0.5)
+        pol = np.arange(5000) % 2 == 0
+        emitted = acc.add_batch(make_events(np.arange(5000), np.full(5000, 5),
+                                            np.full(5000, 5), pol))
+        assert len(emitted) == 1
+        np.testing.assert_allclose(emitted[0][1], 0.5)
         assert acc.events_in == 0
 
     def test_no_emission_below_capacity(self):
@@ -76,7 +79,7 @@ class TestAccumulator:
         n = 12_000
         ev = make_events(np.arange(n), rng.integers(0, 240, n),
                          rng.integers(0, 180, n), rng.integers(0, 2, n))
-        acc_a, acc_b = DvsAccumulator(), DvsAccumulator()
+        acc_a, acc_b = DvsAccumulator(), ScalarAccumulator()
         got_a = acc_a.add_batch(ev)
         got_b = []
         for e in ev:
@@ -110,13 +113,13 @@ class TestAccumulator:
 class TestDvsNormalize:
     def test_flat_histogram_stays_neutral(self):
         hist = np.full((36, 36), 0.5)
-        np.testing.assert_array_equal(dvs_normalize(hist).values, 0.5)
+        np.testing.assert_array_equal(dvs_normalize(hist), 0.5)
 
     def test_clipped_extreme_maps_to_one(self, rng):
         hist = np.full((36, 36), 0.5)
         hist += rng.normal(0, 0.01, hist.shape)
         hist[3, 3] = 10.0  # far beyond 3 sigma, must clip to exactly 1.0
-        out = dvs_normalize(hist).values
+        out = dvs_normalize(hist)
         assert out[3, 3] == pytest.approx(1.0)
 
     def test_exact_three_sigma_maps_to_one(self):
@@ -132,7 +135,7 @@ class TestDvsNormalize:
             s = 3 * np.std(hist)
         hist[5, 5] = 0.5 + s
         assert s == pytest.approx(3 * np.std(hist), rel=1e-12)
-        out = dvs_normalize(hist).values
+        out = dvs_normalize(hist)
         assert out[5, 5] == pytest.approx(1.0)
         assert out[0, 0] == 1.0  # beyond 3 sigma, clipped to the extreme
         assert out[0, 1] == 0.0
@@ -145,7 +148,7 @@ class TestDvsNormalize:
         n_active = int(rng.integers(2, 80))
         idx = rng.choice(36 * 36, n_active, replace=False)
         hist.reshape(-1)[idx] += rng.normal(0, 0.2, n_active)
-        out = dvs_normalize(hist).values
+        out = dvs_normalize(hist)
         assert out.min() >= 0.0 and out.max() <= 1.0
         np.testing.assert_array_equal(out[hist == 0.5], 0.5)
         # ordering of unclipped bins is preserved (strictly monotone map)
@@ -191,20 +194,47 @@ class TestApsNormalize:
     def test_identity_when_already_unit_range(self, rng):
         f = rng.random((36, 36))
         f[0, 0], f[1, 1] = 0.0, 1.0
-        np.testing.assert_allclose(aps_normalize(f).values, f, atol=1e-7)
+        np.testing.assert_allclose(aps_normalize(f), f, atol=1e-7)
 
     def test_constant_maps_to_half(self):
-        np.testing.assert_array_equal(aps_normalize(np.full((36, 36), 7.0)).values, 0.5)
+        np.testing.assert_array_equal(aps_normalize(np.full((36, 36), 7.0)), 0.5)
 
     def test_three_level_affine(self):
         f = np.tile(np.array([10.0, 20.0, 30.0] * 12), (36, 1))
-        out = aps_normalize(f).values
+        out = aps_normalize(f)
         np.testing.assert_allclose(out, np.tile([0.0, 0.5, 1.0], (36, 12)))
 
     def test_attains_both_extremes_when_nonconstant(self, rng):
         f = rng.random((36, 36)) * 0.2 + 0.4
-        out = aps_normalize(f).values
+        out = aps_normalize(f)
         assert out.min() == 0.0 and out.max() == 1.0
+
+
+class TestFrameStream:
+    def test_merges_by_time_then_source(self, rng):
+        n = 10_000
+        ev = make_events(np.arange(n), rng.integers(0, 240, n),
+                         rng.integers(0, 180, n), rng.integers(0, 2, n))
+        raws = rng.random((2, 36, 36)).astype(np.float32)
+        got = FrameStream(5000).push(ev, [4999, 100], raws)
+        assert [(t, src) for t, src, _, _ in got] == [
+            (100, SOURCE_APS), (4999, SOURCE_APS), (4999, SOURCE_DVS), (9999, SOURCE_DVS)]
+        np.testing.assert_array_equal(got[0][3], raws[1])
+        np.testing.assert_array_equal(got[0][2], aps_normalize(raws[1]))
+        hist = DvsAccumulator(5000).add_batch(ev)[0][1]
+        np.testing.assert_array_equal(got[2][2], dvs_normalize(hist))
+        assert got[2][3] is None and got[3][3] is None
+
+    def test_split_pushes_match_one_push(self, rng):
+        n = 20_000
+        ev = make_events(np.arange(n), rng.integers(0, 240, n),
+                         rng.integers(0, 180, n), rng.integers(0, 2, n))
+        stream = FrameStream(3000)
+        pieces = [f for part in np.array_split(ev, 7) for f in stream.push(part)]
+        whole = FrameStream(3000).push(ev)
+        assert [f[0] for f in pieces] == [f[0] for f in whole]
+        for a, b in zip(pieces, whole):
+            np.testing.assert_array_equal(a[2], b[2])
 
 
 class TestExposureAugment:
@@ -307,6 +337,24 @@ class TestAssembleDataset:
         assert report["reference_class_mix"]["N"] == 0.56
 
 
+# sha256 of the save_dataset bytes of assemble_dataset's train and test sets
+# over the two 1 s generated recordings (numpy 2.4, x86-64), hashed before
+# the frame merge and the dataset format were rewritten.
+TRAIN_DS_SHA256 = (
+    "f4213141e40f57af3851e63726dc0f4434ad435a4d1722e9bb43696775e791f7")
+TEST_DS_SHA256 = (
+    "c2274463bba6f422877c6126daddaedf65c37082a31f5fe149b078c3df3f6aaf")
+
+
+class TestDatasetGolden:
+    def test_assembled_dataset_bytes(self, generated_recordings, tmp_path):
+        train, test, _ = assemble_dataset(generated_recordings)
+        for ds, want in ((train, TRAIN_DS_SHA256), (test, TEST_DS_SHA256)):
+            path = tmp_path / "d.ds"
+            save_dataset(path, ds)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == want
+
+
 class TestFileFormats:
     def test_event_round_trip(self, rng, tmp_path):
         n = 1000
@@ -369,14 +417,159 @@ class TestFileFormats:
             load_dataset(path)
 
 
+def _small_dataset(rng, n=4):
+    return Dataset(frames=rng.random((n, 36, 36)).astype(np.float32),
+                   labels=np.array([0, 1, 2, 3][:n], dtype=np.uint8),
+                   target_x=np.array([5, 20, 30, -1][:n], dtype=np.int16),
+                   source=np.array([0, 1, 1, 0][:n], dtype=np.uint8))
+
+
+class TestReaderContracts:
+    @pytest.mark.parametrize("field,value,match", [
+        ("x", 240, "address"), ("y", 180, "address"),
+        ("polarity", 2, "polarity"), ("polarity", 7, "polarity"),
+    ])
+    def test_event_outside_contract_rejected(self, tmp_path, field, value, match):
+        ev = make_events([1, 2], [3, 239], [5, 179], [1, 0])
+        path = tmp_path / "r.events"
+        write_events(path, ev)
+        np.testing.assert_array_equal(read_events(path), ev)
+        ev[field][1] = value
+        write_events(path, ev)
+        with pytest.raises(FormatError, match=match):
+            read_events(path)
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("labels", 4, "label byte"), ("labels", 9, "label byte"),
+        ("source", 2, "source byte"),
+        ("target_x", 36, "target byte"), ("target_x", 40, "target byte"),
+        ("target_x", 254, "target byte"),
+    ])
+    def test_dataset_record_outside_contract_rejected(self, rng, tmp_path, field,
+                                                      value, match):
+        ds = _small_dataset(rng)
+        getattr(ds, field)[1] = value
+        path = tmp_path / "d.ds"
+        save_dataset(path, ds)
+        with pytest.raises(FormatError, match=match):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("text", [
+        "10 36\n", "10 -1\n", "-5 N\n", "4294967296 N\n", "10 99999\n",
+    ])
+    def test_label_outside_contract_rejected(self, tmp_path, text):
+        path = tmp_path / "r.labels"
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            read_labels(path)
+
+    def test_label_track_that_is_not_text_rejected(self, tmp_path):
+        path = tmp_path / "r.labels"
+        path.write_bytes(b"10 \xff\xfe\n")
+        with pytest.raises(FormatError):
+            read_labels(path)
+
+
+def _random_bytes(seed, n):
+    return np.random.default_rng(seed).bytes(max(n, 0))
+
+
+@st.composite
+def event_files(draw):
+    records = draw(st.lists(st.tuples(st.integers(0, 40), st.integers(230, 250),
+                                      st.integers(170, 190), st.integers(0, 3)),
+                            max_size=6))
+    body = make_events(*zip(*records)).tobytes() if records else b""
+    return (draw(st.sampled_from([frames.EVENT_MAGIC, b""])) + body
+            + draw(st.binary(max_size=10)))
+
+
+@st.composite
+def aps_files(draw):
+    count = draw(st.integers(0, 3))
+    size = count * frames.APS_RECORD.itemsize + draw(st.integers(-2, 2))
+    return (frames.APS_MAGIC + np.uint32(count).tobytes()
+            + _random_bytes(draw(st.integers(0, 2**32 - 1)), size))
+
+
+@st.composite
+def dataset_files(draw):
+    count = draw(st.integers(0, 3))
+    head = np.array([count, draw(st.integers(0, 3)), draw(st.integers(0, 3))], "<u4")
+    body = b""
+    for _ in range(count):
+        body += bytes([draw(st.integers(0, 2)), draw(st.integers(0, 5)),
+                       draw(st.sampled_from([0, 35, 36, 100, 254, 255]))])
+        body += _random_bytes(draw(st.integers(0, 2**32 - 1)), 36 * 36 * 4)
+    cut = draw(st.integers(0, 2))
+    return frames.DATASET_MAGIC + head.tobytes() + body[:len(body) - cut]
+
+
+label_files = st.one_of(
+    st.binary(max_size=40),
+    st.lists(st.tuples(st.integers(-2, 2**32 + 2),
+                       st.one_of(st.just("N"), st.integers(-2, 40).map(str))),
+             max_size=4).map(lambda rows: "".join(f"{t} {x}\n" for t, x in rows).encode()),
+)
+
+
+class TestReaderFuzz:
+    """Any byte string either loads in-contract data or raises FormatError."""
+
+    @staticmethod
+    def _load(tmp_path_factory, reader, data):
+        path = tmp_path_factory.mktemp("fuzz") / "f"
+        path.write_bytes(data)
+        try:
+            return reader(path)
+        except FormatError:
+            return None
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(event_files(), st.binary(max_size=40)))
+    def test_read_events(self, tmp_path_factory, data):
+        ev = self._load(tmp_path_factory, read_events, data)
+        if ev is not None:
+            assert np.all(np.diff(ev["t"].astype(np.int64)) >= 0)
+            assert np.all(ev["x"] < 240) and np.all(ev["y"] < 180)
+            assert np.all(ev["polarity"] <= 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(aps_files(), st.binary(max_size=40)))
+    def test_read_aps(self, tmp_path_factory, data):
+        got = self._load(tmp_path_factory, read_aps, data)
+        if got is not None:
+            ts, raw = got
+            assert ts.dtype == np.uint32 and raw.dtype == np.float32
+            assert raw.shape == (len(ts), 36, 36)
+
+    @settings(max_examples=150, deadline=None)
+    @given(label_files)
+    def test_read_labels(self, tmp_path_factory, data):
+        got = self._load(tmp_path_factory, read_labels, data)
+        if got is not None:
+            ts, xs = got
+            assert len(ts) == len(xs)
+            assert np.all((xs >= -1) & (xs < 36))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(dataset_files(), st.binary(max_size=40)))
+    def test_load_dataset(self, tmp_path_factory, data):
+        ds = self._load(tmp_path_factory, load_dataset, data)
+        if ds is not None:
+            assert np.all(ds.labels <= 3) and np.all(ds.source <= 1)
+            assert np.all((ds.target_x >= -1) & (ds.target_x < 36))
+            assert ds.frames.shape == (len(ds), 36, 36)
+
+
 class TestNormalizedFrameInvariant:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
     def test_all_outputs_unit_range(self, seed):
         rng = np.random.default_rng(seed)
         aps = aps_normalize(rng.random((36, 36)) * 100 - 50)
-        assert aps.values.min() >= 0.0 and aps.values.max() <= 1.0
+        assert aps.min() >= 0.0 and aps.max() <= 1.0
         hist = np.full((36, 36), 0.5)
         hist.reshape(-1)[rng.choice(1296, 50, replace=False)] += rng.normal(0, 0.3, 50)
         dvs = dvs_normalize(hist)
-        assert dvs.values.min() >= 0.0 and dvs.values.max() <= 1.0
+        assert dvs.min() >= 0.0 and dvs.max() <= 1.0

@@ -106,6 +106,12 @@ class TestGapTracking:
         dump = stats.histogram_dump()
         assert "10 2" in dump and "11 1" in dump
 
+    def test_dump_trims_empty_tails(self):
+        # a gap between buckets is skipped, not printed as zero rows
+        stats = LinkStats(intervals_ms={3: 5, 10: 1})
+        lines = stats.histogram_dump().strip().splitlines()
+        assert lines == ["interval_ms count", "3 5", "10 1"]
+
     @pytest.mark.parametrize("q", [0.01, 0.1])
     def test_loss_fraction_recovered_within_two_percent(self, q):
         rng = np.random.default_rng(2024)
