@@ -48,6 +48,13 @@ class FormatError(Exception):
     """A data file does not match its documented binary or text layout."""
 
 
+# Flat histogram bin of a sensor address (x, y) is _BIN_ROW[y] + _BIN_COL[x]:
+# the bin row y * 36 // 180 times 36, plus the bin column x * 36 // 240.
+_BIN_ROW = (np.arange(SENSOR_HEIGHT) * FRAME_SIZE // SENSOR_HEIGHT) * FRAME_SIZE
+_BIN_COL = np.arange(SENSOR_WIDTH) * FRAME_SIZE // SENSOR_WIDTH
+_STEP = np.array([-1.0, 1.0]) / GRAY_LEVELS  # indexed by polarity > 0
+
+
 class DvsAccumulator:
     """Constant-count histogram builder: emits every `capacity` events.
 
@@ -77,10 +84,8 @@ class DvsAccumulator:
         while pos < n:
             take = min(self.capacity - self.events_in, n - pos)
             chunk = events[pos:pos + take]
-            bx = (chunk["x"].astype(np.int64) * FRAME_SIZE) // SENSOR_WIDTH
-            by = (chunk["y"].astype(np.int64) * FRAME_SIZE) // SENSOR_HEIGHT
-            step = np.where(chunk["polarity"] > 0, 1.0, -1.0) / GRAY_LEVELS
-            np.add.at(self.values, (by, bx), step)
+            bins = _BIN_ROW.take(chunk["y"]) + _BIN_COL.take(chunk["x"])
+            np.add.at(self.values.reshape(-1), bins, _STEP.take(chunk["polarity"] > 0))
             self.events_in += take
             pos += take
             if self.events_in == self.capacity:
@@ -366,6 +371,7 @@ def write_labels(path, label_t, label_x):
 
 
 def read_labels(path):
+    """Label track: one `t x` or `t N` line per label, times nondecreasing."""
     ts, xs = [], []
     try:
         with open(path) as fh:
@@ -387,6 +393,8 @@ def read_labels(path):
         if not (0 <= t < 2**32 and (parts[1] == "N" or 0 <= x < FRAME_SIZE)):
             raise FormatError(f"{path}:{lineno}: label outside the u32 time "
                               f"or 0..{FRAME_SIZE - 1} column range")
+        if ts and t < ts[-1]:
+            raise FormatError(f"{path}:{lineno}: label time {t} before {ts[-1]}")
         ts.append(t)
         xs.append(x)
     return np.array(ts, dtype=np.uint32), np.array(xs, dtype=np.int16)

@@ -1,19 +1,27 @@
 """Dense tensor kernel and the runtime CNN.
 
 Everything here is hand-rolled on top of numpy arrays: valid convolutions via
-im2col, non-overlapping 2x2 max pooling with recorded argmax routing, ReLU /
-sigmoid activations, fully-connected layers, inverted dropout, softmax loss
-with analytic backprop, Adam updates, guided backpropagation saliency, and a
-line-oriented text weight format.
+im2col, non-overlapping 2x2 max pooling, ReLU / sigmoid activations,
+fully-connected layers, inverted dropout, softmax loss with analytic backprop,
+Adam updates, guided backpropagation saliency, and a line-oriented text
+weight format.
 
 Array layout is channels-last: feature maps are (height, width, maps) and a
 batch axis is prepended internally, so a batched activation is (n, h, w, c)
 and a flat one is (n, d). Inference never mutates a network; per-call state
 lives on a tape, so a loaded network can be shared read-only across threads.
+
+Every layer runs `forward(x, tape)`; a tape is only passed when something
+will run backward. `predict` and `forward_batch` pass none, so max pooling
+records its argmax routing only under a tape and is otherwise a plain
+maximum of the 2x2 phases. im2col gathers the patch matrix with one `take`
+through a flat index cached per input extent; training and inference share
+that path, so both feed the same matrix to the same matmul.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -65,6 +73,21 @@ def _glorot_uniform(rng, shape, fan_in, fan_out, dtype):
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
+@functools.lru_cache(maxsize=32)
+def _patch_index(h, w, c, k):
+    """Flat offsets into an (h, w, c) map of every k x k patch.
+
+    Row i * (w - k + 1) + j is output position (i, j); column (ch, di, dj),
+    in C order, reads input (i + di, j + dj, ch). Every network with this
+    input extent shares the array, so nothing may write to it. It is left
+    writeable because `take` copies a read-only index on every call.
+    """
+    hh, ww = h - k + 1, w - k + 1
+    base = (np.arange(hh)[:, None] * w + np.arange(ww)).reshape(-1, 1) * c
+    window = (np.arange(k)[:, None] * w + np.arange(k)).reshape(-1) * c
+    return base + (np.arange(c)[:, None] + window).reshape(-1)
+
+
 class Conv:
     """Valid (unpadded) stride-1 convolution with one bias per output map."""
 
@@ -102,16 +125,17 @@ class Conv:
         return h * w * m * 2 * self.kernels.shape[1] * self.kernel_size ** 2
 
     def _patches(self, x):
+        # contiguous (n, h'*w', c*k*k) im2col matrix
+        n, h, w, c = x.shape
         k = self.kernel_size
-        # (n, h', w', c, k, k): trailing window dims are (row, col)
-        win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
-        n, hh, ww = win.shape[:3]
-        return win.reshape(n, hh * ww, -1), (hh, ww)
+        cols = x.reshape(n, -1).take(_patch_index(h, w, c, k), axis=1)
+        return cols, (h - k + 1, w - k + 1)
 
     def forward(self, x, tape):
         cols, (hh, ww) = self._patches(x)
         w2d = self.kernels.reshape(self.n_maps, -1)
-        y = cols @ w2d.T + self.bias
+        y = cols @ w2d.T
+        y += self.bias
         if tape is not None:
             tape.append(cols)
         return y.reshape(x.shape[0], hh, ww, self.n_maps)
@@ -155,19 +179,17 @@ class MaxPool:
     def op_count(self, out_shape):
         return 0  # comparisons only, no multiplies or adds
 
-    @staticmethod
-    def _windows(x):
+    def forward(self, x, tape):
         n, h, w, c = x.shape
         h2, w2 = h // 2, w // 2
         x = x[:, : h2 * 2, : w2 * 2, :]
+        if tape is None:
+            rows = np.maximum(x[:, 0::2], x[:, 1::2])
+            return np.maximum(rows[:, :, 0::2], rows[:, :, 1::2])
         win = x.reshape(n, h2, 2, w2, 2, c).transpose(0, 1, 3, 5, 2, 4)
-        return win.reshape(n, h2, w2, c, 4)
-
-    def forward(self, x, tape):
-        win = self._windows(x)
+        win = win.reshape(n, h2, w2, c, 4)
         arg = win.argmax(axis=-1)  # first max wins on ties
-        if tape is not None:
-            tape.append(arg)
+        tape.append(arg)
         return np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
 
     def backward(self, dy, x, cache, grads):
@@ -399,13 +421,12 @@ class Network:
         """Run one frame; returns (logits, per-layer activation list)."""
         tape = Tape()
         logits = self._forward_batch(self._check_input(frame), train, rng, tape)[0]
-        if not np.all(np.isfinite(logits)):
-            raise FloatingPointError("non-finite logits")
-        return logits, [a[0] for a in tape.outputs]
+        return _finite(logits), [a[0] for a in tape.outputs]
 
     def predict(self, frame) -> Decision:
-        logits, _ = self.forward(frame)
-        return decision_from_logits(logits)
+        """Decision for one frame; the same logits as `forward`, with no tape."""
+        logits = self._forward_batch(self._check_input(frame))[0]
+        return decision_from_logits(_finite(logits))
 
     def forward_batch(self, x):
         """Inference logits for a (n, h, w, c) batch; no tape, no dropout."""
@@ -443,9 +464,7 @@ class Network:
             x = self._check_input(x)
         labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
         tape = Tape()
-        logits = self._forward_batch(x, train=train, rng=rng, tape=tape)
-        if not np.all(np.isfinite(logits)):
-            raise FloatingPointError("non-finite logits")
+        logits = _finite(self._forward_batch(x, train=train, rng=rng, tape=tape))
         probs = softmax(logits)
         n = logits.shape[0]
         loss = float(np.mean(-np.log(probs[np.arange(n), labels])))
@@ -471,6 +490,12 @@ class Network:
         if hi - lo <= 0.0:
             return np.zeros_like(g)
         return ((g - lo) / (hi - lo)).astype(self.dtype)
+
+
+def _finite(logits):
+    if not np.all(np.isfinite(logits)):
+        raise FloatingPointError("non-finite logits")
+    return logits
 
 
 def softmax(logits):
@@ -567,13 +592,16 @@ def save_weights(net: Network, path):
 
 def _parse_values(line, shape, dtype, what):
     toks = line.split()
-    expected = int(np.prod(shape))
+    expected = math.prod(shape)
     if len(toks) != expected:
         raise WeightShapeError(f"{what}: expected {expected} values, got {len(toks)}")
     try:
-        vals = np.array([float(t) for t in toks], dtype=dtype)
+        with np.errstate(over="ignore"):  # out of dtype range reads as inf
+            vals = np.array([float(t) for t in toks], dtype=dtype)
     except ValueError as exc:
         raise MalformedWeightFileError(f"{what}: bad float literal: {exc}") from None
+    if not np.all(np.isfinite(vals)):
+        raise MalformedWeightFileError(f"{what}: non-finite value")
     return vals.reshape(shape)
 
 
@@ -586,8 +614,11 @@ def _decl_numbers(decl, cast):
 
 
 def load_weights(path, dtype=np.float32) -> Network:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    try:
+        with open(path) as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError:
+        raise MalformedWeightFileError("weight file is not text") from None
     lines = [ln for ln in lines if ln.strip()]
     if not lines or lines[0].strip() != WEIGHT_MAGIC:
         raise MalformedWeightFileError("missing or wrong header line")
@@ -636,7 +667,7 @@ def load_weights(path, dtype=np.float32) -> Network:
                 raise MalformedWeightFileError("dense declaration needs unit count")
             (n_units,) = _decl_numbers(decl, int)
             layer = Dense(n_units)
-            d = int(np.prod(shape))
+            d = math.prod(shape)
             w = _parse_values(next_line("dense weights"), (n_units, d), dtype, "dense weights")
             bias = _parse_values(next_line("dense bias"), (n_units,), dtype, "dense bias")
             params.append((layer, w, bias))

@@ -1,5 +1,6 @@
 import hashlib
 import socket
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,22 @@ class TestWeightFileExitCodes:
         path = tmp_path / "bad.net"
         path.write_text(HEADER + decl + "\n")
         argv = ["simulate", "--weights", str(path), "--dry-run"]
+        assert main(argv) == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["inspect-weights", "simulate"])
+    @pytest.mark.parametrize("bad", ["binary", "nan"])
+    def test_bad_weight_bytes_are_data_error(self, tmp_path, weights, capsys, command, bad):
+        path = tmp_path / "bad.net"
+        if bad == "binary":
+            path.write_bytes(b"\x89PNG\r\n\x1a\n\x00\xff")
+        else:
+            lines = Path(weights).read_text().splitlines()
+            lines[3] = "nan " + lines[3].split(" ", 1)[1]  # first conv kernel value
+            path.write_text("\n".join(lines) + "\n")
+        argv = [command, "--weights", str(path)]
+        if command == "simulate":
+            argv += ["--duration", "0.1", "--out", str(tmp_path / "sim")]
         assert main(argv) == EXIT_DATA
         assert "data error" in capsys.readouterr().err
 

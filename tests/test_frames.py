@@ -92,6 +92,20 @@ class TestAccumulator:
             np.testing.assert_allclose(ha, hb)
         np.testing.assert_allclose(acc_a.values, acc_b.values)
 
+    def test_chunked_pushes_match_scalar_path_bitwise(self, rng):
+        # the batch path adds the same steps in the same order as the oracle
+        n = 3 * 7_777
+        ev = make_events(np.arange(n), rng.integers(0, 240, n),
+                         rng.integers(0, 180, n), rng.integers(0, 2, n))
+        acc_a, acc_b = DvsAccumulator(), ScalarAccumulator()
+        got_a = [h for k in range(0, n, 7_777) for _, h in acc_a.add_batch(ev[k:k + 7_777])]
+        got_b = [acc_b.add(AddressEvent(int(e["t"]), int(e["x"]), int(e["y"]),
+                                        +1 if e["polarity"] else -1)) for e in ev]
+        got_b = [h for h in got_b if h is not None]
+        assert len(got_a) == len(got_b) == 4
+        for ha, hb in zip(got_a + [acc_a.values], got_b + [acc_b.values]):
+            assert ha.tobytes() == hb.tobytes()
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 3))
     def test_deviation_sum_counts_polarity_balance(self, seed, n_frames):
@@ -456,12 +470,19 @@ class TestReaderContracts:
 
     @pytest.mark.parametrize("text", [
         "10 36\n", "10 -1\n", "-5 N\n", "4294967296 N\n", "10 99999\n",
+        "0 N\n100 5\n50 30\n200 20\n",
     ])
     def test_label_outside_contract_rejected(self, tmp_path, text):
         path = tmp_path / "r.labels"
         path.write_text(text)
         with pytest.raises(FormatError):
             read_labels(path)
+
+    def test_equal_label_times_load(self, tmp_path):
+        path = tmp_path / "r.labels"
+        path.write_text("0 N\n100 5\n100 30\n200 20\n")
+        ts, xs = read_labels(path)
+        assert ts.tolist() == [0, 100, 100, 200] and xs.tolist() == [-1, 5, 30, 20]
 
     def test_label_track_that_is_not_text_rejected(self, tmp_path):
         path = tmp_path / "r.labels"
@@ -551,6 +572,7 @@ class TestReaderFuzz:
             ts, xs = got
             assert len(ts) == len(xs)
             assert np.all((xs >= -1) & (xs < 36))
+            assert np.all(np.diff(ts.astype(np.int64)) >= 0)
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(dataset_files(), st.binary(max_size=40)))

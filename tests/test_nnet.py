@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evsteer import nnet
-from evsteer.nnet import (AdamState, Conv, Decision, Dense, Dropout, MaxPool,
-                          Network, Relu, Sigmoid, adam_step,
+from evsteer.nnet import (WEIGHT_MAGIC, AdamState, Conv, Decision, Dense,
+                          Dropout, MaxPool, Network, Relu, Sigmoid, Tape,
+                          WeightFileError, adam_step,
                           decision_from_logits, load_weights, op_count,
                           param_count, runtime_network, save_weights, softmax)
 
@@ -77,6 +79,61 @@ class TestForward:
         a, _ = net.forward(x)
         b, _ = net.forward(x)
         np.testing.assert_array_equal(a, b)
+
+
+_POOL_RNG = np.random.default_rng(7)
+POOL_CASES = {
+    "ties": _POOL_RNG.integers(0, 2, (2, 8, 8, 3)).astype(np.float32),
+    "signed_zeros": _POOL_RNG.choice(np.array([-0.0, 0.0], np.float32), (2, 8, 8, 3)),
+    "infs": _POOL_RNG.choice(np.array([-np.inf, np.inf, -1.0, 2.0], np.float32),
+                             (2, 8, 8, 3)),
+    "odd_13x13": _POOL_RNG.normal(size=(3, 13, 13, 4)).astype(np.float32),
+}
+
+
+class TestTapeFreeInference:
+    """predict and forward_batch take the tape-free path; it must not drift."""
+
+    @pytest.mark.parametrize("n", [1, 3, 64])
+    def test_tape_free_batch_is_bitwise_the_taped_one(self, rng, n):
+        net = runtime_network(rng)
+        x = rng.random((n, 36, 36, 1)).astype(np.float32)
+        taped = net._forward_batch(x, tape=Tape())
+        assert net._forward_batch(x).tobytes() == taped.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(POOL_CASES))
+    def test_pool_without_tape_equals_argmax_routing(self, case):
+        x = POOL_CASES[case]
+        routing = []
+        taped = MaxPool().forward(x, routing)
+        free = MaxPool().forward(x, None)
+        assert len(routing) == 1 and free.shape == taped.shape
+        assert free.shape[1:3] == (x.shape[1] // 2, x.shape[2] // 2)
+        # == semantics: a tie between -0.0 and 0.0 may keep either zero
+        np.testing.assert_array_equal(free, taped)
+
+    def test_predict_is_the_forward_decision(self, rng):
+        net = runtime_network(rng)
+        for frame in rng.random((500, 36, 36)).astype(np.float32):
+            assert net.predict(frame) == decision_from_logits(net.forward(frame)[0])
+
+    def test_non_finite_weights_still_raise(self, rng):
+        net = runtime_network(rng)
+        net.layers[0].kernels[0, 0, 2, 2] = np.nan
+        with pytest.raises(FloatingPointError):
+            net.predict(rng.random((36, 36)).astype(np.float32))
+
+    def test_predict_calls_each_layer_forward_once(self, rng):
+        # per-layer tracing wraps layer.forward on the instance
+        net = runtime_network(rng)
+        calls = Counter()
+        for i, layer in enumerate(net.layers):
+            def counted(*args, _i=i, _forward=layer.forward, **kwargs):
+                calls[_i] += 1
+                return _forward(*args, **kwargs)
+            layer.forward = counted
+        net.predict(rng.random((36, 36)).astype(np.float32))
+        assert calls == Counter(range(len(net.layers)))
 
 
 class TestPredict:
@@ -369,6 +426,69 @@ class TestWeightFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(nnet.WeightShapeError):
             load_weights(path)
+
+    def test_value_count_past_int64_is_shape_error(self, tmp_path):
+        # (2**62 + 1) * 4 wraps to 4 in int64, matching the four values given
+        path = tmp_path / "w.net"
+        path.write_text("evsteer-net v1\ninput 2 2 1\ndense 4611686018427387905\n"
+                        "1 2 3 4\n1\n")
+        with pytest.raises(nnet.WeightShapeError):
+            load_weights(path)
+
+    def test_binary_file_is_malformed(self, tmp_path):
+        path = tmp_path / "w.net"
+        path.write_bytes(b"evsteer-net v1\n\xff\xfe\x00\n")
+        with pytest.raises(nnet.MalformedWeightFileError):
+            load_weights(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "1e300"])
+    def test_non_finite_value_is_malformed(self, tmp_path, value):
+        # 1e300 is finite as a float64 literal but overflows float32
+        net = Network([Dense(4)], input_shape=(1, 1, 1))
+        path = tmp_path / "w.net"
+        save_weights(net, path)
+        lines = path.read_text().splitlines()
+        lines[3] = " ".join([value] + lines[3].split()[1:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(nnet.MalformedWeightFileError, match="non-finite"):
+            load_weights(path)
+
+
+_WEIGHT_TOKENS = ["conv", "dense", "maxpool", "relu", "sigmoid", "dropout", "fancy",
+                  "0", "1", "2", "4", "-1", "0.5", "2.0", "nan", "inf", "1e999", "x"]
+
+
+@st.composite
+def weight_files(draw):
+    """Small weight files: a valid 1x1 -> 4 dense net with one token swapped,
+    or a header and input line followed by random declaration lines."""
+    if draw(st.booleans()):
+        values = [repr(float(v)) for v in range(8)]
+        values[draw(st.integers(0, 7))] = draw(st.sampled_from(_WEIGHT_TOKENS))
+        text = (f"{WEIGHT_MAGIC}\ninput 1 1 1\ndense 4\n"
+                f"{' '.join(values[:4])}\n{' '.join(values[4:])}\n")
+    else:
+        lines = draw(st.lists(st.lists(st.sampled_from(_WEIGHT_TOKENS), min_size=1,
+                                       max_size=4).map(" ".join), max_size=5))
+        text = (draw(st.sampled_from([WEIGHT_MAGIC, "evsteer-net v2", ""])) + "\n"
+                + draw(st.sampled_from(["input 1 1 1", "input 2 2 1", "input 2 2",
+                                        "input x 2 1", ""])) + "\n"
+                + "".join(line + "\n" for line in lines))
+    return text.encode() + draw(st.binary(max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(weight_files(), st.binary(max_size=60)))
+def test_weight_reader_fuzz(tmp_path_factory, data):
+    """Any byte string either loads a usable network or raises WeightFileError."""
+    path = tmp_path_factory.mktemp("fuzz") / "w.net"
+    path.write_bytes(data)
+    try:
+        net = load_weights(path)
+    except WeightFileError:
+        return
+    assert all(np.all(np.isfinite(p)) for p in net.parameters())
+    assert net.forward_batch(np.zeros((1, *net.input_shape))).shape == (1, 4)
 
 
 class TestActivationDump:
