@@ -19,8 +19,7 @@ import threading
 import numpy as np
 
 from evsteer import __version__
-from evsteer.config import (ConfigError, build_datagen_config,
-                            build_runner_config, load_config)
+from evsteer.config import ConfigError, load_config
 from evsteer import evaluation, frames, wire
 from evsteer.datagen import generate_recording
 # dvs_normalize and aps_normalize are unused here but stay bound: span
@@ -73,18 +72,18 @@ def write_pgm(path, image):
 
 
 def cmd_gen_data(args, cfg):
-    n = cfg["gen.recordings"] if args.recordings is None else args.recordings
+    gen, frames_cfg = cfg.settings.gen, cfg.settings.sim.frames
+    n = gen.recordings if args.recordings is None else args.recordings
     if n <= 0:
         print("gen-data: need at least one recording seed", file=sys.stderr)
         return EXIT_USAGE
     os.makedirs(args.out, exist_ok=True)
-    dg_cfg = build_datagen_config(cfg)
-    seed_base = cfg["gen.seed_base"]
+    seed_base = gen.seed_base
     outputs = []
     recordings = []
     for i in range(n):
         seed = seed_base + i
-        rec = generate_recording(dg_cfg, seed)
+        rec = generate_recording(gen, seed)
         prefix = os.path.join(args.out, f"rec{i:03d}")
         save_recording(prefix, rec)
         outputs += [prefix + ext for ext in (".events", ".aps", ".labels")]
@@ -92,8 +91,8 @@ def cmd_gen_data(args, cfg):
         print(f"rec{i:03d}: seed {seed}, {len(rec.events)} events, "
               f"{len(rec.aps_t)} APS frames")
     train, test, report = assemble_dataset(
-        recordings, capacity=cfg["frames.capacity"],
-        aps_target_fraction=cfg["frames.aps_target_fraction"])
+        recordings, capacity=frames_cfg.capacity,
+        aps_target_fraction=frames_cfg.aps_target_fraction)
     train_path = os.path.join(args.out, "train.ds")
     test_path = os.path.join(args.out, "test.ds")
     save_dataset(train_path, train)
@@ -126,22 +125,21 @@ def _dataset_accuracy(net, ds, batch=512):
 def cmd_train(args, cfg):
     train = load_dataset(args.dataset)
     test = load_dataset(args.test) if args.test else None
-    iters = cfg["train.iterations"] if args.iterations is None else args.iterations
-    seed = cfg["train.seed"] if args.seed is None else args.seed
+    tc = cfg.settings.train
+    iters = tc.iterations if args.iterations is None else args.iterations
+    seed = tc.seed if args.seed is None else args.seed
     rng = np.random.default_rng(seed)
-    net = runtime_network(rng, dropout_rate=cfg["train.dropout"])
-    state = AdamState.for_params(net.parameters(), lr=cfg["train.lr"])
+    net = runtime_network(rng, dropout_rate=tc.dropout)
+    state = AdamState.for_params(net.parameters(), lr=tc.lr)
     x = train.frames[..., None]
     y = train.labels.astype(np.int64)
-    batch = cfg["train.batch"]
-    eval_every = cfg["train.eval_every"]
     trace = ["iteration,loss,test_accuracy"]
     last_eval = ""
     for it in range(1, iters + 1):
-        idx = rng.integers(0, len(x), batch)
+        idx = rng.integers(0, len(x), tc.batch)
         loss, grads = net.loss_and_backward(x[idx], y[idx], train=True, rng=rng)
         adam_step(net.parameters(), grads, state)
-        if it % eval_every == 0 or it == iters:
+        if it % tc.eval_every == 0 or it == iters:
             acc = "" if test is None else f"{_dataset_accuracy(net, test):.4f}"
             trace.append(f"{it},{loss:.6f},{acc}")
             last_eval = f" test_acc {acc}" if acc else ""
@@ -247,9 +245,9 @@ def cmd_eval(args, cfg):
 
 
 def cmd_simulate(args, cfg):
-    run_cfg = build_runner_config(cfg)
+    run_cfg = cfg.settings.sim
     if args.duration is not None:
-        run_cfg.duration_s = args.duration
+        run_cfg.duration = args.duration
     if args.dry_run:
         net = load_weights(args.weights)
         print(f"network ok: input {net.input_shape}, {param_count(net)} parameters, "
@@ -287,8 +285,11 @@ def cmd_simulate(args, cfg):
 
 def cmd_serve(args, cfg):
     net = load_weights(args.weights)
-    peer = wire.parse_peer(args.peer or cfg["wire.peer"])
-    listen = args.listen if args.listen is not None else cfg["wire.listen"]
+    run_cfg = cfg.settings.sim
+    if args.duration is not None:
+        run_cfg.duration = args.duration
+    peer = wire.parse_peer(args.peer or run_cfg.wire.peer)
+    listen = args.listen if args.listen is not None else run_cfg.wire.listen
     try:
         endpoint = wire.UdpEndpoint(peer=peer, listen_port=listen)
     except OSError as exc:
@@ -327,9 +328,6 @@ def cmd_serve(args, cfg):
                     mailbox, endpoint, on_sent=lambda d: sent_log.append(d.seq)),
                 daemon=True)
             tx_thread.start()
-            run_cfg = build_runner_config(cfg)
-            if args.duration is not None:
-                run_cfg.duration_s = args.duration
 
             def on_datagram(t_dec, datagram):
                 nonlocal decisions
@@ -346,11 +344,11 @@ def cmd_serve(args, cfg):
             # novel decision yields exactly one datagram
             from evsteer.decision import DecisionFilter
 
-            filt = DecisionFilter(build_runner_config(cfg).filter)
-            encoder = wire.DecisionEncoder(cfg["wire.rate_cap_hz"])
+            filt = DecisionFilter(run_cfg.filter)
+            encoder = wire.DecisionEncoder(run_cfg.wire.rate_cap_hz)
             events = frames.read_events(args.events)
             aps_t, aps_raw = frames.read_aps(args.aps) if args.aps else ((), ())
-            stream = FrameStream(cfg["frames.capacity"])
+            stream = FrameStream(run_cfg.frames.capacity)
             for t, _, values, _ in stream.push(events, aps_t, aps_raw):
                 filtered = filt.update(net.predict(values))
                 t_dec, datagram = encoder.offer(filtered, t)

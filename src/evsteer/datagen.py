@@ -11,25 +11,15 @@ Recordings land on disk in the event/APS/label formats of evsteer.frames.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from evsteer.behavior import VelocityCmd
-from evsteer.config import steps_for_duration
+from evsteer.config import DatagenConfig, steps_for_duration
 from evsteer.frames import (EVENT_DTYPE, Recording, aps_resize)
 from evsteer.runner import WaypointPolicy
-from evsteer.sim import (Distractor, RobotState, SimConfig, WorldSim,
-                         _wall_distances, wrap_angle)
-
-
-@dataclass
-class DatagenConfig:
-    sim: SimConfig
-    duration_s: float = 8.0
-    prey_speed_range: tuple = (0.25, 0.7)
-    predator_speed_range: tuple = (0.5, 1.3)
-    light_gain_range: tuple = (0.65, 1.3)
+from evsteer.sim import (RobotState, WorldSim, _wall_distances, wrap_angle)
 
 
 class ChaseScript:
@@ -134,13 +124,13 @@ def _random_start(rng, arena):
 
 def generate_recording(cfg: DatagenConfig, seed: int) -> Recording:
     """One deterministic scripted chase; returns the in-memory recording."""
-    n_steps = steps_for_duration(cfg.duration_s, cfg.sim.timestep_us)
+    n_steps = steps_for_duration(cfg.duration, cfg.sim.timestep_us)
     seq = np.random.SeedSequence(seed)
     world_seed, script_seed, prey_seed, scene_seed = seq.spawn(4)
     scene_rng = np.random.default_rng(scene_seed)
 
     sim_cfg = replace(cfg.sim,
-                      light_gain=float(scene_rng.uniform(*cfg.light_gain_range)))
+                      light_gain=float(scene_rng.uniform(cfg.light_min, cfg.light_max)))
     predator, prey = _random_start(scene_rng, sim_cfg.arena)
     world = WorldSim(sim_cfg, world_seed, predator, prey)
     if sim_cfg.arena.distractors and world.scene.distractors:
@@ -150,9 +140,11 @@ def generate_recording(cfg: DatagenConfig, seed: int) -> Recording:
                                         sim_cfg.arena.depth - 0.7))
 
     script = ChaseScript(np.random.default_rng(script_seed), sim_cfg.arena,
-                         base_speed=float(scene_rng.uniform(*cfg.predator_speed_range)))
+                         base_speed=float(scene_rng.uniform(cfg.predator_speed_min,
+                                                            cfg.predator_speed_max)))
     prey_policy = WaypointPolicy(np.random.default_rng(prey_seed), sim_cfg.arena,
-                                 speed=float(scene_rng.uniform(*cfg.prey_speed_range)))
+                                 speed=float(scene_rng.uniform(cfg.prey_speed_min,
+                                                               cfg.prey_speed_max)))
 
     event_chunks = []
     aps_t, aps_raw = [], []

@@ -68,9 +68,17 @@ class ShapeMismatchError(ValueError):
     """Input does not match the network's declared input extent."""
 
 
-def _glorot_uniform(rng, shape, fan_in, fan_out, dtype):
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+def _glorot_init(rng, dtype):
+    """Network parameter source: Glorot-uniform weights, zero biases (a bias
+    is asked for with no fans)."""
+
+    def init(shape, fan_in=None, fan_out=None):
+        if fan_in is None:
+            return np.zeros(shape, dtype=dtype)
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=shape).astype(dtype)
+
+    return init
 
 
 @functools.lru_cache(maxsize=32)
@@ -88,7 +96,25 @@ def _patch_index(h, w, c, k):
     return base + (np.arange(c)[:, None] + window).reshape(-1)
 
 
-class Conv:
+class Layer:
+    """Defaults for a layer that keeps its input extent and has no
+    parameters and no multiplies or adds."""
+
+    def build(self, in_shape, init):
+        """Output extent for in_shape; draws parameters from init."""
+        return in_shape
+
+    def params(self):
+        return []
+
+    def param_count(self):
+        return sum(p.size for p in self.params())
+
+    def op_count(self, out_shape):
+        return 0
+
+
+class Conv(Layer):
     """Valid (unpadded) stride-1 convolution with one bias per output map."""
 
     kind = "conv"
@@ -98,25 +124,20 @@ class Conv:
             raise ValueError("kernel_size must be odd and >= 1")
         self.n_maps = n_maps
         self.kernel_size = kernel_size
-        self.kernels = None  # (out_maps, in_maps, k, k), set by Network
+        self.kernels = None  # (out_maps, in_maps, k, k), set by build
         self.bias = None  # (out_maps,)
 
-    def build(self, in_shape, rng, dtype):
+    def build(self, in_shape, init):
         h, w, c = in_shape
         k = self.kernel_size
         if h < k or w < k:
-            raise ValueError(f"input {h}x{w} smaller than kernel {k}")
-        fan_in = c * k * k
-        fan_out = self.n_maps * k * k
-        self.kernels = _glorot_uniform(rng, (self.n_maps, c, k, k), fan_in, fan_out, dtype)
-        self.bias = np.zeros(self.n_maps, dtype=dtype)
+            raise WeightShapeError(f"conv kernel {k} larger than input {in_shape}")
+        self.kernels = init((self.n_maps, c, k, k), c * k * k, self.n_maps * k * k)
+        self.bias = init((self.n_maps,))
         return (h - k + 1, w - k + 1, self.n_maps)
 
     def params(self):
         return [self.kernels, self.bias]
-
-    def param_count(self):
-        return self.kernels.size + self.bias.size
 
     def op_count(self, out_shape):
         # One op per necessary multiply or add: per output value that is
@@ -158,26 +179,17 @@ class Conv:
         return dx
 
 
-class MaxPool:
-    """Non-overlapping 2x2 max pool, stride 2; odd extents are floored."""
+class MaxPool(Layer):
+    """Non-overlapping 2x2 max pool, stride 2; odd extents are floored.
+
+    Comparisons only: no multiplies or adds to count.
+    """
 
     kind = "maxpool"
 
-    def __init__(self):
-        pass
-
-    def build(self, in_shape, rng, dtype):
+    def build(self, in_shape, init):
         h, w, c = in_shape
         return (h // 2, w // 2, c)
-
-    def params(self):
-        return []
-
-    def param_count(self):
-        return 0
-
-    def op_count(self, out_shape):
-        return 0  # comparisons only, no multiplies or adds
 
     def forward(self, x, tape):
         n, h, w, c = x.shape
@@ -203,20 +215,8 @@ class MaxPool:
         return dx
 
 
-class Relu:
+class Relu(Layer):
     kind = "relu"
-
-    def build(self, in_shape, rng, dtype):
-        return in_shape
-
-    def params(self):
-        return []
-
-    def param_count(self):
-        return 0
-
-    def op_count(self, out_shape):
-        return 0
 
     def forward(self, x, tape):
         if tape is not None:
@@ -230,20 +230,8 @@ class Relu:
         return dy * gate
 
 
-class Sigmoid:
+class Sigmoid(Layer):
     kind = "sigmoid"
-
-    def build(self, in_shape, rng, dtype):
-        return in_shape
-
-    def params(self):
-        return []
-
-    def param_count(self):
-        return 0
-
-    def op_count(self, out_shape):
-        return 0
 
     def forward(self, x, tape):
         y = 1.0 / (1.0 + np.exp(-x))
@@ -256,7 +244,7 @@ class Sigmoid:
         return dy * y * (1.0 - y)
 
 
-class Dense:
+class Dense(Layer):
     """Fully connected layer; flattens map inputs in (row, col, map) order."""
 
     kind = "dense"
@@ -266,17 +254,14 @@ class Dense:
         self.weights = None  # (out, in)
         self.bias = None
 
-    def build(self, in_shape, rng, dtype):
-        d = int(np.prod(in_shape))
-        self.weights = _glorot_uniform(rng, (self.n_units, d), d, self.n_units, dtype)
-        self.bias = np.zeros(self.n_units, dtype=dtype)
+    def build(self, in_shape, init):
+        d = math.prod(in_shape)
+        self.weights = init((self.n_units, d), d, self.n_units)
+        self.bias = init((self.n_units,))
         return (self.n_units,)
 
     def params(self):
         return [self.weights, self.bias]
-
-    def param_count(self):
-        return self.weights.size + self.bias.size
 
     def op_count(self, out_shape):
         return self.n_units * 2 * self.weights.shape[1]
@@ -295,7 +280,7 @@ class Dense:
         return (dy @ self.weights).reshape(shape_in)
 
 
-class Dropout:
+class Dropout(Layer):
     """Inverted dropout; identity outside training mode."""
 
     kind = "dropout"
@@ -304,18 +289,6 @@ class Dropout:
         if not 0.0 <= rate < 1.0:
             raise ValueError("dropout rate must be in [0, 1)")
         self.rate = rate
-
-    def build(self, in_shape, rng, dtype):
-        return in_shape
-
-    def params(self):
-        return []
-
-    def param_count(self):
-        return 0
-
-    def op_count(self, out_shape):
-        return 0
 
     def forward(self, x, tape, train=False, rng=None):
         if not train or self.rate == 0.0:
@@ -334,10 +307,6 @@ class Dropout:
         return dy if cache is None else dy * cache
 
 
-_LAYER_KINDS = {"conv": Conv, "maxpool": MaxPool, "relu": Relu,
-                "sigmoid": Sigmoid, "dense": Dense, "dropout": Dropout}
-
-
 @dataclass
 class Tape:
     """Per-call forward record: layer inputs, caches, and outputs."""
@@ -348,18 +317,24 @@ class Tape:
 
 
 class Network:
-    """An ordered layer stack with a fixed input extent and 4 LCRN logits."""
+    """An ordered layer stack with a fixed input extent and 4 LCRN logits.
 
-    def __init__(self, layers, input_shape=(36, 36, 1), rng=None, dtype=np.float32):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    init(shape, fan_in=None, fan_out=None) supplies every parameter array in
+    layer order, weights before bias; by default it draws Glorot-uniform
+    weights from rng and zero biases. load_weights passes the file's values.
+    """
+
+    def __init__(self, layers, input_shape=(36, 36, 1), rng=None, dtype=np.float32,
+                 init=None):
         self.input_shape = tuple(int(v) for v in input_shape)
         self.layers = list(layers)
         self.dtype = np.dtype(dtype)
+        if init is None:
+            init = _glorot_init(np.random.default_rng(0) if rng is None else rng, self.dtype)
         shape = self.input_shape
         self.layer_shapes = [shape]
         for layer in self.layers:
-            shape = layer.build(shape, rng, self.dtype)
+            shape = layer.build(shape, init)
             self.layer_shapes.append(shape)
         if self.layers and shape != (N_CLASSES,):
             raise WeightShapeError(
@@ -370,29 +345,6 @@ class Network:
         for layer in self.layers:
             out.extend(layer.params())
         return out
-
-    def astype(self, dtype):
-        """Return a copy with all parameters cast to dtype (for gradient checks)."""
-        clone = Network.__new__(Network)
-        clone.input_shape = self.input_shape
-        clone.dtype = np.dtype(dtype)
-        clone.layer_shapes = list(self.layer_shapes)
-        clone.layers = []
-        for layer in self.layers:
-            if isinstance(layer, Conv):
-                copy = Conv(layer.n_maps, layer.kernel_size)
-                copy.kernels = layer.kernels.astype(dtype)
-                copy.bias = layer.bias.astype(dtype)
-            elif isinstance(layer, Dense):
-                copy = Dense(layer.n_units)
-                copy.weights = layer.weights.astype(dtype)
-                copy.bias = layer.bias.astype(dtype)
-            elif isinstance(layer, Dropout):
-                copy = Dropout(layer.rate)
-            else:
-                copy = type(layer)()
-            clone.layers.append(copy)
-        return clone
 
     def _check_input(self, x):
         x = np.asarray(x, dtype=self.dtype)
@@ -642,8 +594,7 @@ def load_weights(path, dtype=np.float32) -> Network:
         return line
 
     layers = []
-    shape = input_shape
-    params = []  # (layer, kernels/weights, bias)
+    values = []  # (declaration, value line) per parameter array, in file order
     while pos < len(lines):
         decl = next_line("layer").split()
         kind = decl[0]
@@ -655,59 +606,33 @@ def load_weights(path, dtype=np.float32) -> Network:
                 layer = Conv(n_maps, k)
             except ValueError as exc:
                 raise WeightShapeError(f"conv {n_maps} {k}: {exc}") from None
-            if shape[0] < k or shape[1] < k:
-                raise WeightShapeError(f"conv kernel {k} larger than input {shape}")
-            kern = _parse_values(next_line("conv kernels"), (n_maps, shape[2], k, k),
-                                 dtype, "conv kernels")
-            bias = _parse_values(next_line("conv bias"), (n_maps,), dtype, "conv bias")
-            params.append((layer, kern, bias))
-            shape = (shape[0] - k + 1, shape[1] - k + 1, n_maps)
         elif kind == "dense":
             if len(decl) != 2:
                 raise MalformedWeightFileError("dense declaration needs unit count")
-            (n_units,) = _decl_numbers(decl, int)
-            layer = Dense(n_units)
-            d = math.prod(shape)
-            w = _parse_values(next_line("dense weights"), (n_units, d), dtype, "dense weights")
-            bias = _parse_values(next_line("dense bias"), (n_units,), dtype, "dense bias")
-            params.append((layer, w, bias))
-            shape = (n_units,)
-        elif kind == "maxpool":
-            layer = MaxPool()
-            shape = (shape[0] // 2, shape[1] // 2, shape[2])
-        elif kind == "relu":
-            layer = Relu()
-        elif kind == "sigmoid":
-            layer = Sigmoid()
+            layer = Dense(*_decl_numbers(decl, int))
+        elif kind in ("maxpool", "relu", "sigmoid"):
+            layer = {"maxpool": MaxPool, "relu": Relu, "sigmoid": Sigmoid}[kind]()
         elif kind == "dropout":
             if len(decl) != 2:
                 raise MalformedWeightFileError("dropout declaration needs a rate")
-            (rate,) = _decl_numbers(decl, float)
             try:
-                layer = Dropout(rate)
+                layer = Dropout(*_decl_numbers(decl, float))
             except ValueError as exc:
                 raise MalformedWeightFileError(str(exc)) from None
         else:
             raise UnsupportedLayerError(f"unknown layer kind {kind!r}")
         layers.append(layer)
-    if shape != (N_CLASSES,):
-        raise WeightShapeError(f"network must end in {N_CLASSES} logits, got {shape}")
+        # one value line per parameter array; params() lists them unbuilt, as None
+        values += [(" ".join(decl), next_line(f"{kind} values")) for _ in layer.params()]
+    if not layers:
+        raise WeightShapeError(f"network must end in {N_CLASSES} logits, got {input_shape}")
+    pending = iter(values)
 
-    net = Network.__new__(Network)
-    net.input_shape = input_shape
-    net.dtype = np.dtype(dtype)
-    net.layers = layers
-    rebuild_shape = input_shape
-    net.layer_shapes = [rebuild_shape]
-    for layer in layers:
-        rebuild_shape = layer.build(rebuild_shape, np.random.default_rng(0), net.dtype)
-        net.layer_shapes.append(rebuild_shape)
-    for layer, a, b in params:
-        if isinstance(layer, Conv):
-            layer.kernels, layer.bias = a, b
-        else:
-            layer.weights, layer.bias = a, b
-    return net
+    def parse_next(shape, fan_in=None, fan_out=None):
+        what, line = next(pending)
+        return _parse_values(line, shape, dtype, what)
+
+    return Network(layers, input_shape, dtype=dtype, init=parse_next)
 
 
 def dump_activations(net: Network, frame, directory):

@@ -21,38 +21,23 @@ Run logs are line-oriented text, one record per line:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from evsteer.behavior import (BehaviorConfig, BehaviorController, Mode,
-                              VelocityCmd)
-from evsteer.config import steps_for_duration
-from evsteer.decision import DecisionFilter, FilterConfig
+from evsteer.behavior import BehaviorController, Mode, VelocityCmd
+from evsteer.config import RunnerConfig, steps_for_duration
+from evsteer.decision import DecisionFilter
 # dvs_normalize and aps_normalize are unused here but stay bound: span
 # tracers that wrap them by their importers' names look them up on this module.
-from evsteer.frames import (DEFAULT_CAPACITY, SOURCE_APS, SOURCE_DVS,
-                            SOURCE_NAMES, FrameStream, aps_normalize,
-                            aps_resize, dvs_normalize, label_from_target)
+from evsteer.frames import (SOURCE_APS, SOURCE_DVS, SOURCE_NAMES, FrameStream,
+                            aps_normalize, aps_resize, dvs_normalize,
+                            label_from_target)
 from evsteer.nnet import Decision
-from evsteer.sim import (RobotState, SimConfig, WorldSim, wrap_angle)
+from evsteer.sim import RobotState, WorldSim, wrap_angle
 from evsteer.wire import DecisionEncoder
 
 RUNLOG_MAGIC = "# evsteer-runlog v1"
-
-
-@dataclass
-class RunnerConfig:
-    sim: SimConfig = field(default_factory=SimConfig)
-    behavior: BehaviorConfig = field(default_factory=BehaviorConfig)
-    filter: FilterConfig = field(default_factory=FilterConfig)
-    capacity: int = DEFAULT_CAPACITY
-    rate_cap_hz: float = 240.0
-    scenario: str = "chase"  # chase | static | rate_test
-    prey_policy: str = "circle"  # circle | waypoint | parked
-    prey_speed: float = 0.5
-    circle_radius: float = 1.8
-    duration_s: float = 30.0
 
 
 class CirclePolicy:
@@ -117,7 +102,7 @@ class RunResult:
 
 
 def _make_prey_policy(cfg: RunnerConfig, rng, arena):
-    if cfg.scenario in ("static", "rate_test") or cfg.prey_policy == "parked":
+    if cfg.sim.static_scene or cfg.prey_policy == "parked":
         return ParkedPolicy()
     if cfg.prey_policy == "circle":
         center = (arena.width / 2.0, arena.depth / 2.0)
@@ -128,7 +113,7 @@ def _make_prey_policy(cfg: RunnerConfig, rng, arena):
 def _start_states(cfg: RunnerConfig):
     arena = cfg.sim.arena
     cxc, cyc = arena.width / 2.0, arena.depth / 2.0
-    if cfg.scenario in ("static", "rate_test"):
+    if cfg.sim.static_scene:
         predator = RobotState(x=cxc - 2.0, y=cyc, heading=0.0)
         prey = RobotState(x=cxc + 1.5, y=cyc, heading=math.pi / 2)
         return predator, prey
@@ -144,7 +129,7 @@ def run_closed_loop(net, cfg: RunnerConfig, seed: int,
     on_datagram, when given, is called as on_datagram(t_us, DecisionDatagram)
     for every decision; the serve command uses it to feed the live sender.
     """
-    n_steps = steps_for_duration(cfg.duration_s, cfg.sim.timestep_us)
+    n_steps = steps_for_duration(cfg.duration, cfg.sim.timestep_us)
     seq = np.random.SeedSequence(seed)
     world_seed, prey_seed, behavior_seed = seq.spawn(3)
     predator, prey = _start_states(cfg)
@@ -154,8 +139,8 @@ def run_closed_loop(net, cfg: RunnerConfig, seed: int,
     behavior = BehaviorController(cfg.behavior,
                                   seed=int(behavior_seed.generate_state(1)[0]))
     filt = DecisionFilter(cfg.filter)
-    encoder = DecisionEncoder(cfg.rate_cap_hz)
-    stream = FrameStream(cfg.capacity)
+    encoder = DecisionEncoder(cfg.wire.rate_cap_hz)
+    stream = FrameStream(cfg.frames.capacity)
 
     lines = [RUNLOG_MAGIC, f"# seed {seed}"]
     predator_cmd = VelocityCmd(0.0, 0.0)

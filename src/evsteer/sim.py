@@ -29,7 +29,8 @@ ARENA_DIAGONAL = math.hypot(9.5, 6.7)
 ROBOT_RADIUS = 0.375  # half the 0.75 m footprint length
 PREY_RADIUS = 0.33
 PREY_HEIGHT = 0.37
-CAMERA_HEIGHT = 0.37
+CAMERA_HEIGHT = 0.37  # mount height of the SENSOR_WIDTH x SENSOR_HEIGHT camera
+SCENARIOS = ("chase", "static", "rate_test")  # sim.scenario values
 
 
 @dataclass
@@ -43,10 +44,11 @@ class ArenaConfig:
 
 @dataclass
 class CameraConfig:
-    width: int = SENSOR_WIDTH
-    height: int = SENSOR_HEIGHT
-    hfov_deg: float = 81.0
-    mount_height: float = CAMERA_HEIGHT
+    fov_deg: float = 81.0  # horizontal
+
+    def __post_init__(self):
+        if not 0.0 < self.fov_deg < 180.0:
+            raise ValueError("fov_deg must be in (0, 180)")
 
 
 @dataclass
@@ -54,6 +56,10 @@ class NoiseConfig:
     leak_rate: float = 0.1  # ON events per pixel per second
     aps_burst: int = 150  # events injected at each APS capture
     threshold: float = 0.15  # log-intensity units per event
+
+    def __post_init__(self):
+        if self.leak_rate < 0 or self.threshold <= 0:
+            raise ValueError("leak_rate must be >= 0 and threshold positive")
 
 
 @dataclass
@@ -66,8 +72,21 @@ class SimConfig:
     aps_period_us: int = 66_667  # ~15 fps, quantized onto the render grid
     light_gain: float = 1.0
     corrupt_aps_prob: float = 0.0  # blank-stripe fault injection
-    static_scene: bool = False  # skip re-rendering; noise events only
-    rate_profile: tuple = ()  # ((duration_s, events_per_s), ...) leak override
+    scenario: str = "chase"  # one of SCENARIOS
+    rate_profile: str = ""  # "dur_s:events_per_s,..." cycled leak override
+
+    def __post_init__(self):
+        if self.timestep_us < 1 or self.render_every < 1:
+            raise ValueError("timestep_us and render_every must be positive")
+        if self.scenario not in SCENARIOS:
+            raise ValueError(f"scenario must be one of {', '.join(SCENARIOS)}")
+        if self.rate_profile:
+            RateProfile(self.rate_profile)
+
+    @property
+    def static_scene(self):
+        """Render once, then emit noise events only."""
+        return self.scenario != "chase"
 
 
 @dataclass
@@ -156,10 +175,9 @@ class Camera:
     BLOB_REACH = 0.7  # a ray passing farther from a blob centre gets exactly +0.0
 
     def __init__(self, cfg: CameraConfig):
-        self.cfg = cfg
-        self.hfov = math.radians(cfg.hfov_deg)
-        self.vfov = self.hfov * cfg.height / cfg.width
-        w, h = cfg.width, cfg.height
+        self.hfov = math.radians(cfg.fov_deg)
+        self.vfov = self.hfov * SENSOR_HEIGHT / SENSOR_WIDTH
+        w, h = SENSOR_WIDTH, SENSOR_HEIGHT
         # column bearings: +hfov/2 at column 0 (left), -hfov/2 at the right
         self.col_phi = (0.5 - (np.arange(w) + 0.5) / w) * self.hfov
         self.k_v = h / self.vfov  # rows per radian
@@ -174,7 +192,7 @@ class Camera:
         # ground distance per floor row: rows strictly below the horizon
         self.r_floor0 = int(self.horizon) + 1
         psi = ((self.rows[self.r_floor0:] + 0.5) - h / 2.0) / self.k_v  # > 0
-        g = cfg.mount_height / np.tan(psi)
+        g = CAMERA_HEIGHT / np.tan(psi)
         self.floor_dist = np.minimum(g, 60.0)[:, None].astype(np.float32)
         n_floor = h - self.r_floor0
         self._wx = np.empty((n_floor, w), np.float32)
@@ -185,7 +203,7 @@ class Camera:
         self._scratch = np.empty((h, w), bool)
 
     def column_of_bearing(self, phi):
-        return self.cfg.width * (0.5 - phi / self.hfov)
+        return SENSOR_WIDTH * (0.5 - phi / self.hfov)
 
     def bearing_visible(self, phi):
         return abs(phi) <= self.hfov / 2.0
@@ -193,7 +211,7 @@ class Camera:
     def columns_near(self, dx, dy, heading, reach):
         """Column range [c0, c1) holding every ray that passes within reach
         of the point (dx, dy) relative to the camera (empty when c1 <= c0)."""
-        w = self.cfg.width
+        w = SENSOR_WIDTH
         dist = math.hypot(dx, dy)
         if dist <= reach:
             return 0, w
@@ -224,13 +242,12 @@ def render_camera(scene: Scene, camera: Camera, pose):
 
     Returns a fresh C-contiguous float32 image. Deterministic given poses.
     """
-    cfg = camera.cfg
     cx, cy, heading = pose
-    h, w = cfg.height, cfg.width
+    h, w = SENSOR_HEIGHT, SENSOR_WIDTH
     ang = heading + camera.col_phi
     d_wall, wall_hx, wall_hy, hit_y_wall = _wall_distances(scene.arena, cx, cy, ang)
 
-    hc = cfg.mount_height
+    hc = CAMERA_HEIGHT
     r_wall_top = (camera.horizon
                   - np.arctan2(scene.arena.wall_height - hc, d_wall)
                   * camera.k_v).astype(np.float32)
@@ -531,10 +548,24 @@ def default_scene(cfg: SimConfig, prey: RobotState) -> Scene:
 
 
 class RateProfile:
-    """Piecewise-constant total event rate, cycled; overrides leak noise."""
+    """Piecewise-constant total event rate, cycled; overrides leak noise.
 
-    def __init__(self, phases):
-        self.phases = [(float(d), float(r)) for d, r in phases]
+    Built from text: '10:470000,3:80000' is 10 s at 470k events/s, then 3 s
+    at 80k, repeating.
+    """
+
+    def __init__(self, text):
+        self.phases = []
+        for part in text.split(","):
+            dur, _, rate = part.partition(":")
+            try:
+                dur, rate = float(dur), float(rate)
+            except ValueError:
+                raise ValueError(f"bad rate profile segment {part!r}") from None
+            if not (0.0 < dur < math.inf and 0.0 <= rate < math.inf):
+                raise ValueError(f"rate profile segment {part!r} needs a positive "
+                                 f"duration and a finite rate >= 0")
+            self.phases.append((dur, rate))
         self.cycle = sum(d for d, _ in self.phases)
 
     def rate_at(self, t_s: float) -> float:

@@ -13,5 +13,5 @@ def generated_recordings():
     from evsteer.datagen import DatagenConfig, generate_recording
     from evsteer.sim import SimConfig
 
-    cfg = DatagenConfig(sim=SimConfig(), duration_s=1.0)
+    cfg = DatagenConfig(sim=SimConfig(), duration=1.0)
     return [generate_recording(cfg, seed) for seed in (5, 6)]

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import socket
 from pathlib import Path
 
@@ -24,7 +25,7 @@ def weights(tmp_path):
 
 
 class TestWeightFileExitCodes:
-    @pytest.mark.parametrize("decl", ["conv four 5", "conv 4 4"])
+    @pytest.mark.parametrize("decl", ["conv four 5", "conv 4 4", "conv 4 37"])
     def test_bad_layer_declaration_is_data_error(self, tmp_path, capsys, decl):
         path = tmp_path / "bad.net"
         path.write_text(HEADER + decl + "\n")
@@ -152,6 +153,19 @@ class TestConfigExitCodes:
         "sim.timestep_us=1.5",  # bad int
         "filter.alpha=fast",  # bad float
         "sim.rate_profile=1:2000000,2:lots",  # bad rate profile segment
+        "behavior.max_linear=2.5",  # above the 2 m/s top speed
+        "filter.alpha=0",
+        "frames.capacity=0",
+        "sim.timestep_us=0",
+        "sim.render_every=0",
+        "camera.fov_deg=0",
+        "sim.rate_profile=1:-5",  # negative event rate
+        "sim.scenario=bogus",
+        "sim.prey_policy=bogus",
+        "train.eval_every=0",
+        "noise.threshold=0",
+        "noise.leak_rate=-1",
+        "gen.light_min=2",  # above gen.light_max
     ])
     def test_bad_override_is_usage_error(self, weights, capsys, override):
         argv = ["--set", override, "simulate", "--weights", weights, "--dry-run"]
@@ -170,6 +184,29 @@ class TestConfigExitCodes:
                 "--weights", weights, "--dry-run"]
         assert main(argv) == EXIT_USAGE
         assert "cannot read config" in capsys.readouterr().err
+
+
+# stdout of `simulate --dry-run` (the network line and every key = default)
+# and the sha256 of the sorted-key JSON of the manifest `config` block after
+# three overrides that coerce (1 -> 1.0, text profile, off -> False); both
+# hashed before the key table was derived from the config dataclasses.
+DRY_RUN_SHA256 = "e00bfaded89f646512ec7969415424e6d96656fd906cab86f7b16e4c12743eb9"
+MANIFEST_CONFIG_SHA256 = "e6da1d809693eff58546a2bda43e808deebfd2112db17f84f77fcb86cec91676"
+
+
+class TestConfigSurface:
+    def test_dry_run_key_dump_is_pinned(self, weights, capsys):
+        assert main(["simulate", "--weights", weights, "--dry-run"]) == EXIT_OK
+        assert _sha256(capsys.readouterr().out.encode()) == DRY_RUN_SHA256
+
+    def test_manifest_config_is_pinned(self, tmp_path, weights):
+        argv = ["--set", "sim.light_gain=1", "--set", "sim.rate_profile=1:2000000",
+                "--set", "filter.constraints=off", "simulate", "--weights", weights,
+                "--duration", "0.05", "--out", str(tmp_path / "sim")]
+        assert main(argv) == EXIT_OK
+        config = json.loads((tmp_path / "sim" / "manifest.json").read_text())["config"]
+        assert len(config) == 53
+        assert _sha256(json.dumps(config, sort_keys=True).encode()) == MANIFEST_CONFIG_SHA256
 
 
 class TestSuccessAndRuntimeExitCodes:

@@ -70,12 +70,12 @@ def render_synth_digest():
 
 def runlog_digest():
     net = runtime_network(np.random.default_rng(0))
-    result = run_closed_loop(net, RunnerConfig(duration_s=1.0), seed=11)
+    result = run_closed_loop(net, RunnerConfig(duration=1.0), seed=11)
     return hashlib.sha256(result.text().encode()).hexdigest()
 
 
 def recording_digest():
-    rec = generate_recording(DatagenConfig(sim=SimConfig(), duration_s=1.0), seed=5)
+    rec = generate_recording(DatagenConfig(sim=SimConfig(), duration=1.0), seed=5)
     h = hashlib.sha256()
     for arr in (rec.events, rec.aps_t, rec.aps_raw, rec.label_t, rec.label_x):
         h.update(np.ascontiguousarray(arr).tobytes())
@@ -143,8 +143,8 @@ class TestDurationLimit:
     def test_closed_loop_rejects_wrapping_duration(self):
         net = runtime_network(np.random.default_rng(0))
         with pytest.raises(ConfigError, match="4294.967295"):
-            run_closed_loop(net, RunnerConfig(duration_s=4295.0), seed=0)
+            run_closed_loop(net, RunnerConfig(duration=4295.0), seed=0)
 
     def test_recording_rejects_wrapping_duration(self):
         with pytest.raises(ConfigError, match="4294.967295"):
-            generate_recording(DatagenConfig(sim=SimConfig(), duration_s=4295.0), seed=0)
+            generate_recording(DatagenConfig(sim=SimConfig(), duration=4295.0), seed=0)
