@@ -30,7 +30,7 @@ from evsteer.frames import (FormatError, FrameStream, aps_normalize,
 from evsteer.nnet import (AdamState, Decision, WeightFileError,
                           adam_step, dump_activations, load_weights, op_count,
                           param_count, runtime_network, save_weights)
-from evsteer.runner import parse_runlog, run_closed_loop, runlog_eval_records
+from evsteer.runner import parse_runlog, run_closed_loop
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -162,6 +162,29 @@ def cmd_train(args, cfg):
 # ---------------------------------------------------------------------------
 
 
+def runlog_report(text, use_filtered=False):
+    """The Report of a run log: its DEC/GT pairs, median rate and line counts.
+
+    `simulate` and `eval --runlog` both report through this, so they print
+    the same report for the same log. A malformed log raises DataError.
+    """
+    try:
+        log = parse_runlog(text)
+    except (ValueError, IndexError) as exc:
+        raise DataError(f"malformed run log: {exc}") from exc
+    if len(log["DEC"]) != len(log["GT"]):
+        raise DataError(f"run log has {len(log['DEC'])} DEC but {len(log['GT'])} GT lines")
+    records = []
+    for (t, src, raw, filt), (_, target, label) in zip(log["DEC"], log["GT"]):
+        source = frames.SOURCE_APS if src == "APS" else frames.SOURCE_DVS
+        records.append(evaluation.EvalRecord(decision=filt if use_filtered else raw,
+                                             truth_label=label, truth_target_x=target,
+                                             source=source, t=t))
+    extra = {"catches": len(log["CATCH"]), "decisions": len(log["DEC"])}
+    return evaluation.evaluate_records(records, timestamps=[r.t for r in records],
+                                       extra=extra)
+
+
 def _eval_dataset(net, ds, ps=range(0, 4)):
     decisions = net.predict_batch(ds.frames[..., None])
     records = evaluation.dataset_records(ds, decisions)
@@ -207,11 +230,12 @@ def cmd_eval(args, cfg):
                 fh.write(report.curve_csv())
             outputs.append(path)
     if args.runlog:
-        with open(args.runlog) as fh:
-            parsed = parse_runlog(fh.read())
-        records = runlog_eval_records(parsed, use_filtered=args.filtered)
-        ts = [t for t, *_ in parsed["DEC"]]
-        report = evaluation.evaluate_records(records, timestamps=ts)
+        try:
+            with open(args.runlog) as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{args.runlog}: run log is not text") from exc
+        report = runlog_report(text, use_filtered=args.filtered)
         which = "filtered" if args.filtered else "raw"
         lines.append(f"== runlog {os.path.basename(args.runlog)} ({which}) ==")
         lines.append(report.text())
@@ -255,16 +279,12 @@ def cmd_simulate(args, cfg):
         print(cfg.dump(), end="")
         return EXIT_OK
     net = load_weights(args.weights)
-    result = run_closed_loop(net, run_cfg, args.seed)
+    log = run_closed_loop(net, run_cfg, args.seed)
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "run.log")
     with open(log_path, "w") as fh:
-        fh.write(result.text())
-    parsed = parse_runlog(result.text())
-    records = runlog_eval_records(parsed, use_filtered=False)
-    ts = [t for t, *_ in parsed["DEC"]]
-    extra = {"catches": result.catches, "decisions": result.decisions}
-    report = evaluation.evaluate_records(records, timestamps=ts, extra=extra)
+        fh.write(log)
+    report = runlog_report(log)
     report_path = os.path.join(args.out, "report.txt")
     with open(report_path, "w") as fh:
         fh.write(report.text())
@@ -341,7 +361,9 @@ def cmd_serve(args, cfg):
             sent = len(sent_log)
         else:
             # file replay is an offline pump: send synchronously so every
-            # novel decision yields exactly one datagram
+            # novel decision yields exactly one datagram. It has no behaviour
+            # controller, so the gate always sees Mode.CHASE (the default of
+            # DecisionFilter.update); the serve golden pins this.
             from evsteer.decision import DecisionFilter
 
             filt = DecisionFilter(run_cfg.filter)

@@ -19,7 +19,8 @@ from evsteer.behavior import VelocityCmd
 from evsteer.config import DatagenConfig, steps_for_duration
 from evsteer.frames import (EVENT_DTYPE, Recording, aps_resize)
 from evsteer.runner import WaypointPolicy
-from evsteer.sim import (RobotState, WorldSim, _wall_distances, wrap_angle)
+from evsteer.sim import (START_MARGIN, RobotState, WorldSim, _wall_distances,
+                         wrap_angle)
 
 
 class ChaseScript:
@@ -110,8 +111,8 @@ class ChaseScript:
 
 
 def _random_start(rng, arena):
-    px = float(rng.uniform(1.2, arena.width - 1.2))
-    py = float(rng.uniform(1.2, arena.depth - 1.2))
+    px = float(rng.uniform(START_MARGIN, arena.width - START_MARGIN))
+    py = float(rng.uniform(START_MARGIN, arena.depth - START_MARGIN))
     heading = float(rng.uniform(-math.pi, math.pi))
     dist = float(rng.uniform(1.5, 4.5))
     bearing = heading + float(rng.uniform(-0.5, 0.5))

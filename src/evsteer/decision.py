@@ -13,7 +13,7 @@ low-pass removes noise):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,10 +108,3 @@ class DecisionFilter:
             raw = self.gate.apply(raw, mode)
         return self.lowpass.update(raw)
 
-
-def filter_stream(decisions, config: FilterConfig | None = None, modes=None):
-    """Offline replay of a raw decision stream; returns the winner stream."""
-    filt = DecisionFilter(config)
-    if modes is None:
-        return [filt.update(Decision(d)) for d in decisions]
-    return [filt.update(Decision(d), m) for d, m in zip(decisions, modes)]

@@ -7,6 +7,9 @@ or within p of an outer edge (columns 0 and 36) and the decision is the edge
 region or N. A visible decision against a non-visible truth is always wrong.
 Margins are inclusive (|target - boundary| <= p) but engage only for p >= 1:
 at p=0 correctness reduces exactly to label equality.
+
+Of the decision timing a report gives only the median decision rate; the
+1 ms interval histogram is `wire.LinkStats.intervals_ms`.
 """
 
 from __future__ import annotations
@@ -88,24 +91,16 @@ def class_distribution(records):
             for d in Decision}
 
 
-def interval_histogram(timestamps_us):
-    """1 ms bucket histogram of inter-decision intervals plus the median rate.
+def median_decision_rate(timestamps_us):
+    """Median decision rate over the positive inter-decision intervals.
 
-    Returns (buckets dict ms->count, median_rate_hz). Needs >= 2 timestamps.
+    None when there is no positive interval (fewer than two timestamps).
     """
-    ts = np.asarray(timestamps_us, dtype=np.int64)
-    if ts.size < 2:
-        raise ValueError("need at least two decision timestamps")
-    intervals = np.diff(ts)
-    if np.any(intervals <= 0):
-        intervals = intervals[intervals > 0]
-        if intervals.size == 0:
-            raise ValueError("no positive intervals")
-    buckets = {}
-    for b, count in zip(*np.unique(intervals // 1000, return_counts=True)):
-        buckets[int(b)] = int(count)
-    median_us = float(np.median(intervals))
-    return buckets, 1e6 / median_us
+    intervals = np.diff(np.asarray(timestamps_us, dtype=np.int64))
+    intervals = intervals[intervals > 0]
+    if intervals.size == 0:
+        return None
+    return 1e6 / float(np.median(intervals))
 
 
 @dataclass
@@ -115,7 +110,6 @@ class Report:
     confusion: np.ndarray
     class_mix: dict
     n_records: int
-    interval_buckets: dict | None = None
     median_rate_hz: float | None = None
     extra: dict = field(default_factory=dict)
 
@@ -144,16 +138,14 @@ class Report:
 
 
 def evaluate_records(records, ps=range(0, 4), timestamps=None, extra=None) -> Report:
-    buckets = median = None
-    if timestamps is not None and len(timestamps) >= 2:
-        buckets, median = interval_histogram(timestamps)
-    return Report(curve=accuracy_curve(records, ps),
+    """Report over records; with no records it has no accuracy rows."""
+    rate = None if timestamps is None else median_decision_rate(timestamps)
+    return Report(curve=accuracy_curve(records, ps) if records else [],
                   per_source_error=source_split_errors(records),
                   confusion=confusion_matrix(records),
                   class_mix=class_distribution(records),
                   n_records=len(records),
-                  interval_buckets=buckets,
-                  median_rate_hz=median,
+                  median_rate_hz=rate,
                   extra=dict(extra or {}))
 
 

@@ -7,6 +7,11 @@ events and APS capture into the frame queue, processed in (t, source) order
 under the 240 Hz processing cap; each frame yields one decision, one log
 line, and one UDP datagram record.
 
+The run log is the run's only record: `run_closed_loop` returns its text, and
+every count or score of a run is read back from it. `simulate` writes the log
+and reports on it through the same function as `eval --runlog`, so the two
+print the same report for the same log.
+
 Run logs are line-oriented text, one record per line:
 
     # evsteer-runlog v1
@@ -21,7 +26,6 @@ Run logs are line-oriented text, one record per line:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,9 +34,8 @@ from evsteer.config import RunnerConfig, steps_for_duration
 from evsteer.decision import DecisionFilter
 # dvs_normalize and aps_normalize are unused here but stay bound: span
 # tracers that wrap them by their importers' names look them up on this module.
-from evsteer.frames import (SOURCE_APS, SOURCE_DVS, SOURCE_NAMES, FrameStream,
-                            aps_normalize, aps_resize, dvs_normalize,
-                            label_from_target)
+from evsteer.frames import (SOURCE_NAMES, FrameStream, aps_normalize, aps_resize,
+                            dvs_normalize, label_from_target)
 from evsteer.nnet import Decision
 from evsteer.sim import RobotState, WorldSim, wrap_angle
 from evsteer.wire import DecisionEncoder
@@ -91,16 +94,6 @@ class ParkedPolicy:
         return VelocityCmd(0.0, 0.0)
 
 
-@dataclass
-class RunResult:
-    lines: list
-    decisions: int
-    catches: int
-
-    def text(self):
-        return "\n".join(self.lines) + "\n"
-
-
 def _make_prey_policy(cfg: RunnerConfig, rng, arena):
     if cfg.sim.static_scene or cfg.prey_policy == "parked":
         return ParkedPolicy()
@@ -123,8 +116,8 @@ def _start_states(cfg: RunnerConfig):
 
 
 def run_closed_loop(net, cfg: RunnerConfig, seed: int,
-                    on_datagram=None) -> RunResult:
-    """Run one seeded episode and return its log. Pure in (net, cfg, seed).
+                    on_datagram=None) -> str:
+    """Run one seeded episode and return its log text. Pure in (net, cfg, seed).
 
     on_datagram, when given, is called as on_datagram(t_us, DecisionDatagram)
     for every decision; the serve command uses it to feed the live sender.
@@ -145,21 +138,17 @@ def run_closed_loop(net, cfg: RunnerConfig, seed: int,
     lines = [RUNLOG_MAGIC, f"# seed {seed}"]
     predator_cmd = VelocityCmd(0.0, 0.0)
     prey_cmd = VelocityCmd(0.0, 0.0)
-    decisions = 0
-    catches = 0
     prev_mode = behavior.mode
 
     def process_frame(t_frame, source, values):
-        nonlocal predator_cmd, decisions, catches, prev_mode
+        nonlocal predator_cmd, prev_mode
         raw = net.predict(values)
         filtered = filt.update(raw, behavior.mode)
         t_dec, datagram = encoder.offer(filtered, t_frame)
         target = world.ground_truth()
         label = label_from_target(target)
         scan = world.laser()
-        cmd = behavior.step(filtered, scan, now=t_dec / 1e6)
-        predator_cmd = cmd
-        decisions += 1
+        predator_cmd = behavior.step(filtered, scan, now=t_dec / 1e6)
         lines.append(f"DEC {t_dec} {SOURCE_NAMES[source]} {raw.name} {filtered.name}")
         lines.append(f"GT {t_dec} {'N' if target is None else target} {label.name}")
         lines.append(f"UDP {t_dec} {datagram.seq} {int(datagram.direction)}")
@@ -169,7 +158,6 @@ def run_closed_loop(net, cfg: RunnerConfig, seed: int,
             d_min = scan.min_range(cfg.behavior.center_laser_fov)
             lines.append(f"MODE {t_dec} {behavior.mode.name} {filtered.name} {d_min:.3f}")
             if behavior.mode is Mode.PREY_CAUGHT:
-                catches += 1
                 lines.append(f"CATCH {t_dec} {world.prey_distance():.3f}")
             prev_mode = behavior.mode
 
@@ -190,11 +178,22 @@ def run_closed_loop(net, cfg: RunnerConfig, seed: int,
             process_frame(t_frame, source, values)
 
     lines.append(f"END {world.t_us}")
-    return RunResult(lines=lines, decisions=decisions, catches=catches)
+    return "\n".join(lines) + "\n"
+
+
+def _stamp(text):
+    t = int(text)
+    if not 0 <= t < 2 ** 63:
+        raise ValueError(f"time stamp {text} outside 0..2**63-1")
+    return t
 
 
 def parse_runlog(text: str):
-    """Split a run log into typed record lists."""
+    """Split a run log into typed record lists.
+
+    A malformed line raises ValueError (a bad number or name) or IndexError
+    (a missing field); lines of unknown kind are skipped.
+    """
     out = {"DEC": [], "GT": [], "UDP": [], "MODE": [], "CATCH": [], "END": None}
     for line in text.splitlines():
         line = line.strip()
@@ -203,31 +202,18 @@ def parse_runlog(text: str):
         parts = line.split()
         kind = parts[0]
         if kind == "DEC":
-            out["DEC"].append((int(parts[1]), parts[2],
+            out["DEC"].append((_stamp(parts[1]), parts[2],
                                Decision.from_name(parts[3]),
                                Decision.from_name(parts[4])))
         elif kind == "GT":
             target = None if parts[2] == "N" else int(parts[2])
-            out["GT"].append((int(parts[1]), target, Decision.from_name(parts[3])))
+            out["GT"].append((_stamp(parts[1]), target, Decision.from_name(parts[3])))
         elif kind == "UDP":
-            out["UDP"].append((int(parts[1]), int(parts[2]), int(parts[3])))
+            out["UDP"].append((_stamp(parts[1]), int(parts[2]), int(parts[3])))
         elif kind == "MODE":
-            out["MODE"].append((int(parts[1]), parts[2], parts[3], float(parts[4])))
+            out["MODE"].append((_stamp(parts[1]), parts[2], parts[3], float(parts[4])))
         elif kind == "CATCH":
-            out["CATCH"].append((int(parts[1]), float(parts[2])))
+            out["CATCH"].append((_stamp(parts[1]), float(parts[2])))
         elif kind == "END":
-            out["END"] = int(parts[1])
+            out["END"] = _stamp(parts[1])
     return out
-
-
-def runlog_eval_records(parsed, use_filtered=False):
-    """EvalRecords joining DEC and GT lines (emitted pairwise by the runner)."""
-    from evsteer.evaluation import EvalRecord
-
-    records = []
-    for (t, src, raw, filt), (_, target, label) in zip(parsed["DEC"], parsed["GT"]):
-        records.append(EvalRecord(decision=filt if use_filtered else raw,
-                                  truth_label=label, truth_target_x=target,
-                                  source=SOURCE_APS if src == "APS" else SOURCE_DVS,
-                                  t=t))
-    return records

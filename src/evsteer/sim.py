@@ -18,7 +18,7 @@ coupling). Everything is a pure function of (config, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,7 @@ PREY_RADIUS = 0.33
 PREY_HEIGHT = 0.37
 CAMERA_HEIGHT = 0.37  # mount height of the SENSOR_WIDTH x SENSOR_HEIGHT camera
 SCENARIOS = ("chase", "static", "rate_test")  # sim.scenario values
+START_MARGIN = 1.2  # m from each wall to a scripted recording's start pose
 
 
 @dataclass
@@ -40,6 +41,10 @@ class ArenaConfig:
     wall_height: float = 0.5
     distractors: bool = True
     moving_distractor: bool = False
+
+    def __post_init__(self):
+        if min(self.width, self.depth) < 2 * START_MARGIN:
+            raise ValueError(f"arena width and depth must be at least {2 * START_MARGIN} m")
 
 
 @dataclass
@@ -58,8 +63,8 @@ class NoiseConfig:
     threshold: float = 0.15  # log-intensity units per event
 
     def __post_init__(self):
-        if self.leak_rate < 0 or self.threshold <= 0:
-            raise ValueError("leak_rate must be >= 0 and threshold positive")
+        if self.leak_rate < 0 or self.threshold <= 0 or self.aps_burst < 0:
+            raise ValueError("leak_rate and aps_burst must be >= 0 and threshold positive")
 
 
 @dataclass
@@ -76,8 +81,10 @@ class SimConfig:
     rate_profile: str = ""  # "dur_s:events_per_s,..." cycled leak override
 
     def __post_init__(self):
-        if self.timestep_us < 1 or self.render_every < 1:
-            raise ValueError("timestep_us and render_every must be positive")
+        if self.timestep_us < 1 or self.render_every < 1 or self.aps_period_us < 1:
+            raise ValueError("timestep_us, render_every and aps_period_us must be positive")
+        if not 0.0 <= self.corrupt_aps_prob <= 1.0:
+            raise ValueError("corrupt_aps_prob must be in [0, 1]")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {', '.join(SCENARIOS)}")
         if self.rate_profile:
@@ -153,14 +160,15 @@ class Scene:
     light_gain: float = 1.0
     moving_distractor: Distractor | None = None
 
+    def obstacles(self):
+        """The distractors, then the moving one: what can hide the prey."""
+        moving = [] if self.moving_distractor is None else [self.moving_distractor]
+        return self.distractors + moving
+
     def obstacle_circles(self):
         """(x, y, radius) of everything the laser can hit besides walls."""
-        out = [(self.prey.x, self.prey.y, PREY_RADIUS)]
-        out += [(d.x, d.y, d.radius) for d in self.distractors]
-        if self.moving_distractor is not None:
-            d = self.moving_distractor
-            out.append((d.x, d.y, d.radius))
-        return out
+        return [(self.prey.x, self.prey.y, PREY_RADIUS)] + [
+            (d.x, d.y, d.radius) for d in self.obstacles()]
 
 
 class Camera:
@@ -320,12 +328,8 @@ def render_camera(scene: Scene, camera: Camera, pose):
     np.copyto(img[f_lo:], floor, where=on_floor)
 
     # sprites, drawn far to near so closer bodies occlude
-    sprites = []
-    for dd in scene.distractors:
-        sprites.append(("box", dd.x, dd.y, dd.radius, dd.height, dd.shade))
-    if scene.moving_distractor is not None:
-        dd = scene.moving_distractor
-        sprites.append(("box", dd.x, dd.y, dd.radius, dd.height, dd.shade))
+    sprites = [("box", dd.x, dd.y, dd.radius, dd.height, dd.shade)
+               for dd in scene.obstacles()]
     sprites.append(("prey", scene.prey.x, scene.prey.y, PREY_RADIUS, PREY_HEIGHT, 0.22))
 
     def dist_of(s):
@@ -513,16 +517,12 @@ def prey_target_column(scene: Scene, camera: Camera, pose):
         return None
     d_prey = math.hypot(scene.prey.x - cx, scene.prey.y - cy)
     cos_b, sin_b = math.cos(heading + bearing), math.sin(heading + bearing)
-    circles = [(d.x, d.y, d.radius) for d in scene.distractors]
-    if scene.moving_distractor is not None:
-        md = scene.moving_distractor
-        circles.append((md.x, md.y, md.radius))
-    for ox, oy, rad in circles:
-        dx, dy = ox - cx, oy - cy
+    for ob in scene.obstacles():
+        dx, dy = ob.x - cx, ob.y - cy
         proj = dx * cos_b + dy * sin_b
         if 0 < proj < d_prey:
             perp2 = dx * dx + dy * dy - proj * proj
-            if perp2 <= rad * rad:
+            if perp2 <= ob.radius * ob.radius:
                 return None  # occluded
     col240 = camera.column_of_bearing(bearing)
     col36 = int(col240 * 36 / SENSOR_WIDTH)

@@ -114,26 +114,6 @@ class LinkStats:
                 f"malformed={self.malformed}")
 
 
-def track_gaps(seqs, times_us=None) -> LinkStats:
-    """Offline gap accounting over a received sequence-number stream."""
-    stats = LinkStats()
-    if times_us is None:
-        times_us = [None] * len(seqs)
-    for seq, t in zip(seqs, times_us):
-        stats.update(seq, t)
-    return stats
-
-
-class SequenceCounter:
-    def __init__(self, start: int = 0):
-        self.value = start % SEQ_MOD
-
-    def next(self) -> int:
-        seq = self.value
-        self.value = (self.value + 1) % SEQ_MOD
-        return seq
-
-
 class DecisionEncoder:
     """Stamps decisions with sequence numbers and the 240 Hz pacing cap.
 
@@ -142,7 +122,7 @@ class DecisionEncoder:
     """
 
     def __init__(self, rate_cap_hz: float = PROCESSING_RATE_HZ):
-        self.seq = SequenceCounter()
+        self.next_seq = 0  # wraps at SEQ_MOD
         self.min_interval_us = round(1_000_000 / rate_cap_hz)
         self._last_t_us: int | None = None
 
@@ -150,7 +130,8 @@ class DecisionEncoder:
         if self._last_t_us is not None:
             t_us = max(t_us, self._last_t_us + self.min_interval_us)
         self._last_t_us = t_us
-        return t_us, DecisionDatagram(seq=self.seq.next(), direction=decision)
+        seq, self.next_seq = self.next_seq, (self.next_seq + 1) % SEQ_MOD
+        return t_us, DecisionDatagram(seq=seq, direction=decision)
 
 
 class Mailbox:

@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 import socket
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evsteer import wire
 from evsteer.cli import (EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
@@ -166,6 +170,11 @@ class TestConfigExitCodes:
         "noise.threshold=0",
         "noise.leak_rate=-1",
         "gen.light_min=2",  # above gen.light_max
+        "arena.width=0",
+        "arena.width=1",  # no room for the 1.2 m start margins
+        "sim.corrupt_aps_prob=2",
+        "sim.aps_period_us=0",
+        "noise.aps_burst=-5",
     ])
     def test_bad_override_is_usage_error(self, weights, capsys, override):
         argv = ["--set", override, "simulate", "--weights", weights, "--dry-run"]
@@ -207,6 +216,103 @@ class TestConfigSurface:
         config = json.loads((tmp_path / "sim" / "manifest.json").read_text())["config"]
         assert len(config) == 53
         assert _sha256(json.dumps(config, sort_keys=True).encode()) == MANIFEST_CONFIG_SHA256
+
+
+# sha256 of the three outputs of `simulate --seed 3 --duration 1` with the
+# seed-0 runtime network (numpy 2.4, x86-64), hashed before the run log became
+# the only record a closed-loop run returns.
+SIMULATE_SHA256 = {
+    "run.log": "50db97aa83ec20481625977a92adfd35f930f2f0467ebdb613e8abaf512f62b2",
+    "report.txt": "eb7c910b371c2d0f0bb0c25b59240533b1b77b5fc793d5b95c647f2a79aefa64",
+    "curve.csv": "b0b77b3e99c6bce32672c9853f3c9348b24d3d749bb0ec924a030be3471e30bd",
+}
+
+
+class TestSimulateGolden:
+    def test_outputs_are_pinned_and_eval_reprints_the_report(self, tmp_path, weights,
+                                                             capsys):
+        out = tmp_path / "sim"
+        argv = ["simulate", "--weights", weights, "--seed", "3", "--duration", "1",
+                "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        for name, digest in SIMULATE_SHA256.items():
+            assert _sha256((out / name).read_bytes()) == digest, name
+        capsys.readouterr()
+        assert main(["eval", "--weights", weights, "--runlog", str(out / "run.log")]) == EXIT_OK
+        header, _, body = capsys.readouterr().out.partition("\n")
+        assert header == "== runlog run.log (raw) =="
+        assert body == (out / "report.txt").read_text() + "\n"
+
+
+class TestRunlogReports:
+    def _eval(self, tmp_path, weights, data):
+        path = tmp_path / "run.log"
+        path.write_bytes(data)
+        return main(["eval", "--weights", weights, "--runlog", str(path)])
+
+    @pytest.mark.parametrize("data, message", [
+        (b"DEC 5 DVS X C\n", "unknown decision name"),
+        (b"DEC 5\n", "index out of range"),
+        (b"GT 5 x C\n", "invalid literal"),
+        (b"END -1\n", "outside 0..2**63-1"),
+        (b"END 18446744073709551616\n", "outside 0..2**63-1"),
+        (b"DEC 5 DVS L C\nEND 10\n", "1 DEC but 0 GT"),
+        (b"\xff\xfe\x00DEC", "not text"),
+    ])
+    def test_malformed_runlog_is_data_error(self, tmp_path, weights, capsys, data, message):
+        assert self._eval(tmp_path, weights, b"# evsteer-runlog v1\n" + data) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and message in err
+
+    def test_eval_of_a_log_without_decisions_reports_zero_records(self, tmp_path, weights,
+                                                                 capsys):
+        assert self._eval(tmp_path, weights, b"# evsteer-runlog v1\nEND 20000\n") == EXIT_OK
+        out = capsys.readouterr().out
+        assert "records: 0\n" in out and "accuracy" not in out
+        assert "decisions: 0\n" in out
+
+    def test_simulate_without_decisions_reports_zero_records(self, tmp_path, weights):
+        out = tmp_path / "sim"
+        argv = ["simulate", "--weights", weights, "--duration", "0.02", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert "DEC" not in (out / "run.log").read_text()
+        report = (out / "report.txt").read_text()
+        assert report.startswith("records: 0\n") and "accuracy" not in report
+        assert (out / "curve.csv").read_text() == "p,accuracy\n"
+
+
+RUNLOG_TOKENS = ["DEC", "GT", "UDP", "MODE", "CATCH", "END", "#", "APS", "DVS",
+                 "L", "C", "R", "N", "0", "5", "-3", "12", "4167", "99999999999999999999",
+                 "1.5", "nan", "x"]
+_NAMES = st.sampled_from("LCRN")
+# a DEC/GT pair; stamps may repeat, go backwards or leave the int64 range
+_STAMPS = st.one_of(st.integers(0, 10 ** 7), st.sampled_from([-1, 2 ** 63 - 1, 2 ** 63]))
+DEC_GT_PAIRS = st.tuples(_STAMPS, st.sampled_from(["APS", "DVS"]), _NAMES,
+                         _NAMES, st.sampled_from(["N", "-1", "0", "12", "35", "40"]),
+                         _NAMES).map(lambda v: "DEC {0} {1} {2} {3}\nGT {0} {4} {5}".format(*v))
+
+
+class TestRunlogFuzz:
+    @pytest.fixture(scope="class")
+    def saved_weights(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "w.net"
+        save_weights(runtime_network(np.random.default_rng(0)), path)
+        return str(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.lists(st.sampled_from(RUNLOG_TOKENS), max_size=6)
+                              .map(" ".join), st.text(max_size=20), DEC_GT_PAIRS),
+                    max_size=12))
+    def test_any_text_reports_or_is_data_error(self, saved_weights, tmp_path_factory,
+                                               lines):
+        path = tmp_path_factory.mktemp("log") / "run.log"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["eval", "--weights", saved_weights, "--runlog", str(path)])
+        assert code in (EXIT_OK, EXIT_DATA)
+        if code == EXIT_OK:
+            assert buf.getvalue().startswith("== runlog run.log (raw) ==\nrecords: ")
 
 
 class TestSuccessAndRuntimeExitCodes:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from evsteer.behavior import Mode
 from evsteer.decision import (ConstraintGate, DecisionFilter, FilterConfig,
-                              LowPass, filter_stream)
+                              LowPass)
 from evsteer.nnet import Decision
 
 from oracles import replay_lowpass
@@ -130,6 +130,12 @@ class TestConstraints:
         gate.apply(N)
         assert gate.apply(N) is N
         assert gate.last_side is None
+
+
+def filter_stream(decisions, config=None):
+    """The winner stream of one DecisionFilter fed the raw decisions in order."""
+    filt = DecisionFilter(config)
+    return [filt.update(Decision(d)) for d in decisions]
 
 
 class TestPipeline:

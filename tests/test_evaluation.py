@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from evsteer.evaluation import (EvalRecord, accuracy, accuracy_curve,
                                 class_distribution, confusion_matrix,
-                                evaluate_records, interval_histogram, is_correct,
+                                evaluate_records, is_correct, median_decision_rate,
                                 source_split_errors)
 from evsteer.frames import SOURCE_APS, SOURCE_DVS, label_from_target
 from evsteer.nnet import Decision
@@ -124,18 +124,15 @@ class TestSourceSplit:
 class TestIntervals:
     def test_uniform_10ms_gives_100hz(self):
         ts = np.arange(50) * 10_000
-        buckets, rate = interval_histogram(ts)
-        assert rate == pytest.approx(100.0)
-        assert buckets == {10: 49}
+        assert median_decision_rate(ts) == pytest.approx(100.0)
 
     def test_fewer_than_two_timestamps(self):
-        with pytest.raises(ValueError):
-            interval_histogram([123])
+        assert median_decision_rate([123]) is None
+        assert median_decision_rate([]) is None
 
-    def test_histogram_counts_sum_to_intervals(self, rng):
-        ts = np.cumsum(rng.integers(1000, 50_000, 300))
-        buckets, _ = interval_histogram(ts)
-        assert sum(buckets.values()) == 299
+    def test_nonpositive_intervals_are_skipped(self):
+        assert median_decision_rate([0, 10_000, 10_000, 5_000, 15_000]) == pytest.approx(100.0)
+        assert median_decision_rate([7, 7, 7]) is None
 
 
 class TestReport:
@@ -149,6 +146,14 @@ class TestReport:
         assert "error rate APS" in text
         assert "median decision rate" in text
         assert rep.curve_csv().startswith("p,accuracy")
+
+    def test_no_records_give_a_report_without_accuracy_rows(self):
+        rep = evaluate_records([], timestamps=[], extra={"decisions": 0})
+        text = rep.text()
+        assert text.startswith("records: 0\n")
+        assert "accuracy" not in text and "median decision rate" not in text
+        assert "error rate DVS: undefined" in text and "decisions: 0" in text
+        assert rep.curve_csv() == "p,accuracy\n"
 
     def test_class_distribution_sums_to_one(self, rng):
         records = [rec(Decision(int(rng.integers(4))), None) for _ in range(50)]

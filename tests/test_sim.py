@@ -70,8 +70,8 @@ def render_synth_digest():
 
 def runlog_digest():
     net = runtime_network(np.random.default_rng(0))
-    result = run_closed_loop(net, RunnerConfig(duration=1.0), seed=11)
-    return hashlib.sha256(result.text().encode()).hexdigest()
+    log = run_closed_loop(net, RunnerConfig(duration=1.0), seed=11)
+    return hashlib.sha256(log.encode()).hexdigest()
 
 
 def recording_digest():

@@ -10,8 +10,15 @@ from evsteer.behavior import Mode
 from evsteer.nnet import Decision
 from evsteer.wire import (DecisionDatagram, DecisionEncoder, FeedbackDatagram,
                           LinkStats, Mailbox, ProtocolError, UdpEndpoint,
-                          decode_decision, decode_feedback, sender_loop,
-                          track_gaps)
+                          decode_decision, decode_feedback, sender_loop)
+
+
+def track_gaps(seqs, times_us=None) -> LinkStats:
+    """LinkStats after updating it with each (seq, time) of a received stream."""
+    stats = LinkStats()
+    for seq, t in zip(seqs, times_us or [None] * len(seqs)):
+        stats.update(seq, t)
+    return stats
 
 
 class TestCodec:
@@ -61,7 +68,7 @@ class TestEncoder:
 
     def test_seq_wraps_at_256(self):
         enc = DecisionEncoder()
-        enc.seq.value = 255
+        enc.next_seq = 255
         (_, a) = enc.offer(Decision.N, 0)
         (_, b) = enc.offer(Decision.N, 20_000)
         assert (a.seq, b.seq) == (255, 0)
@@ -105,6 +112,11 @@ class TestGapTracking:
         assert stats.intervals_ms == {10: 2, 11: 1}
         dump = stats.histogram_dump()
         assert "10 2" in dump and "11 1" in dump
+
+    def test_histogram_counts_sum_to_intervals(self, rng):
+        ts = np.cumsum(rng.integers(1000, 50_000, 300))
+        stats = track_gaps([i % 256 for i in range(300)], times_us=ts.tolist())
+        assert sum(stats.intervals_ms.values()) == 299
 
     def test_dump_trims_empty_tails(self):
         # a gap between buckets is skipped, not printed as zero rows
