@@ -40,7 +40,6 @@ class BehaviorConfig:
     safety_distance: float = 0.8  # m, catch trigger and potential-field stop
     slow_factor: float = 2.5  # d_slow = slow_factor * safety_distance
     center_laser_fov: float = 40.0  # deg, catch-detection sector
-    center_vision_fov: float = 27.0  # deg, the camera's center third
     wander_interval: float = 2.0  # s between random heading changes
     wander_linear_factor: float = 0.5  # of max_linear
 

@@ -11,12 +11,15 @@ batch axis is prepended internally, so a batched activation is (n, h, w, c)
 and a flat one is (n, d). Inference never mutates a network; per-call state
 lives on a tape, so a loaded network can be shared read-only across threads.
 
-Every layer runs `forward(x, tape)`; a tape is only passed when something
-will run backward. `predict` and `forward_batch` pass none, so max pooling
-records its argmax routing only under a tape and is otherwise a plain
-maximum of the 2x2 phases. im2col gathers the patch matrix with one `take`
-through a flat index cached per input extent; training and inference share
-that path, so both feed the same matrix to the same matmul.
+Every layer computes `forward(x, tape)` one way; a tape, passed only when
+something will run backward, records and never changes what a layer
+computes. It holds each activation once, and a layer's `backward` rebuilds
+what it needs from the layer's input and output: the ReLU gate from x, the
+sigmoid slope from y, the dense flattening from x, the max-pool routing from
+x == y. Only Conv (its im2col matrix) and Dropout (its mask) cache more.
+im2col gathers the patch matrix with one `take` through a flat index cached
+per input extent, so training and inference feed the same matrix to the
+same matmul.
 """
 
 from __future__ import annotations
@@ -158,11 +161,10 @@ class Conv(Layer):
         y = cols @ w2d.T
         y += self.bias
         if tape is not None:
-            tape.append(cols)
+            tape.caches[self] = cols
         return y.reshape(x.shape[0], hh, ww, self.n_maps)
 
-    def backward(self, dy, x, cache, grads, need_dx=True):
-        cols = cache
+    def backward(self, dy, x, y, cols, grads, need_dx=True):
         n, hh, ww, m = dy.shape
         dy_flat = dy.reshape(n * hh * ww, m)
         w2d = self.kernels.reshape(m, -1)
@@ -182,7 +184,11 @@ class Conv(Layer):
 class MaxPool(Layer):
     """Non-overlapping 2x2 max pool, stride 2; odd extents are floored.
 
-    Comparisons only: no multiplies or adds to count.
+    Each output is the maximum of its window's four phases. backward sends
+    a window's gradient to its first maximum in row-major window order
+    (top-left, top-right, bottom-left, bottom-right), found as the first
+    phase where x == y, so ties go to the earlier element and -0.0 and 0.0
+    compare equal. Comparisons only: no multiplies or adds to count.
     """
 
     kind = "maxpool"
@@ -192,26 +198,20 @@ class MaxPool(Layer):
         return (h // 2, w // 2, c)
 
     def forward(self, x, tape):
-        n, h, w, c = x.shape
-        h2, w2 = h // 2, w // 2
+        h2, w2 = x.shape[1] // 2, x.shape[2] // 2
         x = x[:, : h2 * 2, : w2 * 2, :]
-        if tape is None:
-            rows = np.maximum(x[:, 0::2], x[:, 1::2])
-            return np.maximum(rows[:, :, 0::2], rows[:, :, 1::2])
-        win = x.reshape(n, h2, 2, w2, 2, c).transpose(0, 1, 3, 5, 2, 4)
-        win = win.reshape(n, h2, w2, c, 4)
-        arg = win.argmax(axis=-1)  # first max wins on ties
-        tape.append(arg)
-        return np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+        rows = np.maximum(x[:, 0::2], x[:, 1::2])
+        return np.maximum(rows[:, :, 0::2], rows[:, :, 1::2])
 
-    def backward(self, dy, x, cache, grads):
-        arg = cache
-        n, h2, w2, c = dy.shape
-        dwin = np.zeros((n, h2, w2, c, 4), dtype=dy.dtype)
-        np.put_along_axis(dwin, arg[..., None], dy[..., None], axis=-1)
-        dwin = dwin.reshape(n, h2, w2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3)
+    def backward(self, dy, x, y, cache, grads):
+        h2, w2 = y.shape[1], y.shape[2]
         dx = np.zeros_like(x)
-        dx[:, : h2 * 2, : w2 * 2, :] = dwin.reshape(n, h2 * 2, w2 * 2, c)
+        unrouted = np.ones(y.shape, dtype=bool)
+        for i in (0, 1):
+            for j in (0, 1):
+                first = (x[:, i:2 * h2:2, j:2 * w2:2] == y) & unrouted
+                np.copyto(dx[:, i:2 * h2:2, j:2 * w2:2], dy, where=first)
+                unrouted &= ~first
         return dx
 
 
@@ -219,12 +219,10 @@ class Relu(Layer):
     kind = "relu"
 
     def forward(self, x, tape):
-        if tape is not None:
-            tape.append(x)
         return np.maximum(x, 0)
 
-    def backward(self, dy, x, cache, grads, guided=False):
-        gate = cache > 0
+    def backward(self, dy, x, y, cache, grads, guided=False):
+        gate = x > 0
         if guided:
             gate = gate & (dy > 0)
         return dy * gate
@@ -234,13 +232,9 @@ class Sigmoid(Layer):
     kind = "sigmoid"
 
     def forward(self, x, tape):
-        y = 1.0 / (1.0 + np.exp(-x))
-        if tape is not None:
-            tape.append(y)
-        return y
+        return 1.0 / (1.0 + np.exp(-x))
 
-    def backward(self, dy, x, cache, grads):
-        y = cache
+    def backward(self, dy, x, y, cache, grads):
         return dy * y * (1.0 - y)
 
 
@@ -267,21 +261,16 @@ class Dense(Layer):
         return self.n_units * 2 * self.weights.shape[1]
 
     def forward(self, x, tape):
-        shape_in = x.shape
-        flat = x.reshape(x.shape[0], -1)
-        if tape is not None:
-            tape.append((flat, shape_in))
-        return flat @ self.weights.T + self.bias
+        return x.reshape(x.shape[0], -1) @ self.weights.T + self.bias
 
-    def backward(self, dy, x, cache, grads):
-        flat, shape_in = cache
-        grads[0][...] = dy.T @ flat
+    def backward(self, dy, x, y, cache, grads):
+        grads[0][...] = dy.T @ x.reshape(x.shape[0], -1)
         grads[1][...] = dy.sum(axis=0)
-        return (dy @ self.weights).reshape(shape_in)
+        return (dy @ self.weights).reshape(x.shape)
 
 
 class Dropout(Layer):
-    """Inverted dropout; identity outside training mode."""
+    """Inverted dropout; identity unless the tape is a training tape."""
 
     kind = "dropout"
 
@@ -290,30 +279,34 @@ class Dropout(Layer):
             raise ValueError("dropout rate must be in [0, 1)")
         self.rate = rate
 
-    def forward(self, x, tape, train=False, rng=None):
-        if not train or self.rate == 0.0:
-            if tape is not None:
-                tape.append(None)
+    def forward(self, x, tape):
+        if tape is None or not tape.train or self.rate == 0.0:
             return x
-        if rng is None:
+        if tape.rng is None:
             raise ValueError("training-mode dropout needs an rng")
-        mask = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
+        mask = (tape.rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
         mask = mask.astype(x.dtype)
-        if tape is not None:
-            tape.append(mask)
+        tape.caches[self] = mask
         return x * mask
 
-    def backward(self, dy, x, cache, grads):
-        return dy if cache is None else dy * cache
+    def backward(self, dy, x, y, mask, grads):
+        return dy if mask is None else dy * mask
 
 
 @dataclass
 class Tape:
-    """Per-call forward record: layer inputs, caches, and outputs."""
+    """Record of one forward pass for backward.
 
-    inputs: list = field(default_factory=list)
-    caches: list = field(default_factory=list)
-    outputs: list = field(default_factory=list)
+    acts holds each activation once: acts[0] is the batch input and
+    acts[i + 1] the output of layer i. caches maps a layer to what its
+    backward cannot rebuild from its input and output; only Conv and
+    Dropout write there. A train tape makes dropout draw its mask from rng.
+    """
+
+    train: bool = False
+    rng: object = None
+    acts: list = field(default_factory=list)
+    caches: dict = field(default_factory=dict)
 
 
 class Network:
@@ -355,25 +348,20 @@ class Network:
                 f"frame shape {x.shape} does not match input {self.input_shape}")
         return x[None]
 
-    def _forward_batch(self, x, train=False, rng=None, tape=None):
+    def _forward_batch(self, x, tape=None):
+        if tape is not None:
+            tape.acts.append(x)
         for layer in self.layers:
+            x = layer.forward(x, tape)
             if tape is not None:
-                tape.inputs.append(x)
-            if isinstance(layer, Dropout):
-                y = layer.forward(x, tape.caches if tape is not None else None,
-                                  train=train, rng=rng)
-            else:
-                y = layer.forward(x, tape.caches if tape is not None else None)
-            if tape is not None:
-                tape.outputs.append(y)
-            x = y
+                tape.acts.append(x)
         return x
 
-    def forward(self, frame, train=False, rng=None):
+    def forward(self, frame):
         """Run one frame; returns (logits, per-layer activation list)."""
         tape = Tape()
-        logits = self._forward_batch(self._check_input(frame), train, rng, tape)[0]
-        return _finite(logits), [a[0] for a in tape.outputs]
+        logits = self._forward_batch(self._check_input(frame), tape)[0]
+        return _finite(logits), [a[0] for a in tape.acts[1:]]
 
     def predict(self, frame) -> Decision:
         """Decision for one frame; the same logits as `forward`, with no tape."""
@@ -394,15 +382,14 @@ class Network:
             layer = self.layers[idx]
             n_params = len(layer.params())
             slot -= n_params
-            layer_grads = grads[slot:slot + n_params]
+            args = (dy, tape.acts[idx], tape.acts[idx + 1], tape.caches.get(layer),
+                    grads[slot:slot + n_params])
             if isinstance(layer, Relu):
-                dy = layer.backward(dy, tape.inputs[idx], tape.caches[idx],
-                                    layer_grads, guided=guided)
+                dy = layer.backward(*args, guided=guided)
             elif isinstance(layer, Conv):
-                dy = layer.backward(dy, tape.inputs[idx], tape.caches[idx],
-                                    layer_grads, need_dx=idx > 0 or need_input_grad)
+                dy = layer.backward(*args, need_dx=idx > 0 or need_input_grad)
             else:
-                dy = layer.backward(dy, tape.inputs[idx], tape.caches[idx], layer_grads)
+                dy = layer.backward(*args)
         return dy, grads
 
     def loss_and_backward(self, frames, labels, train=True, rng=None):
@@ -415,8 +402,8 @@ class Network:
         if x.ndim <= 3:
             x = self._check_input(x)
         labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-        tape = Tape()
-        logits = _finite(self._forward_batch(x, train=train, rng=rng, tape=tape))
+        tape = Tape(train=train, rng=rng)
+        logits = _finite(self._forward_batch(x, tape))
         probs = softmax(logits)
         n = logits.shape[0]
         loss = float(np.mean(-np.log(probs[np.arange(n), labels])))
@@ -429,7 +416,7 @@ class Network:
     def input_gradient(self, frame, target: Decision, guided=False):
         """d(target logit)/d(input); guided gates ReLUs on positive gradients."""
         tape = Tape()
-        logits = self._forward_batch(self._check_input(frame), tape=tape)
+        logits = self._forward_batch(self._check_input(frame), tape)
         dy = np.zeros_like(logits)
         dy[0, int(target)] = 1.0
         dx, _ = self._backward_batch(dy, tape, guided=guided, need_input_grad=True)

@@ -191,23 +191,34 @@ def _stamp(text):
 def parse_runlog(text: str):
     """Split a run log into typed record lists.
 
-    A malformed line raises ValueError (a bad number or name) or IndexError
-    (a missing field); lines of unknown kind are skipped.
+    A text whose first line is not RUNLOG_MAGIC raises ValueError, and so
+    does a line the runner could not have written: a bad number or name, a
+    DEC source other than APS or DVS, a GT target outside 0..35 or a GT
+    label other than its target's. A missing field raises IndexError; lines
+    of unknown kind are skipped.
     """
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != RUNLOG_MAGIC:
+        raise ValueError(f"first line is not {RUNLOG_MAGIC!r}")
     out = {"DEC": [], "GT": [], "UDP": [], "MODE": [], "CATCH": [], "END": None}
-    for line in text.splitlines():
+    for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         kind = parts[0]
         if kind == "DEC":
+            if parts[2] not in SOURCE_NAMES.values():
+                raise ValueError(f"DEC source {parts[2]!r} is neither APS nor DVS")
             out["DEC"].append((_stamp(parts[1]), parts[2],
                                Decision.from_name(parts[3]),
                                Decision.from_name(parts[4])))
         elif kind == "GT":
             target = None if parts[2] == "N" else int(parts[2])
-            out["GT"].append((_stamp(parts[1]), target, Decision.from_name(parts[3])))
+            label = Decision.from_name(parts[3])
+            if label is not label_from_target(target):
+                raise ValueError(f"GT label {label.name} is not the label of target {parts[2]}")
+            out["GT"].append((_stamp(parts[1]), target, label))
         elif kind == "UDP":
             out["UDP"].append((_stamp(parts[1]), int(parts[2]), int(parts[3])))
         elif kind == "MODE":

@@ -30,7 +30,7 @@ ROBOT_RADIUS = 0.375  # half the 0.75 m footprint length
 PREY_RADIUS = 0.33
 PREY_HEIGHT = 0.37
 CAMERA_HEIGHT = 0.37  # mount height of the SENSOR_WIDTH x SENSOR_HEIGHT camera
-SCENARIOS = ("chase", "static", "rate_test")  # sim.scenario values
+SCENARIOS = ("chase", "rate_test")  # sim.scenario values
 START_MARGIN = 1.2  # m from each wall to a scripted recording's start pose
 
 
@@ -77,7 +77,7 @@ class SimConfig:
     aps_period_us: int = 66_667  # ~15 fps, quantized onto the render grid
     light_gain: float = 1.0
     corrupt_aps_prob: float = 0.0  # blank-stripe fault injection
-    scenario: str = "chase"  # one of SCENARIOS
+    scenario: str = "chase"  # one of SCENARIOS; rate_test is the static scene
     rate_profile: str = ""  # "dur_s:events_per_s,..." cycled leak override
 
     def __post_init__(self):

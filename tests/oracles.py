@@ -4,6 +4,8 @@ These deliberately avoid the vectorized code paths in evsteer.nnet and
 evsteer.frames: the convolution is a plain nested loop over output positions,
 pooling walks 2x2 windows one by one, the low-pass replay keeps scalar state,
 and the DVS histogram takes one event at a time. Keep them slow and obvious.
+The one vectorized reference, argmax_pool, finds each pooling window's first
+maximum by argmax where evsteer.nnet tests x == y phase by phase.
 """
 
 from dataclasses import dataclass
@@ -36,6 +38,27 @@ def naive_maxpool(x):
             for ch in range(c):
                 out[i, j, ch] = x[2 * i:2 * i + 2, 2 * j:2 * j + 2, ch].max()
     return out
+
+
+def argmax_pool(x, dy):
+    """2x2 max pool routed by a 5-D argmax over each window's four elements.
+
+    Returns (y, dx): the first maximum of every window in row-major order,
+    and dy deposited at that element with zeros elsewhere. MaxPool.backward
+    must equal dx bit for bit.
+    """
+    n, h, w, c = x.shape
+    h2, w2 = h // 2, w // 2
+    win = x[:, : h2 * 2, : w2 * 2, :].reshape(n, h2, 2, w2, 2, c)
+    win = win.transpose(0, 1, 3, 5, 2, 4).reshape(n, h2, w2, c, 4)
+    arg = win.argmax(axis=-1)[..., None]  # first max wins on ties
+    y = np.take_along_axis(win, arg, axis=-1)[..., 0]
+    dwin = np.zeros((n, h2, w2, c, 4), dtype=dy.dtype)
+    np.put_along_axis(dwin, arg, dy[..., None], axis=-1)
+    dwin = dwin.reshape(n, h2, w2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3)
+    dx = np.zeros_like(x)
+    dx[:, : h2 * 2, : w2 * 2, :] = dwin.reshape(n, h2 * 2, w2 * 2, c)
+    return y, dx
 
 
 def naive_dense(x, weights, bias):

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import socket
 from pathlib import Path
 
@@ -10,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evsteer
 from evsteer import wire
 from evsteer.cli import (EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
                          _sweep_capacities, main)
+from evsteer.config import KEYS
 from evsteer.evaluation import dataset_records, source_split_errors
 from evsteer.frames import (EVENT_DTYPE, Recording, assemble_dataset,
-                            save_recording, write_events)
+                            save_dataset, save_recording, write_events)
 from evsteer.nnet import runtime_network, save_weights
 
 HEADER = "evsteer-net v1\ninput 36 36 1\n"
@@ -99,6 +102,37 @@ class TestServeReplay:
         assert _sha256(b"".join(sent)) == SERVE_DATAGRAMS_SHA256
 
 
+# sha256 of `train --iterations 40 --seed 0` on the train.ds assembled from the
+# generated_recordings fixture, and of `saliency --index 0 --class C
+# --dump-activations` on it with the seed-0 runtime network (numpy 2.4,
+# x86-64): the weights, the trace, both PGMs read in name order and every
+# activation file read in name order, hashed while training pooled by argmax.
+TRAIN_SALIENCY_SHA256 = {
+    "train/w.net": "ea95c984239168f6ba1907d1631a8ae817055bfd766379e4dc3cbf94601435d3",
+    "train/train_trace.csv":
+        "5da382907f0ac88156de3e10f53f251ed377fcf7ef5364c37aee198679bb56b1",
+    "saliency/*.pgm": "de6881fc963a731046405c975a9ddff4942c6864c7580cb4bf8341b7da49f02a",
+    "saliency/activations/*.txt":
+        "26fb2144ae1f7505ce300ebb9ada821812ae7a093ac64b619fc20610258823b2",
+}
+
+
+class TestTrainSaliencyGolden:
+    def test_outputs_are_pinned(self, tmp_path, weights, generated_recordings):
+        train, _, _ = assemble_dataset(generated_recordings)
+        save_dataset(tmp_path / "train.ds", train)
+        argv = ["train", "--dataset", str(tmp_path / "train.ds"), "--iterations", "40",
+                "--seed", "0", "--out", str(tmp_path / "train" / "w.net")]
+        assert main(argv) == EXIT_OK
+        argv = ["saliency", "--weights", weights, "--dataset", str(tmp_path / "train.ds"),
+                "--index", "0", "--class", "C", "--out", str(tmp_path / "saliency"),
+                "--dump-activations"]
+        assert main(argv) == EXIT_OK
+        for pattern, digest in TRAIN_SALIENCY_SHA256.items():
+            paths = sorted(tmp_path.glob(pattern))
+            assert paths and _sha256(b"".join(p.read_bytes() for p in paths)) == digest, pattern
+
+
 def _ramped_recording(seed, duration_us=2_000_000, n_events=300_000):
     """Event rate growing linearly in time, 15 Hz APS, labels sweeping N, 0..35.
 
@@ -165,6 +199,7 @@ class TestConfigExitCodes:
         "camera.fov_deg=0",
         "sim.rate_profile=1:-5",  # negative event rate
         "sim.scenario=bogus",
+        "sim.scenario=static",  # the static scene is rate_test
         "sim.prey_policy=bogus",
         "train.eval_every=0",
         "noise.threshold=0",
@@ -198,12 +233,19 @@ class TestConfigExitCodes:
 # stdout of `simulate --dry-run` (the network line and every key = default)
 # and the sha256 of the sorted-key JSON of the manifest `config` block after
 # three overrides that coerce (1 -> 1.0, text profile, off -> False); both
-# hashed before the key table was derived from the config dataclasses.
-DRY_RUN_SHA256 = "e00bfaded89f646512ec7969415424e6d96656fd906cab86f7b16e4c12743eb9"
-MANIFEST_CONFIG_SHA256 = "e6da1d809693eff58546a2bda43e808deebfd2112db17f84f77fcb86cec91676"
+# hashed over the 52 keys left once behavior.center_vision_fov, which nothing
+# read, was deleted.
+DRY_RUN_SHA256 = "a6ed892089114896c80e101d48e1d8b037822a17876d9bb0047d09576453e924"
+MANIFEST_CONFIG_SHA256 = "aedc53b579727b115f1dc58eb7d9ca3f3ee705a3433dc777695bdd4499a3437e"
 
 
 class TestConfigSurface:
+    def test_every_key_is_read_by_the_program(self):
+        source = "".join(path.read_text() for path in Path(evsteer.__file__).parent.glob("*.py"))
+        unread = [key for key in KEYS
+                  if not re.search(rf"\.{key.rpartition('.')[2]}\b", source)]
+        assert unread == []
+
     def test_dry_run_key_dump_is_pinned(self, weights, capsys):
         assert main(["simulate", "--weights", weights, "--dry-run"]) == EXIT_OK
         assert _sha256(capsys.readouterr().out.encode()) == DRY_RUN_SHA256
@@ -214,7 +256,7 @@ class TestConfigSurface:
                 "--duration", "0.05", "--out", str(tmp_path / "sim")]
         assert main(argv) == EXIT_OK
         config = json.loads((tmp_path / "sim" / "manifest.json").read_text())["config"]
-        assert len(config) == 53
+        assert len(config) == 52
         assert _sha256(json.dumps(config, sort_keys=True).encode()) == MANIFEST_CONFIG_SHA256
 
 
@@ -258,11 +300,20 @@ class TestRunlogReports:
         (b"END 18446744073709551616\n", "outside 0..2**63-1"),
         (b"DEC 5 DVS L C\nEND 10\n", "1 DEC but 0 GT"),
         (b"\xff\xfe\x00DEC", "not text"),
+        (b"DEC 5 DVX L C\nGT 5 N N\n", "neither APS nor DVS"),
+        (b"DEC 5 DVS L C\nGT 5 36 R\n", "outside [0, 36)"),
+        (b"DEC 5 DVS L C\nGT 5 -1 L\n", "outside [0, 36)"),
+        (b"DEC 5 DVS L C\nGT 5 30 L\n", "not the label of target 30"),
+        (b"DEC 5 DVS L C\nGT 5 N C\n", "not the label of target N"),
     ])
     def test_malformed_runlog_is_data_error(self, tmp_path, weights, capsys, data, message):
         assert self._eval(tmp_path, weights, b"# evsteer-runlog v1\n" + data) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and message in err
+
+    def test_log_without_magic_line_is_data_error(self, tmp_path, weights, capsys):
+        assert self._eval(tmp_path, weights, b"DEC 5 DVS L L\nGT 5 0 L\nEND 10\n") == EXIT_DATA
+        assert "first line is not '# evsteer-runlog v1'" in capsys.readouterr().err
 
     def test_eval_of_a_log_without_decisions_reports_zero_records(self, tmp_path, weights,
                                                                  capsys):
@@ -285,11 +336,14 @@ RUNLOG_TOKENS = ["DEC", "GT", "UDP", "MODE", "CATCH", "END", "#", "APS", "DVS",
                  "L", "C", "R", "N", "0", "5", "-3", "12", "4167", "99999999999999999999",
                  "1.5", "nan", "x"]
 _NAMES = st.sampled_from("LCRN")
-# a DEC/GT pair; stamps may repeat, go backwards or leave the int64 range
+# a DEC/GT pair; stamps may repeat, go backwards or leave the int64 range, and
+# half the GT lines carry their target's label, so some logs get scored
 _STAMPS = st.one_of(st.integers(0, 10 ** 7), st.sampled_from([-1, 2 ** 63 - 1, 2 ** 63]))
-DEC_GT_PAIRS = st.tuples(_STAMPS, st.sampled_from(["APS", "DVS"]), _NAMES,
-                         _NAMES, st.sampled_from(["N", "-1", "0", "12", "35", "40"]),
-                         _NAMES).map(lambda v: "DEC {0} {1} {2} {3}\nGT {0} {4} {5}".format(*v))
+_GT_FIELDS = st.one_of(st.sampled_from(["N N", "0 L", "12 C", "35 R"]),
+                       st.tuples(st.sampled_from(["N", "-1", "0", "12", "35", "40"]),
+                                 _NAMES).map(" ".join))
+DEC_GT_PAIRS = st.tuples(_STAMPS, st.sampled_from(["APS", "DVS"]), _NAMES, _NAMES,
+                         _GT_FIELDS).map(lambda v: "DEC {0} {1} {2} {3}\nGT {0} {4}".format(*v))
 
 
 class TestRunlogFuzz:
@@ -306,7 +360,7 @@ class TestRunlogFuzz:
     def test_any_text_reports_or_is_data_error(self, saved_weights, tmp_path_factory,
                                                lines):
         path = tmp_path_factory.mktemp("log") / "run.log"
-        path.write_text("\n".join(lines), encoding="utf-8")
+        path.write_text("\n".join(["# evsteer-runlog v1"] + lines), encoding="utf-8")
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
             code = main(["eval", "--weights", saved_weights, "--runlog", str(path)])

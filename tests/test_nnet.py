@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -13,7 +15,7 @@ from evsteer.nnet import (WEIGHT_MAGIC, AdamState, Conv, Decision, Dense,
                           decision_from_logits, load_weights, op_count,
                           param_count, runtime_network, save_weights, softmax)
 
-from oracles import naive_forward
+from oracles import argmax_pool, naive_forward
 
 LN4 = math.log(4.0)
 
@@ -88,6 +90,9 @@ POOL_CASES = {
     "infs": _POOL_RNG.choice(np.array([-np.inf, np.inf, -1.0, 2.0], np.float32),
                              (2, 8, 8, 3)),
     "odd_13x13": _POOL_RNG.normal(size=(3, 13, 13, 4)).astype(np.float32),
+    # a training batch at conv0's extent after ReLU: one window in 16 ties at 0
+    "relu_64x32x32x4": np.maximum(_POOL_RNG.normal(size=(64, 32, 32, 4)), 0)
+                       .astype(np.float32),
 }
 
 
@@ -104,13 +109,15 @@ class TestTapeFreeInference:
     @pytest.mark.parametrize("case", sorted(POOL_CASES))
     def test_pool_without_tape_equals_argmax_routing(self, case):
         x = POOL_CASES[case]
-        routing = []
-        taped = MaxPool().forward(x, routing)
-        free = MaxPool().forward(x, None)
-        assert len(routing) == 1 and free.shape == taped.shape
-        assert free.shape[1:3] == (x.shape[1] // 2, x.shape[2] // 2)
+        pool = MaxPool()
+        y = pool.forward(x, None)
+        dy = np.random.default_rng(3).normal(size=y.shape).astype(x.dtype)
+        want_y, want_dx = argmax_pool(x, dy)
+        assert y.shape == want_y.shape
+        assert y.shape[1:3] == (x.shape[1] // 2, x.shape[2] // 2)
         # == semantics: a tie between -0.0 and 0.0 may keep either zero
-        np.testing.assert_array_equal(free, taped)
+        np.testing.assert_array_equal(y, want_y)
+        assert pool.backward(dy, x, y, None, []).tobytes() == want_dx.tobytes()
 
     def test_predict_is_the_forward_decision(self, rng):
         net = runtime_network(rng)
@@ -134,6 +141,55 @@ class TestTapeFreeInference:
             layer.forward = counted
         net.predict(rng.random((36, 36)).astype(np.float32))
         assert calls == Counter(range(len(net.layers)))
+
+
+class TestReadOnlyInference:
+    """Inference never mutates a network, so threads may share a loaded one."""
+
+    @staticmethod
+    def _state(net):
+        return ([sorted(vars(layer)) for layer in net.layers],
+                [p.tobytes() for p in net.parameters()])
+
+    @pytest.mark.parametrize("call", [
+        lambda net, x, rng: net.predict(x[0]),
+        lambda net, x, rng: net.forward(x[0]),
+        lambda net, x, rng: net.forward_batch(x),
+        lambda net, x, rng: net.loss_and_backward(x, [0, 1, 2, 3], train=True, rng=rng),
+        lambda net, x, rng: net.guided_backprop(x[0], Decision.R),
+    ], ids=["predict", "forward", "forward_batch", "loss_and_backward",
+            "guided_backprop"])
+    def test_calls_leave_layers_and_parameters_unchanged(self, rng, call):
+        net = runtime_network(rng)
+        x = rng.random((4, 36, 36, 1)).astype(np.float32)
+        before = self._state(net)
+        call(net, x, rng)
+        assert self._state(net) == before
+
+    def test_two_threads_predict_the_serial_decisions(self, rng, tmp_path):
+        save_weights(runtime_network(rng), tmp_path / "w.net")
+        net = load_weights(tmp_path / "w.net")
+        frames = rng.random((200, 36, 36)).astype(np.float32)
+        serial = [net.predict(f) for f in frames]
+        results = [None, None]
+        start = threading.Barrier(2, timeout=60)
+
+        def run(slot):
+            start.wait()
+            results[slot] = [net.predict(f) for f in frames]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [serial, serial]
 
 
 class TestPredict:
@@ -231,10 +287,9 @@ class TestGradients:
         # the sum of deposited gradient equals the incoming gradient sum
         pool = MaxPool()
         x = rng.random((3, 8, 8, 2))
-        tape = []
-        y = pool.forward(x, tape)
+        y = pool.forward(x, None)
         dy = rng.random(y.shape)
-        dx = pool.backward(dy, x, tape[0], [])
+        dx = pool.backward(dy, x, y, None, [])
         assert np.count_nonzero(dx) <= dy.size
         assert dx.sum() == pytest.approx(dy.sum(), rel=1e-12)
 
@@ -288,12 +343,12 @@ class TestDropout:
     def test_rate_zero_is_identity(self, rng):
         d = Dropout(0.0)
         x = rng.random((4, 10))
-        np.testing.assert_array_equal(d.forward(x, None, train=True, rng=rng), x)
+        np.testing.assert_array_equal(d.forward(x, Tape(train=True, rng=rng)), x)
 
     def test_zeroed_fraction_binomial(self):
         d = Dropout(0.25)
         x = np.ones((1, 1_000_000), dtype=np.float32)
-        y = d.forward(x, None, train=True, rng=np.random.default_rng(99))
+        y = d.forward(x, Tape(train=True, rng=np.random.default_rng(99)))
         frac = float(np.mean(y == 0.0))
         assert abs(frac - 0.25) < 0.002
         survivors = y[y != 0]
@@ -302,7 +357,7 @@ class TestDropout:
     def test_not_applied_at_inference(self, rng):
         d = Dropout(0.9)
         x = rng.random((2, 50))
-        np.testing.assert_array_equal(d.forward(x, None, train=False), x)
+        np.testing.assert_array_equal(d.forward(x, Tape(rng=rng)), x)
 
 
 class TestGuidedBackprop:
