@@ -37,6 +37,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_RUNTIME = 3
 
+_SOURCE_IDS = {name: src for src, name in frames.SOURCE_NAMES.items()}
+
 
 class DataError(Exception):
     pass
@@ -115,16 +117,18 @@ def cmd_gen_data(args, cfg):
 
 
 def _dataset_accuracy(net, ds, batch=512):
-    correct = 0
-    for i in range(0, len(ds), batch):
-        xb = ds.frames[i:i + batch][..., None]
-        correct += int(np.sum(net.predict_batch(xb) == ds.labels[i:i + batch]))
-    return correct / max(len(ds), 1)
+    """p=0 accuracy of a non-empty dataset, predicted in chunks of `batch`."""
+    decisions = np.concatenate([net.predict_batch(ds.frames[i:i + batch][..., None])
+                                for i in range(0, len(ds), batch)])
+    return float(np.mean(evaluation.correct(decisions, ds.labels, ds.target_x)))
 
 
 def cmd_train(args, cfg):
     train = load_dataset(args.dataset)
     test = load_dataset(args.test) if args.test else None
+    for path, ds in ((args.dataset, train), (args.test, test)):
+        if ds is not None and not len(ds):
+            raise DataError(f"{path}: dataset has no frames to train or test on")
     tc = cfg.settings.train
     iters = tc.iterations if args.iterations is None else args.iterations
     seed = tc.seed if args.seed is None else args.seed
@@ -172,23 +176,19 @@ def runlog_report(text, use_filtered=False):
         log = parse_runlog(text)
     except (ValueError, IndexError) as exc:
         raise DataError(f"malformed run log: {exc}") from exc
-    if len(log["DEC"]) != len(log["GT"]):
-        raise DataError(f"run log has {len(log['DEC'])} DEC but {len(log['GT'])} GT lines")
-    records = []
-    for (t, src, raw, filt), (_, target, label) in zip(log["DEC"], log["GT"]):
-        source = frames.SOURCE_APS if src == "APS" else frames.SOURCE_DVS
-        records.append(evaluation.EvalRecord(decision=filt if use_filtered else raw,
-                                             truth_label=label, truth_target_x=target,
-                                             source=source, t=t))
-    extra = {"catches": len(log["CATCH"]), "decisions": len(log["DEC"])}
-    return evaluation.evaluate_records(records, timestamps=[r.t for r in records],
-                                       extra=extra)
-
-
-def _eval_dataset(net, ds, ps=range(0, 4)):
-    decisions = net.predict_batch(ds.frames[..., None])
-    records = evaluation.dataset_records(ds, decisions)
-    return evaluation.evaluate_records(records, ps=ps)
+    dec, gt = log["DEC"], log["GT"]
+    if len(dec) != len(gt):
+        raise DataError(f"run log has {len(dec)} DEC but {len(gt)} GT lines")
+    for (t, *_), (t_gt, *_) in zip(dec, gt):
+        if t != t_gt:
+            raise DataError(f"GT stamp {t_gt} differs from its DEC stamp {t}")
+    return evaluation.evaluate_records(
+        decisions=[filt if use_filtered else raw for _, _, raw, filt in dec],
+        labels=[label for _, _, label in gt],
+        target_x=[-1 if target is None else target for _, target, _ in gt],
+        source=[_SOURCE_IDS[src] for _, src, _, _ in dec],
+        timestamps=[t for t, *_ in dec],
+        extra={"catches": len(log["CATCH"]), "decisions": len(dec)})
 
 
 def _sweep_capacities(net, rec_dir, capacities):
@@ -208,7 +208,8 @@ def _sweep_capacities(net, rec_dir, capacities):
         dvs = test.source == frames.SOURCE_DVS
         if not dvs.any():
             raise DataError(f"no DVS test frames at capacity {cap}")
-        wrong = net.predict_batch(test.frames[dvs][..., None]) != test.labels[dvs]
+        decisions = net.predict_batch(test.frames[dvs][..., None])
+        wrong = ~evaluation.correct(decisions, test.labels[dvs], test.target_x[dvs])
         results[cap] = float(np.mean(wrong))
     return results
 
@@ -221,7 +222,9 @@ def cmd_eval(args, cfg):
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     if args.dataset:
-        report = _eval_dataset(net, load_dataset(args.dataset))
+        ds = load_dataset(args.dataset)
+        report = evaluation.evaluate_records(net.predict_batch(ds.frames[..., None]),
+                                             ds.labels, ds.target_x, ds.source)
         lines.append(f"== dataset {os.path.basename(args.dataset)} ==")
         lines.append(report.text())
         if out_dir:

@@ -215,9 +215,12 @@ class Dataset:
         return (int(np.sum(self.source == SOURCE_APS)),
                 int(np.sum(self.source == SOURCE_DVS)))
 
-    def class_fractions(self):
-        n = max(len(self), 1)
-        return {Decision(k).name: float(np.sum(self.labels == k)) / n for k in range(4)}
+
+def class_mix(labels):
+    """Fraction of each class among Decision-valued labels; zeros for none."""
+    counts = np.bincount(np.asarray(labels, dtype=np.int64), minlength=len(Decision))
+    n = max(len(labels), 1)
+    return {d.name: int(counts[d]) / n for d in Decision}
 
 
 def frames_from_recording(rec: Recording, capacity=DEFAULT_CAPACITY):
@@ -288,8 +291,8 @@ def assemble_dataset(recordings, capacity=DEFAULT_CAPACITY,
     report.update({
         "train_aps": n_aps_after,
         "train_aps_fraction": n_aps_after / total,
-        "train_class_mix": train.class_fractions(),
-        "test_class_mix": test.class_fractions(),
+        "train_class_mix": class_mix(train.labels),
+        "test_class_mix": class_mix(test.labels),
         "reference_class_mix": dict(FIELD_REFERENCE_MIX),
     })
     return train, test, report

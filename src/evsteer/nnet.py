@@ -152,7 +152,7 @@ class Conv(Layer):
         # contiguous (n, h'*w', c*k*k) im2col matrix
         n, h, w, c = x.shape
         k = self.kernel_size
-        cols = x.reshape(n, -1).take(_patch_index(h, w, c, k), axis=1)
+        cols = x.reshape(n, h * w * c).take(_patch_index(h, w, c, k), axis=1)
         return cols, (h - k + 1, w - k + 1)
 
     def forward(self, x, tape):
@@ -261,7 +261,7 @@ class Dense(Layer):
         return self.n_units * 2 * self.weights.shape[1]
 
     def forward(self, x, tape):
-        return x.reshape(x.shape[0], -1) @ self.weights.T + self.bias
+        return x.reshape(len(x), self.weights.shape[1]) @ self.weights.T + self.bias
 
     def backward(self, dy, x, y, cache, grads):
         grads[0][...] = dy.T @ x.reshape(x.shape[0], -1)

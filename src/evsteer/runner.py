@@ -38,7 +38,7 @@ from evsteer.frames import (SOURCE_NAMES, FrameStream, aps_normalize, aps_resize
                             dvs_normalize, label_from_target)
 from evsteer.nnet import Decision
 from evsteer.sim import RobotState, WorldSim, wrap_angle
-from evsteer.wire import DecisionEncoder
+from evsteer.wire import SEQ_MOD, DecisionEncoder
 
 RUNLOG_MAGIC = "# evsteer-runlog v1"
 
@@ -194,8 +194,11 @@ def parse_runlog(text: str):
     A text whose first line is not RUNLOG_MAGIC raises ValueError, and so
     does a line the runner could not have written: a bad number or name, a
     DEC source other than APS or DVS, a GT target outside 0..35 or a GT
-    label other than its target's. A missing field raises IndexError; lines
-    of unknown kind are skipped.
+    label other than its target's, a UDP sequence number outside 0..255 or
+    direction outside 0..3, a MODE naming an unknown mode or decision or
+    with a negative or NaN d_min (inf is what an empty sector reads), or a
+    CATCH distance that is negative or not finite. A missing field raises
+    IndexError; lines of unknown kind are skipped.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != RUNLOG_MAGIC:
@@ -220,11 +223,24 @@ def parse_runlog(text: str):
                 raise ValueError(f"GT label {label.name} is not the label of target {parts[2]}")
             out["GT"].append((_stamp(parts[1]), target, label))
         elif kind == "UDP":
-            out["UDP"].append((_stamp(parts[1]), int(parts[2]), int(parts[3])))
+            seq, direction = int(parts[2]), int(parts[3])
+            if not (0 <= seq < SEQ_MOD and 0 <= direction < len(Decision)):
+                raise ValueError(f"UDP seq {seq} outside 0..{SEQ_MOD - 1} or "
+                                 f"direction {direction} outside 0..{len(Decision) - 1}")
+            out["UDP"].append((_stamp(parts[1]), seq, direction))
         elif kind == "MODE":
-            out["MODE"].append((_stamp(parts[1]), parts[2], parts[3], float(parts[4])))
+            if parts[2] not in Mode.__members__:
+                raise ValueError(f"unknown mode name {parts[2]!r}")
+            Decision.from_name(parts[3])  # raises on an unknown name
+            d_min = float(parts[4])
+            if not d_min >= 0.0:
+                raise ValueError(f"MODE d_min {parts[4]} is negative or NaN")
+            out["MODE"].append((_stamp(parts[1]), parts[2], parts[3], d_min))
         elif kind == "CATCH":
-            out["CATCH"].append((_stamp(parts[1]), float(parts[2])))
+            distance = float(parts[2])
+            if not 0.0 <= distance < math.inf:
+                raise ValueError(f"CATCH distance {parts[2]} is negative or not finite")
+            out["CATCH"].append((_stamp(parts[1]), distance))
         elif kind == "END":
             out["END"] = _stamp(parts[1])
     return out

@@ -16,9 +16,9 @@ from evsteer import wire
 from evsteer.cli import (EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
                          _sweep_capacities, main)
 from evsteer.config import KEYS
-from evsteer.evaluation import dataset_records, source_split_errors
-from evsteer.frames import (EVENT_DTYPE, Recording, assemble_dataset,
-                            save_dataset, save_recording, write_events)
+from evsteer.evaluation import evaluate_records
+from evsteer.frames import (EVENT_DTYPE, Dataset, Recording, assemble_dataset,
+                            load_dataset, save_dataset, save_recording, write_events)
 from evsteer.nnet import runtime_network, save_weights
 
 HEADER = "evsteer-net v1\ninput 36 36 1\n"
@@ -169,8 +169,98 @@ class TestCapacitySweep:
         got = _sweep_capacities(net, str(tmp_path), [2000, 5000])
         for cap, error in got.items():
             _, test, _ = assemble_dataset(recs, capacity=cap)
-            records = dataset_records(test, net.predict_batch(test.frames[..., None]))
-            assert error == pytest.approx(source_split_errors(records)["DVS"], abs=1e-12)
+            rep = evaluate_records(net.predict_batch(test.frames[..., None]), test.labels,
+                                   test.target_x, test.source)
+            assert error == pytest.approx(rep.per_source_error["DVS"], abs=1e-12)
+
+
+# sha256 of `eval --dataset test.ds --out eval` with the seed-0 runtime network
+# and of `train --test test.ds --iterations 40 --seed 0`'s trace, on the splits
+# assembled from the generated_recordings fixture (numpy 2.4, x86-64), and the
+# repr of the assembly's class mixes; hashed while evaluation scored per-frame
+# records.
+EVAL_SHA256 = {
+    "eval/report.txt": "bc3be790b7b8ea68525649282f1645c45992edc254579d3f34a2cf64a246868f",
+    "eval/curve.csv": "ec21a5b4b673ada4ce34e41ffb46c656ae3556419236925e21d1b64a3e738bdb",
+    "train/train_trace.csv":
+        "d63437aa772136d149a6e26b8dd66f5264ddb76b7bd9a5eacc370da0e73e4d2c",
+}
+CLASS_MIX_REPR = ("({'L': 0.0, 'C': 1.0, 'R': 0.0, 'N': 0.0}, "
+                  "{'L': 0.0, 'C': 1.0, 'R': 0.0, 'N': 0.0})")
+# the same trace on the splits of _ramped_recording seeds 0 and 1, whose
+# test split holds L, R and N frames, hashed the same way
+RAMPED_TRACE_SHA256 = "8b44bef20ba88c77cb67320671783ddb226cec31d4640d91e55d9553fc78c9e7"
+
+
+def _split(tmp_path, recordings):
+    train, test, report = assemble_dataset(recordings)
+    save_dataset(tmp_path / "train.ds", train)
+    save_dataset(tmp_path / "test.ds", test)
+    return report
+
+
+def _train_with_test(tmp_path):
+    argv = ["train", "--dataset", str(tmp_path / "train.ds"), "--test",
+            str(tmp_path / "test.ds"), "--iterations", "40", "--seed", "0",
+            "--out", str(tmp_path / "train" / "w.net")]
+    assert main(argv) == EXIT_OK
+    return (tmp_path / "train" / "train_trace.csv").read_text()
+
+
+class TestEvalGolden:
+    def test_dataset_report_trace_and_class_mix_are_pinned(self, tmp_path, weights,
+                                                           generated_recordings):
+        report = _split(tmp_path, generated_recordings)
+        assert repr((report["train_class_mix"], report["test_class_mix"])) == CLASS_MIX_REPR
+        argv = ["eval", "--weights", weights, "--dataset", str(tmp_path / "test.ds"),
+                "--out", str(tmp_path / "eval")]
+        assert main(argv) == EXIT_OK
+        _train_with_test(tmp_path)
+        for name, digest in EVAL_SHA256.items():
+            assert _sha256((tmp_path / name).read_bytes()) == digest, name
+
+    def test_trace_test_accuracy_is_the_eval_p0_accuracy(self, tmp_path, capsys):
+        _split(tmp_path, [_ramped_recording(seed) for seed in (0, 1)])
+        trace = _train_with_test(tmp_path)
+        assert _sha256(trace.encode()) == RAMPED_TRACE_SHA256
+        capsys.readouterr()
+        argv = ["eval", "--weights", str(tmp_path / "train" / "w.net"),
+                "--dataset", str(tmp_path / "test.ds")]
+        assert main(argv) == EXIT_OK
+        p0 = re.search(r"^accuracy p=0: (\S+)$", capsys.readouterr().out, re.M)[1]
+        assert trace.splitlines()[-1].split(",")[2] == p0
+
+
+def _empty_dataset(path):
+    save_dataset(path, Dataset(frames=np.zeros((0, 36, 36), np.float32),
+                               labels=np.zeros(0, np.uint8),
+                               target_x=np.zeros(0, np.int16),
+                               source=np.zeros(0, np.uint8)))
+    assert len(load_dataset(path)) == 0
+    return str(path)
+
+
+class TestEmptyDataset:
+    def test_eval_reports_zero_records(self, tmp_path, weights, capsys):
+        argv = ["eval", "--weights", weights, "--dataset", _empty_dataset(tmp_path / "e.ds"),
+                "--out", str(tmp_path / "eval")]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("== dataset e.ds ==\nrecords: 0\n") and "accuracy" not in out
+        assert "error rate APS: undefined\nerror rate DVS: undefined\n" in out
+        assert (tmp_path / "eval" / "curve.csv").read_text() == "p,accuracy\n"
+
+    @pytest.mark.parametrize("empty", ["--dataset", "--test"])
+    def test_train_on_no_frames_is_data_error(self, tmp_path, generated_recordings,
+                                              capsys, empty):
+        _split(tmp_path, generated_recordings)
+        paths = {"--dataset": str(tmp_path / "train.ds"), "--test": str(tmp_path / "test.ds"),
+                 empty: _empty_dataset(tmp_path / "e.ds")}
+        argv = ["train", *(v for kv in paths.items() for v in kv), "--iterations", "2",
+                "--out", str(tmp_path / "w.net")]
+        assert main(argv) == EXIT_DATA
+        assert "e.ds: dataset has no frames" in capsys.readouterr().err
+        assert not (tmp_path / "w.net").exists()
 
 
 class TestReaderExitCodes:
@@ -305,6 +395,22 @@ class TestRunlogReports:
         (b"DEC 5 DVS L C\nGT 5 -1 L\n", "outside [0, 36)"),
         (b"DEC 5 DVS L C\nGT 5 30 L\n", "not the label of target 30"),
         (b"DEC 5 DVS L C\nGT 5 N C\n", "not the label of target N"),
+        (b"UDP 5 9999 77\n", "UDP seq 9999 outside 0..255"),
+        (b"UDP 5 256 1\n", "UDP seq 256 outside 0..255"),
+        (b"UDP 5 -1 1\n", "UDP seq -1 outside 0..255"),
+        (b"UDP 5 0 4\n", "direction 4 outside 0..3"),
+        (b"UDP 5 0 -1\n", "direction -1 outside 0..3"),
+        (b"MODE 5 BOGUS Q 1.0\n", "unknown mode name 'BOGUS'"),
+        (b"MODE 5 CHASE Q 1.0\n", "unknown decision name 'Q'"),
+        (b"MODE 5 CHASE C -0.5\n", "d_min -0.5 is negative or NaN"),
+        (b"MODE 5 CHASE C nan\n", "d_min nan is negative or NaN"),
+        (b"MODE 5 CHASE C -inf\n", "d_min -inf is negative or NaN"),
+        (b"CATCH 5 -3\n", "CATCH distance -3 is negative or not finite"),
+        (b"CATCH 5 inf\n", "CATCH distance inf is negative or not finite"),
+        (b"CATCH 5 nan\n", "CATCH distance nan is negative or not finite"),
+        (b"DEC 5 DVS L C\nGT 9000 N N\n", "GT stamp 9000 differs from its DEC stamp 5"),
+        (b"DEC 5 DVS L C\nDEC 9 DVS L C\nGT 5 N N\nGT 10 N N\n",
+         "GT stamp 10 differs from its DEC stamp 9"),
     ])
     def test_malformed_runlog_is_data_error(self, tmp_path, weights, capsys, data, message):
         assert self._eval(tmp_path, weights, b"# evsteer-runlog v1\n" + data) == EXIT_DATA
@@ -314,6 +420,14 @@ class TestRunlogReports:
     def test_log_without_magic_line_is_data_error(self, tmp_path, weights, capsys):
         assert self._eval(tmp_path, weights, b"DEC 5 DVS L L\nGT 5 0 L\nEND 10\n") == EXIT_DATA
         assert "first line is not '# evsteer-runlog v1'" in capsys.readouterr().err
+
+    def test_lines_the_runner_writes_are_accepted(self, tmp_path, weights, capsys):
+        # an empty laser sector reads inf, which MODE lines carry as is
+        data = (b"# evsteer-runlog v1\nDEC 5 DVS L L\nGT 5 0 L\nUDP 5 255 3\n"
+                b"MODE 5 PREY_CAUGHT C inf\nMODE 6 WANDER N 0.000\nCATCH 5 0.000\nEND 10\n")
+        assert self._eval(tmp_path, weights, data) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "records: 1\naccuracy p=0: 1.0000\n" in out and "catches: 1\n" in out
 
     def test_eval_of_a_log_without_decisions_reports_zero_records(self, tmp_path, weights,
                                                                  capsys):
@@ -367,6 +481,34 @@ class TestRunlogFuzz:
         assert code in (EXIT_OK, EXIT_DATA)
         if code == EXIT_OK:
             assert buf.getvalue().startswith("== runlog run.log (raw) ==\nrecords: ")
+
+
+class TestServeSim:
+    def test_live_feed_sends_the_decisions_of_the_same_run(self, tmp_path, weights,
+                                                           capsys):
+        argv = ["simulate", "--weights", weights, "--seed", "3", "--duration", "1",
+                "--out", str(tmp_path / "sim")]
+        assert main(argv) == EXIT_OK
+        n_dec = (tmp_path / "sim" / "run.log").read_text().count("\nDEC ")
+        assert n_dec > 0
+        capsys.readouterr()
+        peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        peer.bind(("127.0.0.1", 0))
+        try:
+            argv = ["serve", "--weights", weights, "--sim", "--seed", "3", "--duration", "1",
+                    "--listen", "0", "--peer", f"127.0.0.1:{peer.getsockname()[1]}"]
+            assert main(argv) == EXIT_OK
+            out = capsys.readouterr().out
+            counts = re.match(r"decisions (\d+), datagrams sent (\d+), send errors (\d+)\n",
+                              out)
+            assert counts and (int(counts[1]), int(counts[3])) == (n_dec, 0)
+            # the latest-value mailbox may skip decisions, never reorder them
+            peer.settimeout(2.0)
+            received = [wire.decode_decision(peer.recv(16)) for _ in range(int(counts[2]))]
+        finally:
+            peer.close()
+        seqs = [d.seq for d in received]
+        assert 0 < len(seqs) <= n_dec and seqs == sorted(set(seqs))
 
 
 class TestSuccessAndRuntimeExitCodes:
