@@ -27,7 +27,7 @@ from evsteer.datagen import generate_recording
 from evsteer.frames import (FormatError, FrameStream, aps_normalize,
                             assemble_dataset, dvs_normalize, load_dataset,
                             load_recording, save_dataset, save_recording)
-from evsteer.nnet import (AdamState, Decision, WeightFileError,
+from evsteer.nnet import (AdamState, Decision, WeightFileError, Workspace,
                           adam_step, dump_activations, load_weights, op_count,
                           param_count, runtime_network, save_weights)
 from evsteer.runner import parse_runlog, run_closed_loop
@@ -135,13 +135,17 @@ def cmd_train(args, cfg):
     rng = np.random.default_rng(seed)
     net = runtime_network(rng, dropout_rate=tc.dropout)
     state = AdamState.for_params(net.parameters(), lr=tc.lr)
+    workspace = Workspace()  # every step's large arrays, the batch included
     x = train.frames[..., None]
     y = train.labels.astype(np.int64)
     trace = ["iteration,loss,test_accuracy"]
     last_eval = ""
     for it in range(1, iters + 1):
         idx = rng.integers(0, len(x), tc.batch)
-        loss, grads = net.loss_and_backward(x[idx], y[idx], train=True, rng=rng)
+        batch = x.take(idx, axis=0, mode="clip",
+                       out=workspace.array("batch", (len(idx),) + x.shape[1:], x.dtype))
+        loss, grads = net.loss_and_backward(batch, y[idx], train=True, rng=rng,
+                                            workspace=workspace)
         adam_step(net.parameters(), grads, state)
         if it % tc.eval_every == 0 or it == iters:
             acc = "" if test is None else f"{_dataset_accuracy(net, test):.4f}"

@@ -17,10 +17,9 @@ import numpy as np
 
 from evsteer.behavior import VelocityCmd
 from evsteer.config import DatagenConfig, steps_for_duration
-from evsteer.frames import (EVENT_DTYPE, Recording, aps_resize)
+from evsteer.frames import Recording, aps_resize, concat_events
 from evsteer.runner import WaypointPolicy
-from evsteer.sim import (START_MARGIN, RobotState, WorldSim, _wall_distances,
-                         wrap_angle)
+from evsteer.sim import START_MARGIN, RobotState, WorldSim, wall_distance, wrap_angle
 
 
 class ChaseScript:
@@ -80,8 +79,7 @@ class ChaseScript:
                              - state.heading)
         dist = math.hypot(prey.x - state.x, prey.y - state.y)
         # damp forward speed near walls and when closing on the prey
-        d_fwd = float(_wall_distances(self.arena, state.x, state.y,
-                                      np.array([state.heading]))[0][0])
+        d_fwd = wall_distance(self.arena, state.x, state.y, state.heading)
         wall_scale = min(max((d_fwd - 0.6) / 1.5, 0.0), 1.0)
         approach_scale = min(max((dist - 0.9) / 1.2, 0.0), 1.0)
 
@@ -172,9 +170,7 @@ def generate_recording(cfg: DatagenConfig, seed: int) -> Recording:
         label_t.append(t_now)
         label_x.append(-1 if target is None else target)
 
-    events = (np.concatenate(event_chunks) if event_chunks
-              else np.zeros(0, dtype=EVENT_DTYPE))
-    return Recording(events=events,
+    return Recording(events=concat_events(event_chunks),
                      aps_t=np.array(aps_t, dtype=np.uint32),
                      aps_raw=(np.stack(aps_raw) if aps_raw
                               else np.zeros((0, 36, 36), dtype=np.float32)),

@@ -11,6 +11,16 @@ batch axis is prepended internally, so a batched activation is (n, h, w, c)
 and a flat one is (n, d). Inference never mutates a network; per-call state
 lives on a tape, so a loaded network can be shared read-only across threads.
 
+Inference (`predict`, `forward`, `forward_batch`, `input_gradient`,
+`guided_backprop`) allocates its arrays afresh on every call, since its
+results escape to the caller. Training reuses them: the training run owns a
+`Workspace` and passes it to every `loss_and_backward` call, which takes
+each per-step activation, im2col matrix and backward temporary from it
+instead of from the allocator. Nothing drawn from the workspace escapes a
+step (the returned gradients are fresh arrays), so a step never page-faults
+fresh memory in. A workspace serves one step at a time, and a network runs
+one training step at a time: the step updates its parameters in place.
+
 Every layer computes `forward(x, tape)` one way; a tape, passed only when
 something will run backward, records and never changes what a layer
 computes. It holds each activation once, and a layer's `backward` rebuilds
@@ -99,9 +109,51 @@ def _patch_index(h, w, c, k):
     return base + (np.arange(c)[:, None] + window).reshape(-1)
 
 
+class Workspace:
+    """The per-step arrays of one training run, reused from step to step.
+
+    `array(key, shape, dtype)` returns the array last handed out under key,
+    or a fresh one in its place when the shape or dtype changed, so the
+    workspace holds at most one step's live set. Layers key their arrays by
+    (layer, role); the contents are whatever the last step left there.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def array(self, key, shape, dtype):
+        shape, dtype = tuple(shape), np.dtype(dtype)
+        arr = self._arrays.get(key)
+        if arr is None or arr.shape != shape or arr.dtype != dtype:
+            arr = self._arrays[key] = np.empty(shape, dtype)
+        return arr
+
+
+def _workspace(tape):
+    return None if tape is None else tape.workspace
+
+
+def _out(workspace, layer, role, shape, dtype):
+    """The `out=` array of a layer's op: pooled, or None to let it allocate."""
+    return None if workspace is None else workspace.array((layer, role), shape, dtype)
+
+
+def _full(workspace, layer, role, shape, dtype, value):
+    if workspace is None:
+        return np.full(shape, value, dtype)
+    arr = workspace.array((layer, role), shape, dtype)
+    arr.fill(value)
+    return arr
+
+
 class Layer:
     """Defaults for a layer that keeps its input extent and has no
-    parameters and no multiplies or adds."""
+    parameters and no multiplies or adds.
+
+    Every op that makes a per-step array writes into `_out(workspace, ...)`,
+    so a training step draws it from the workspace and any other call
+    allocates it as numpy would.
+    """
 
     def build(self, in_shape, init):
         """Output extent for in_shape; draws parameters from init."""
@@ -148,36 +200,47 @@ class Conv(Layer):
         h, w, m = out_shape
         return h * w * m * 2 * self.kernels.shape[1] * self.kernel_size ** 2
 
-    def _patches(self, x):
-        # contiguous (n, h'*w', c*k*k) im2col matrix
+    def forward(self, x, tape):
+        workspace = _workspace(tape)
         n, h, w, c = x.shape
         k = self.kernel_size
-        cols = x.reshape(n, h * w * c).take(_patch_index(h, w, c, k), axis=1)
-        return cols, (h - k + 1, w - k + 1)
-
-    def forward(self, x, tape):
-        cols, (hh, ww) = self._patches(x)
-        w2d = self.kernels.reshape(self.n_maps, -1)
-        y = cols @ w2d.T
+        hh, ww = h - k + 1, w - k + 1
+        index = _patch_index(h, w, c, k)
+        # contiguous (n, h'*w', c*k*k) im2col matrix; mode="clip" because
+        # take() with out= and the default mode="raise" buffers its output
+        cols = x.reshape(n, h * w * c).take(
+            index, axis=1, mode="clip",
+            out=_out(workspace, self, "cols", (n,) + index.shape, x.dtype))
+        y = np.matmul(cols, self.kernels.reshape(self.n_maps, -1).T,
+                      out=_out(workspace, self, "y", (n, hh * ww, self.n_maps), x.dtype))
         y += self.bias
         if tape is not None:
             tape.caches[self] = cols
-        return y.reshape(x.shape[0], hh, ww, self.n_maps)
+        return y.reshape(n, hh, ww, self.n_maps)
 
-    def backward(self, dy, x, y, cols, grads, need_dx=True):
+    def backward(self, dy, x, y, cols, grads, need_dx=True, workspace=None):
         n, hh, ww, m = dy.shape
         dy_flat = dy.reshape(n * hh * ww, m)
-        w2d = self.kernels.reshape(m, -1)
         grads[0][...] = (dy_flat.T @ cols.reshape(n * hh * ww, -1)).reshape(self.kernels.shape)
         grads[1][...] = dy_flat.sum(axis=0)
         if not need_dx:
             return None
-        dcols = (dy_flat @ w2d).reshape(n, hh, ww, x.shape[3],
-                                        self.kernel_size, self.kernel_size)
-        dx = np.zeros_like(x)
-        for i in range(self.kernel_size):
-            for j in range(self.kernel_size):
-                dx[:, i:i + hh, j:j + ww, :] += dcols[:, :, :, :, i, j]
+        # col2im one kernel offset at a time: dy_flat @ W[:, :, i, j] is the
+        # (i, j) column block of dy_flat @ W.reshape(m, -1), and gemm's sums
+        # do not depend on the column count, so every dx element adds the
+        # same products in the same (i, j) order. A one-map input pads its
+        # offsets to two columns, since numpy sends a one-column product to
+        # gemv, whose sums differ. (One output position goes to gemv either
+        # way, and there the last bits may differ.)
+        c, k = x.shape[3], self.kernel_size
+        w_offsets = np.zeros((k, k, m, 2 if c == 1 < k else c), self.kernels.dtype)
+        w_offsets[..., :c] = self.kernels.transpose(2, 3, 0, 1)
+        dx = _full(workspace, self, "dx", x.shape, x.dtype, 0)
+        part = _out(workspace, self, "dx_part", (n * hh * ww, w_offsets.shape[3]), dy.dtype)
+        for i in range(k):
+            for j in range(k):
+                part = np.matmul(dy_flat, w_offsets[i, j], out=part)
+                dx[:, i:i + hh, j:j + ww, :] += part[:, :c].reshape(n, hh, ww, c)
         return dx
 
 
@@ -198,20 +261,25 @@ class MaxPool(Layer):
         return (h // 2, w // 2, c)
 
     def forward(self, x, tape):
-        h2, w2 = x.shape[1] // 2, x.shape[2] // 2
+        workspace = _workspace(tape)
+        n, h2, w2, c = x.shape[0], x.shape[1] // 2, x.shape[2] // 2, x.shape[3]
         x = x[:, : h2 * 2, : w2 * 2, :]
-        rows = np.maximum(x[:, 0::2], x[:, 1::2])
-        return np.maximum(rows[:, :, 0::2], rows[:, :, 1::2])
+        rows = np.maximum(x[:, 0::2], x[:, 1::2],
+                          out=_out(workspace, self, "rows", (n, h2, w2 * 2, c), x.dtype))
+        return np.maximum(rows[:, :, 0::2], rows[:, :, 1::2],
+                          out=_out(workspace, self, "y", (n, h2, w2, c), x.dtype))
 
-    def backward(self, dy, x, y, cache, grads):
+    def backward(self, dy, x, y, cache, grads, workspace=None):
         h2, w2 = y.shape[1], y.shape[2]
-        dx = np.zeros_like(x)
-        unrouted = np.ones(y.shape, dtype=bool)
+        dx = _full(workspace, self, "dx", x.shape, x.dtype, 0)
+        unrouted = _full(workspace, self, "unrouted", y.shape, bool, True)
+        first = _out(workspace, self, "first", y.shape, bool)
         for i in (0, 1):
             for j in (0, 1):
-                first = (x[:, i:2 * h2:2, j:2 * w2:2] == y) & unrouted
+                first = np.equal(x[:, i:2 * h2:2, j:2 * w2:2], y, out=first)
+                first &= unrouted
                 np.copyto(dx[:, i:2 * h2:2, j:2 * w2:2], dy, where=first)
-                unrouted &= ~first
+                unrouted ^= first  # first lies inside unrouted: clears it there
         return dx
 
 
@@ -219,13 +287,14 @@ class Relu(Layer):
     kind = "relu"
 
     def forward(self, x, tape):
-        return np.maximum(x, 0)
+        return np.maximum(x, 0, out=_out(_workspace(tape), self, "y", x.shape, x.dtype))
 
-    def backward(self, dy, x, y, cache, grads, guided=False):
-        gate = x > 0
+    def backward(self, dy, x, y, cache, grads, guided=False, workspace=None):
+        # gates dy in place: the network hands each layer a dy no one else holds
+        gate = np.greater(x, 0, out=_out(workspace, self, "gate", x.shape, bool))
         if guided:
-            gate = gate & (dy > 0)
-        return dy * gate
+            gate &= dy > 0
+        return np.multiply(dy, gate, out=dy)
 
 
 class Sigmoid(Layer):
@@ -234,7 +303,7 @@ class Sigmoid(Layer):
     def forward(self, x, tape):
         return 1.0 / (1.0 + np.exp(-x))
 
-    def backward(self, dy, x, y, cache, grads):
+    def backward(self, dy, x, y, cache, grads, workspace=None):
         return dy * y * (1.0 - y)
 
 
@@ -261,12 +330,18 @@ class Dense(Layer):
         return self.n_units * 2 * self.weights.shape[1]
 
     def forward(self, x, tape):
-        return x.reshape(len(x), self.weights.shape[1]) @ self.weights.T + self.bias
+        n, d = len(x), self.weights.shape[1]
+        y = np.matmul(x.reshape(n, d), self.weights.T,
+                      out=_out(_workspace(tape), self, "y", (n, self.n_units), x.dtype))
+        y += self.bias
+        return y
 
-    def backward(self, dy, x, y, cache, grads):
-        grads[0][...] = dy.T @ x.reshape(x.shape[0], -1)
+    def backward(self, dy, x, y, cache, grads, workspace=None):
+        n, d = len(x), self.weights.shape[1]
+        grads[0][...] = dy.T @ x.reshape(n, d)
         grads[1][...] = dy.sum(axis=0)
-        return (dy @ self.weights).reshape(x.shape)
+        dx = np.matmul(dy, self.weights, out=_out(workspace, self, "dx", (n, d), dy.dtype))
+        return dx.reshape(x.shape)
 
 
 class Dropout(Layer):
@@ -289,7 +364,7 @@ class Dropout(Layer):
         tape.caches[self] = mask
         return x * mask
 
-    def backward(self, dy, x, y, mask, grads):
+    def backward(self, dy, x, y, mask, grads, workspace=None):
         return dy if mask is None else dy * mask
 
 
@@ -301,10 +376,12 @@ class Tape:
     acts[i + 1] the output of layer i. caches maps a layer to what its
     backward cannot rebuild from its input and output; only Conv and
     Dropout write there. A train tape makes dropout draw its mask from rng.
+    A tape with a workspace makes the layers draw their arrays from it.
     """
 
     train: bool = False
     rng: object = None
+    workspace: Workspace | None = None
     acts: list = field(default_factory=list)
     caches: dict = field(default_factory=dict)
 
@@ -385,24 +462,28 @@ class Network:
             args = (dy, tape.acts[idx], tape.acts[idx + 1], tape.caches.get(layer),
                     grads[slot:slot + n_params])
             if isinstance(layer, Relu):
-                dy = layer.backward(*args, guided=guided)
+                dy = layer.backward(*args, guided=guided, workspace=tape.workspace)
             elif isinstance(layer, Conv):
-                dy = layer.backward(*args, need_dx=idx > 0 or need_input_grad)
+                dy = layer.backward(*args, need_dx=idx > 0 or need_input_grad,
+                                    workspace=tape.workspace)
             else:
-                dy = layer.backward(*args)
+                dy = layer.backward(*args, workspace=tape.workspace)
         return dy, grads
 
-    def loss_and_backward(self, frames, labels, train=True, rng=None):
+    def loss_and_backward(self, frames, labels, train=True, rng=None, workspace=None):
         """Mean softmax cross-entropy over a batch plus per-parameter grads.
 
         frames: (n, h, w, c) or a single (h, w[, c]) frame; labels: Decision
-        values, scalar or (n,).
+        values, scalar or (n,). Every per-step array comes from workspace,
+        a fresh one unless the training run passes its own; the returned
+        gradients are fresh arrays.
         """
         x = np.asarray(frames, dtype=self.dtype)
         if x.ndim <= 3:
             x = self._check_input(x)
         labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-        tape = Tape(train=train, rng=rng)
+        tape = Tape(train=train, rng=rng,
+                    workspace=Workspace() if workspace is None else workspace)
         logits = _finite(self._forward_batch(x, tape))
         probs = softmax(logits)
         n = logits.shape[0]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from evsteer.behavior import LaserScan
-from evsteer.frames import EVENT_DTYPE, SENSOR_HEIGHT, SENSOR_WIDTH
+from evsteer.frames import EVENT_DTYPE, SENSOR_HEIGHT, SENSOR_WIDTH, concat_events
 
 ARENA_DIAGONAL = math.hypot(9.5, 6.7)
 ROBOT_RADIUS = 0.375  # half the 0.75 m footprint length
@@ -243,6 +243,16 @@ def _wall_distances(arena, x, y, ang):
     hx = x + cos_a * d
     hy = y + sin_a * d
     return d, hx, hy, ty <= tx
+
+
+def wall_distance(arena, x, y, ang):
+    """`_wall_distances` for one ray in Python floats: the distance alone."""
+    cos_a, sin_a = math.cos(ang), math.sin(ang)
+    tx = ((arena.width - x) / cos_a if cos_a > 0
+          else (0.0 - x) / cos_a if cos_a < 0 else math.inf)
+    ty = ((arena.depth - y) / sin_a if sin_a > 0
+          else (0.0 - y) / sin_a if sin_a < 0 else math.inf)
+    return min(tx, ty)
 
 
 def render_camera(scene: Scene, camera: Camera, pose):
@@ -680,7 +690,7 @@ class WorldSim:
         elif len(chunks) == 1:
             events = chunks[0]
         else:
-            events = np.concatenate(chunks)
+            events = concat_events(chunks)
             # take() copies whole records; indexing with [] goes field by field
             events = events.take(np.argsort(events["t"], kind="stable"))
         return SensorBatch(events=events, aps=aps)

@@ -4,8 +4,10 @@ These deliberately avoid the vectorized code paths in evsteer.nnet and
 evsteer.frames: the convolution is a plain nested loop over output positions,
 pooling walks 2x2 windows one by one, the low-pass replay keeps scalar state,
 and the DVS histogram takes one event at a time. Keep them slow and obvious.
-The one vectorized reference, argmax_pool, finds each pooling window's first
-maximum by argmax where evsteer.nnet tests x == y phase by phase.
+Two references are vectorized: argmax_pool finds each pooling window's first
+maximum by argmax where evsteer.nnet tests x == y phase by phase, and
+strided_col2im adds one big patch-gradient matrix back where evsteer.nnet
+adds one kernel offset's product at a time.
 """
 
 from dataclasses import dataclass
@@ -59,6 +61,24 @@ def argmax_pool(x, dy):
     dx = np.zeros_like(x)
     dx[:, : h2 * 2, : w2 * 2, :] = dwin.reshape(n, h2 * 2, w2 * 2, c)
     return y, dx
+
+
+def strided_col2im(dy, kernels, x_shape):
+    """Valid-convolution input gradient through the full patch-gradient matrix.
+
+    dy: (n, h', w', o); kernels: (o, c, k, k). One (n*h'*w', o) @ (o, c*k*k)
+    product, viewed as (n, h', w', c, k, k), adds its k*k strided slices
+    into a zero dx in row-major (i, j) order. Conv.backward must equal it
+    bit for bit.
+    """
+    n, hh, ww, o = dy.shape
+    c, k = x_shape[3], kernels.shape[2]
+    dcols = (dy.reshape(-1, o) @ kernels.reshape(o, -1)).reshape(n, hh, ww, c, k, k)
+    dx = np.zeros(x_shape, dtype=dy.dtype)
+    for i in range(k):
+        for j in range(k):
+            dx[:, i:i + hh, j:j + ww, :] += dcols[:, :, :, :, i, j]
+    return dx
 
 
 def naive_dense(x, weights, bias):

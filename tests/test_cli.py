@@ -231,6 +231,28 @@ class TestEvalGolden:
         assert trace.splitlines()[-1].split(",")[2] == p0
 
 
+# sha256 of `train --iterations 40 --seed 0` (batch 64, dropout 0.25) on the
+# train.ds assembled from _ramped_recording seeds 0 and 1, whose training
+# split holds L, C and R frames (numpy 2.4, x86-64): the weights and the
+# trace, hashed before training reused its per-step buffers.
+RAMPED_TRAIN_SHA256 = {
+    "train/w.net": "2c5515b1ea57da8e077da66283794ff067e01e75db8212629eb69492f041087e",
+    "train/train_trace.csv":
+        "374e88e02306b3c53d5ed6e1a3ec9abddb68fa7d45ba0cff65c4dda9d1e4345b",
+}
+
+
+class TestMultiClassTrainGolden:
+    def test_weights_and_trace_are_pinned(self, tmp_path):
+        report = _split(tmp_path, [_ramped_recording(seed) for seed in (0, 1)])
+        assert all(report["train_class_mix"][name] > 0 for name in "LCR")
+        argv = ["train", "--dataset", str(tmp_path / "train.ds"), "--iterations", "40",
+                "--seed", "0", "--out", str(tmp_path / "train" / "w.net")]
+        assert main(argv) == EXIT_OK
+        for name, digest in RAMPED_TRAIN_SHA256.items():
+            assert _sha256((tmp_path / name).read_bytes()) == digest, name
+
+
 def _empty_dataset(path):
     save_dataset(path, Dataset(frames=np.zeros((0, 36, 36), np.float32),
                                labels=np.zeros(0, np.uint8),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from evsteer import frames
 from evsteer.frames import (SOURCE_APS, SOURCE_DVS, Dataset, DvsAccumulator,
                             FormatError, FrameStream, Recording, aps_normalize, aps_resize, assemble_dataset,
-                            dvs_normalize, exposure_augment, label_from_target,
+                            concat_events, dvs_normalize, exposure_augment, label_from_target,
                             load_dataset, load_recording, read_aps,
                             read_events, read_labels, save_dataset,
                             save_recording, write_events)
@@ -367,6 +367,21 @@ class TestDatasetGolden:
             path = tmp_path / "d.ds"
             save_dataset(path, ds)
             assert hashlib.sha256(path.read_bytes()).hexdigest() == want
+
+
+class TestConcatEvents:
+    def test_record_copy_equals_the_field_copy(self, rng):
+        chunks = [make_events(rng.integers(0, 2**32, n, dtype=np.uint32),
+                              rng.integers(0, 2**16, n), rng.integers(0, 2**16, n),
+                              rng.integers(0, 256, n)) for n in (0, 3022, 17, 1)]
+        chunks.append(chunks[1][::3])  # a strided chunk
+        got = concat_events(chunks)
+        assert got.dtype == frames.EVENT_DTYPE
+        assert got.tobytes() == np.concatenate(chunks).tobytes()
+
+    def test_no_chunks_is_an_empty_event_array(self):
+        got = concat_events([])
+        assert got.dtype == frames.EVENT_DTYPE and len(got) == 0
 
 
 class TestFileFormats:

@@ -1,6 +1,8 @@
+import hashlib
 import math
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,11 +13,11 @@ from hypothesis import strategies as st
 from evsteer import nnet
 from evsteer.nnet import (WEIGHT_MAGIC, AdamState, Conv, Decision, Dense,
                           Dropout, MaxPool, Network, Relu, Sigmoid, Tape,
-                          WeightFileError, adam_step,
+                          WeightFileError, Workspace, adam_step,
                           decision_from_logits, load_weights, op_count,
                           param_count, runtime_network, save_weights, softmax)
 
-from oracles import argmax_pool, naive_forward
+from oracles import argmax_pool, naive_forward, strided_col2im
 
 LN4 = math.log(4.0)
 
@@ -303,6 +305,108 @@ class TestGradients:
             loss, _ = net.loss_and_backward(rng.random((8, 8, 1)),
                                             int(rng.integers(4)), train=False)
             assert loss >= 0.0
+
+
+def dvs_like_batch(n, seed):
+    """n frames at the 0.5 rest level with sparse +-1..3 event steps, and labels."""
+    rng = np.random.default_rng(seed)
+    steps = rng.integers(-3, 4, (n, 36, 36, 1)) * (rng.random((n, 36, 36, 1)) < 0.15)
+    return (0.5 + steps / 200).astype(np.float32), rng.integers(0, 4, n)
+
+
+def step_digest(loss, grads):
+    digest = hashlib.sha256(repr(loss).encode())
+    for g in grads:
+        digest.update(g.tobytes())
+    return digest.hexdigest()
+
+
+def train_step(net, batch, workspace=None):
+    x, labels = batch
+    return net.loss_and_backward(x, labels, train=True, rng=np.random.default_rng(1),
+                                 workspace=workspace)
+
+
+# sha256 of the loss repr and every gradient's bytes from loss_and_backward
+# (train=True, dropout rng seed 1) of the seed-0 runtime network on
+# dvs_like_batch(n, seed=n) (numpy 2.4, x86-64), hashed before training
+# reused its per-step buffers.
+GRADIENT_SHA256 = {
+    64: "f802c43fa02d41a52e60c44a45ff1a8e59952d048180162a501e5d116622928d",
+    17: "08d860b4310c62856917f89c19fbbddc20edf9b95015ffcbb66f901a9bbf679b",
+}
+
+
+class TestGradientGolden:
+    @pytest.mark.parametrize("n", sorted(GRADIENT_SHA256))
+    @pytest.mark.parametrize("pooled", [False, True], ids=["fresh", "workspace"])
+    def test_gradients_are_pinned(self, n, pooled):
+        net = runtime_network(np.random.default_rng(0))
+        workspace = Workspace() if pooled else None
+        batch = dvs_like_batch(n, seed=n)
+        for _ in range(2 if pooled else 1):  # the second step reuses dirty arrays
+            assert step_digest(*train_step(net, batch, workspace)) == GRADIENT_SHA256[n]
+
+
+class TestTrainingWorkspace:
+    """A step takes its arrays from the workspace; nothing carries between steps."""
+
+    def test_warm_batch_64_step_allocates_at_most_2_mib(self):
+        net = runtime_network(np.random.default_rng(0))
+        workspace = Workspace()
+        batch = dvs_like_batch(64, seed=64)
+        for _ in range(2):
+            train_step(net, batch, workspace)
+        tracemalloc.start()
+        try:
+            train_step(net, batch, workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20  # about 16 MiB with every array fresh
+
+    def test_batch_64_17_64_gradients_equal_a_fresh_network(self):
+        net = runtime_network(np.random.default_rng(0))
+        workspace = Workspace()
+        for n in (64, 17, 64):
+            batch = dvs_like_batch(n, seed=n)
+            fresh = runtime_network(np.random.default_rng(0))
+            assert (step_digest(*train_step(net, batch, workspace))
+                    == step_digest(*train_step(fresh, batch)))
+
+    def test_results_survive_a_later_step(self):
+        net = runtime_network(np.random.default_rng(0))
+        workspace = Workspace()
+        x, labels = dvs_like_batch(64, seed=64)
+        _, acts = net.forward(x[0])
+        saliency = net.input_gradient(x[1], Decision.R)
+        _, grads = train_step(net, (x, labels), workspace)
+        kept = [a.copy() for a in (*acts, saliency, *grads)]
+        train_step(net, dvs_like_batch(64, seed=5), workspace)
+        for got, want in zip((*acts, saliency, *grads), kept):
+            assert got.tobytes() == want.tobytes()
+
+
+COL2IM_CASES = [((64, 16, 16, 4), 5), ((3, 36, 36, 1), 5), ((2, 13, 11, 3), 3)]
+
+
+class TestCol2im:
+    @pytest.mark.parametrize("shape,k", COL2IM_CASES, ids=lambda v: str(v))
+    @pytest.mark.parametrize("pooled", [False, True], ids=["fresh", "workspace"])
+    def test_conv_input_gradient_is_the_strided_add(self, shape, k, pooled):
+        rng = np.random.default_rng(11)
+        conv = Conv(4, k)
+        conv.build(shape[1:], lambda s, fan_in=None, fan_out=None:
+                   rng.normal(size=s).astype(np.float32))
+        x = rng.normal(size=shape).astype(np.float32)
+        workspace = Workspace() if pooled else None
+        for _ in range(2 if pooled else 1):  # the second pass reuses dirty arrays
+            tape = Tape(workspace=workspace)
+            y = conv.forward(x, tape)
+            dy = rng.normal(size=y.shape).astype(np.float32)
+            grads = [np.zeros_like(p) for p in conv.params()]
+            dx = conv.backward(dy, x, y, tape.caches[conv], grads, workspace=workspace)
+            assert dx.tobytes() == strided_col2im(dy, conv.kernels, x.shape).tobytes()
 
 
 class TestAdam:

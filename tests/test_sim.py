@@ -9,7 +9,8 @@ from evsteer.datagen import DatagenConfig, generate_recording
 from evsteer.nnet import runtime_network
 from evsteer.runner import RunnerConfig, run_closed_loop
 from evsteer.sim import (ArenaConfig, Camera, CameraConfig, EventSynth,
-                         RobotState, SimConfig, default_scene, render_camera)
+                         RobotState, SimConfig, _wall_distances, default_scene,
+                         render_camera, wall_distance)
 
 # Poses (x, y, heading) through the 9.5 x 6.7 m arena: the chase start with
 # the prey in view, the poster and a floor highlight ahead, the dark box, the
@@ -136,6 +137,19 @@ class TestEventSynthLayout:
             synth.update(make(np.full_like(img, 0.2)), 0, 5000)
             assert len(synth.update(make(img), 5000, 10000)) > 0
             assert len(synth.update(make(img), 10000, 15000)) == 0
+
+
+class TestWallDistance:
+    def test_one_ray_equals_the_array_version(self):
+        arena = ArenaConfig()
+        rng = np.random.default_rng(4)
+        # axis-aligned rays take the inf branch on the axis they do not cross
+        angles = np.concatenate([[0.0, -0.0, math.pi, math.pi / 2, -math.pi / 2],
+                                 rng.uniform(-2 * math.pi, 2 * math.pi, 2000)])
+        x, y = rng.uniform(0, arena.width, len(angles)), rng.uniform(0, arena.depth, len(angles))
+        for xi, yi, a in zip(x, y, angles):
+            want = float(_wall_distances(arena, xi, yi, np.array([a]))[0][0])
+            assert wall_distance(arena, float(xi), float(yi), float(a)) == want
 
 
 class TestDurationLimit:
