@@ -61,28 +61,20 @@ class LaserScan:
     angles: np.ndarray
     ranges: np.ndarray
 
-    def min_range(self, fov_deg=None):
-        if fov_deg is None:
-            sel = slice(None)
-        else:
-            half = math.radians(fov_deg) / 2.0
-            sel = np.abs(self.angles) <= half
-        r = self.ranges[sel]
+    def min_range(self, fov_deg):
+        """Nearest range within the centred sector fov_deg wide."""
+        r = self.ranges[np.abs(self.angles) <= math.radians(fov_deg) / 2.0]
         return float(r.min()) if r.size else math.inf
 
 
-def potential_field_scale(scan: LaserScan, cfg: BehaviorConfig,
-                          fov_deg=None) -> float:
-    """Linear-speed scale in [0, 1] from the nearest forward obstacle.
+def potential_field_scale(scan: LaserScan, cfg: BehaviorConfig) -> float:
+    """Linear-speed scale in [0, 1] from the nearest obstacle in the catch cone.
 
     Full speed beyond d_slow, zero at the safety distance, linear between.
-    The sector defaults to the catch-detection cone.
     """
-    if fov_deg is None:
-        fov_deg = cfg.center_laser_fov
     d_stop = cfg.safety_distance
     d_slow = cfg.slow_factor * d_stop
-    d_min = scan.min_range(fov_deg)
+    d_min = scan.min_range(cfg.center_laser_fov)
     return float(np.clip((d_min - d_stop) / (d_slow - d_stop), 0.0, 1.0))
 
 

@@ -30,7 +30,7 @@ from evsteer.frames import (FormatError, FrameStream, aps_normalize,
 from evsteer.nnet import (AdamState, Decision, WeightFileError, Workspace,
                           adam_step, dump_activations, load_weights, op_count,
                           param_count, runtime_network, save_weights)
-from evsteer.runner import parse_runlog, run_closed_loop
+from evsteer.runner import decision_step, parse_runlog, run_closed_loop
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -116,10 +116,9 @@ def cmd_gen_data(args, cfg):
 # ---------------------------------------------------------------------------
 
 
-def _dataset_accuracy(net, ds, batch=512):
-    """p=0 accuracy of a non-empty dataset, predicted in chunks of `batch`."""
-    decisions = np.concatenate([net.predict_batch(ds.frames[i:i + batch][..., None])
-                                for i in range(0, len(ds), batch)])
+def _dataset_accuracy(net, ds):
+    """p=0 accuracy of a non-empty dataset."""
+    decisions = net.predict_batch(ds.frames[..., None])
     return float(np.mean(evaluation.correct(decisions, ds.labels, ds.target_x)))
 
 
@@ -368,19 +367,14 @@ def cmd_serve(args, cfg):
             sent = len(sent_log)
         else:
             # file replay is an offline pump: send synchronously so every
-            # novel decision yields exactly one datagram. It has no behaviour
-            # controller, so the gate always sees Mode.CHASE (the default of
-            # DecisionFilter.update); the serve golden pins this.
-            from evsteer.decision import DecisionFilter
-
-            filt = DecisionFilter(run_cfg.filter)
-            encoder = wire.DecisionEncoder(run_cfg.wire.rate_cap_hz)
+            # novel decision yields exactly one datagram. With no behaviour
+            # controller it gates in decision_step's default, Mode.CHASE.
+            decide = decision_step(net, run_cfg)
             events = frames.read_events(args.events)
             aps_t, aps_raw = frames.read_aps(args.aps) if args.aps else ((), ())
             stream = FrameStream(run_cfg.frames.capacity)
             for t, _, values, _ in stream.push(events, aps_t, aps_raw):
-                filtered = filt.update(net.predict(values))
-                t_dec, datagram = encoder.offer(filtered, t)
+                t_dec, _, _, datagram = decide(t, values)
                 decisions += 1
                 sent_stats.update(datagram.seq, t_dec)
                 if endpoint.send(datagram.encode()):

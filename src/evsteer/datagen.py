@@ -149,25 +149,17 @@ def generate_recording(cfg: DatagenConfig, seed: int) -> Recording:
     aps_t, aps_raw = [], []
     label_t, label_x = [0], [-1 if world.ground_truth() is None
                              else world.ground_truth()]
-    predator_cmd = VelocityCmd(0.0, 0.0)
-    prey_cmd = VelocityCmd(0.0, 0.0)
 
-    for _ in range(n_steps):
-        world.set_commands(predator_cmd, prey_cmd)
-        batch = world.step()
-        if batch is None:
-            continue
-        t_now = world.t_us
-        predator_cmd = script.command(t_now / 1e6, world.predator, world.prey)
-        prey_cmd = prey_policy.command(world.prey, t_now / 1e6)
+    for batch in world.run(n_steps):
+        t_s = world.t_us / 1e6
+        world.set_commands(script.command(t_s, world.predator, world.prey),
+                           prey_policy.command(world.prey, t_s))
         if len(batch.events):
             event_chunks.append(batch.events)
-        if batch.aps is not None:
-            t_aps, image = batch.aps
-            aps_t.append(t_aps)
-            aps_raw.append(aps_resize(image).astype(np.float32))
+        aps_t += batch.aps_t
+        aps_raw += [aps_resize(image) for image in batch.aps]
         target = world.ground_truth()
-        label_t.append(t_now)
+        label_t.append(world.t_us)
         label_x.append(-1 if target is None else target)
 
     return Recording(events=concat_events(event_chunks),

@@ -13,12 +13,14 @@ lives on a tape, so a loaded network can be shared read-only across threads.
 
 Inference (`predict`, `forward`, `forward_batch`, `input_gradient`,
 `guided_backprop`) allocates its arrays afresh on every call, since its
-results escape to the caller. Training reuses them: the training run owns a
-`Workspace` and passes it to every `loss_and_backward` call, which takes
-each per-step activation, im2col matrix and backward temporary from it
-instead of from the allocator. Nothing drawn from the workspace escapes a
-step (the returned gradients are fresh arrays), so a step never page-faults
-fresh memory in. A workspace serves one step at a time, and a network runs
+results escape to the caller; `predict_batch` bounds them by scoring
+PREDICT_CHUNK frames per forward pass, so past one chunk its logits can
+differ from a single pass in the last bits. Training reuses them: the
+training run owns a `Workspace` and passes it to every `loss_and_backward`
+call, which takes each per-step activation, im2col matrix and backward
+temporary from it instead of from the allocator. Nothing drawn from the
+workspace escapes a step (the returned gradients are fresh arrays), so a
+step never page-faults fresh memory in. A workspace serves one step at a time, and a network runs
 one training step at a time: the step updates its parameters in place.
 
 Every layer computes `forward(x, tape)` one way; a tape, passed only when
@@ -41,8 +43,8 @@ from enum import IntEnum
 
 import numpy as np
 
-CLASS_NAMES = ("L", "C", "R", "N")
 N_CLASSES = 4
+PREDICT_CHUNK = 512  # frames per forward pass of predict_batch
 
 
 class Decision(IntEnum):
@@ -450,7 +452,10 @@ class Network:
         return self._forward_batch(np.asarray(x, dtype=self.dtype))
 
     def predict_batch(self, x):
-        return np.argmax(self.forward_batch(x), axis=1)
+        """Argmax decisions of a (n, h, w, c) batch, PREDICT_CHUNK frames per pass."""
+        # an empty batch still runs one (empty) pass, so it returns an empty array
+        return np.concatenate([np.argmax(self.forward_batch(x[i:i + PREDICT_CHUNK]), axis=1)
+                               for i in range(0, max(len(x), 1), PREDICT_CHUNK)])
 
     def _backward_batch(self, dy, tape, guided=False, need_input_grad=False):
         grads = [np.zeros_like(p) for p in self.parameters()]

@@ -1,11 +1,12 @@
 """Closed-loop runner: sensors -> CNN -> decision filter -> behavior -> wheels.
 
-The world advances on a fixed 1 ms kinematics step; rendering and event
-synthesis run on a coarser grid (default 5 ms) with event timestamps
-interpolated inside the interval. A `frames.FrameStream` turns each step's
-events and APS capture into the frame queue, processed in (t, source) order
-under the 240 Hz processing cap; each frame yields one decision, one log
-line, and one UDP datagram record.
+The world owns the clock: `WorldSim.run` advances a fixed 1 ms kinematics
+step and yields a sensor batch on each coarser render step (default 5 ms),
+and the loop sets the robots' commands between batches. A
+`frames.FrameStream` turns each batch into frames in (t, source) order, and
+`decision_step`, the one frame-to-datagram chain that the `serve` file replay
+runs too, gives each frame one decision and one UDP datagram under the 240 Hz
+processing cap; the loop logs both.
 
 The run log is the run's only record: `run_closed_loop` returns its text, and
 every count or score of a run is read back from it. `simulate` writes the log
@@ -115,6 +116,25 @@ def _start_states(cfg: RunnerConfig):
     return predator, prey
 
 
+def decision_step(net, cfg: RunnerConfig):
+    """One run's frame-to-datagram chain: predict, the gate, the low-pass, the encoder.
+
+    Returns step(t_frame, values, mode=Mode.CHASE) -> (t_dec, raw, filtered,
+    datagram). The closed loop gates in the behaviour's mode; the file
+    replay, which has no behaviour controller, in the default.
+    """
+    filt = DecisionFilter(cfg.filter)
+    encoder = DecisionEncoder(cfg.wire.rate_cap_hz)
+
+    def step(t_frame, values, mode=Mode.CHASE):
+        raw = net.predict(values)
+        filtered = filt.update(raw, mode)
+        t_dec, datagram = encoder.offer(filtered, t_frame)
+        return t_dec, raw, filtered, datagram
+
+    return step
+
+
 def run_closed_loop(net, cfg: RunnerConfig, seed: int,
                     on_datagram=None) -> str:
     """Run one seeded episode and return its log text. Pure in (net, cfg, seed).
@@ -131,51 +151,31 @@ def run_closed_loop(net, cfg: RunnerConfig, seed: int,
                                     cfg.sim.arena)
     behavior = BehaviorController(cfg.behavior,
                                   seed=int(behavior_seed.generate_state(1)[0]))
-    filt = DecisionFilter(cfg.filter)
-    encoder = DecisionEncoder(cfg.wire.rate_cap_hz)
+    decide = decision_step(net, cfg)
     stream = FrameStream(cfg.frames.capacity)
 
     lines = [RUNLOG_MAGIC, f"# seed {seed}"]
     predator_cmd = VelocityCmd(0.0, 0.0)
-    prey_cmd = VelocityCmd(0.0, 0.0)
-    prev_mode = behavior.mode
-
-    def process_frame(t_frame, source, values):
-        nonlocal predator_cmd, prev_mode
-        raw = net.predict(values)
-        filtered = filt.update(raw, behavior.mode)
-        t_dec, datagram = encoder.offer(filtered, t_frame)
-        target = world.ground_truth()
-        label = label_from_target(target)
-        scan = world.laser()
-        predator_cmd = behavior.step(filtered, scan, now=t_dec / 1e6)
-        lines.append(f"DEC {t_dec} {SOURCE_NAMES[source]} {raw.name} {filtered.name}")
-        lines.append(f"GT {t_dec} {'N' if target is None else target} {label.name}")
-        lines.append(f"UDP {t_dec} {datagram.seq} {int(datagram.direction)}")
-        if on_datagram is not None:
-            on_datagram(t_dec, datagram)
-        if behavior.mode is not prev_mode:
-            d_min = scan.min_range(cfg.behavior.center_laser_fov)
-            lines.append(f"MODE {t_dec} {behavior.mode.name} {filtered.name} {d_min:.3f}")
-            if behavior.mode is Mode.PREY_CAUGHT:
-                lines.append(f"CATCH {t_dec} {world.prey_distance():.3f}")
-            prev_mode = behavior.mode
-
-    for _ in range(n_steps):
-        world.set_commands(predator_cmd, prey_cmd)
-        batch = world.step()
-        if batch is None:
-            continue
-        t_now = world.t_us
-        prey_cmd = prey_policy.command(world.prey, t_now / 1e6)
-
-        if batch.aps is None:
-            queue = stream.push(batch.events)
-        else:
-            t_aps, image = batch.aps
-            queue = stream.push(batch.events, [t_aps], [aps_resize(image)])
-        for t_frame, source, values, _ in queue:
-            process_frame(t_frame, source, values)
+    for batch in world.run(n_steps):
+        aps_raw = [aps_resize(image) for image in batch.aps]
+        for t_frame, source, values, _ in stream.push(batch.events, batch.aps_t, aps_raw):
+            mode = behavior.mode
+            t_dec, raw, filtered, datagram = decide(t_frame, values, mode)
+            target = world.ground_truth()
+            label = label_from_target(target)
+            scan = world.laser()
+            predator_cmd = behavior.step(filtered, scan, now=t_dec / 1e6)
+            lines.append(f"DEC {t_dec} {SOURCE_NAMES[source]} {raw.name} {filtered.name}")
+            lines.append(f"GT {t_dec} {'N' if target is None else target} {label.name}")
+            lines.append(f"UDP {t_dec} {datagram.seq} {int(datagram.direction)}")
+            if on_datagram is not None:
+                on_datagram(t_dec, datagram)
+            if behavior.mode is not mode:
+                d_min = scan.min_range(cfg.behavior.center_laser_fov)
+                lines.append(f"MODE {t_dec} {behavior.mode.name} {filtered.name} {d_min:.3f}")
+                if behavior.mode is Mode.PREY_CAUGHT:
+                    lines.append(f"CATCH {t_dec} {world.prey_distance():.3f}")
+        world.set_commands(predator_cmd, prey_policy.command(world.prey, world.t_us / 1e6))
 
     lines.append(f"END {world.t_us}")
     return "\n".join(lines) + "\n"

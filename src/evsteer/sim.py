@@ -25,7 +25,6 @@ import numpy as np
 from evsteer.behavior import LaserScan
 from evsteer.frames import EVENT_DTYPE, SENSOR_HEIGHT, SENSOR_WIDTH, concat_events
 
-ARENA_DIAGONAL = math.hypot(9.5, 6.7)
 ROBOT_RADIUS = 0.375  # half the 0.75 m footprint length
 PREY_RADIUS = 0.33
 PREY_HEIGHT = 0.37
@@ -494,11 +493,15 @@ def burst_events(rng, count: int, t_us: int,
 # ---------------------------------------------------------------------------
 
 
-def simulate_laser(scene: Scene, pose, fov_deg=180.0, step_deg=1.0) -> LaserScan:
-    """Ray-cast ranges to walls and obstacle circles over a forward sector."""
+# ray bearings of the laser: a 180 degree forward sector in 1 degree steps
+LASER_ANGLES = np.radians(np.arange(-90.0, 90.0 + 1e-9, 1.0))
+LASER_ANGLES.flags.writeable = False
+
+
+def simulate_laser(scene: Scene, pose) -> LaserScan:
+    """Ray-cast ranges to walls and obstacle circles over LASER_ANGLES."""
     x, y, heading = pose
-    angles = np.radians(np.arange(-fov_deg / 2.0, fov_deg / 2.0 + 1e-9, step_deg))
-    ray_ang = heading + angles
+    ray_ang = heading + LASER_ANGLES
     d, _, _, _ = _wall_distances(scene.arena, x, y, ray_ang)
     cos_a, sin_a = np.cos(ray_ang), np.sin(ray_ang)
     for ox, oy, rad in scene.obstacle_circles():
@@ -508,7 +511,7 @@ def simulate_laser(scene: Scene, pose, fov_deg=180.0, step_deg=1.0) -> LaserScan
         hit = (perp2 <= rad * rad) & (proj > 0)
         reach = proj - np.sqrt(np.maximum(rad * rad - perp2, 0.0))
         d = np.where(hit & (reach > 0) & (reach < d), reach, d)
-    return LaserScan(angles=angles, ranges=d)
+    return LaserScan(angles=LASER_ANGLES, ranges=d)
 
 
 # ---------------------------------------------------------------------------
@@ -592,14 +595,18 @@ class RateProfile:
 
 @dataclass
 class SensorBatch:
-    """Output of one world step: events plus an APS frame when due."""
+    """Output of one render interval: its events and its APS captures."""
 
     events: np.ndarray
-    aps: tuple | None = None  # (t_us, 240x180 image)
+    aps_t: list  # capture stamps, at most one
+    aps: list  # the 240x180 image of each capture
 
 
 class WorldSim:
-    """Owns robot poses, the camera, noise streams, and sensor schedules."""
+    """Owns robot poses, the camera, noise streams, and sensor schedules.
+
+    `run` is the world's one clock; callers set commands between its batches.
+    """
 
     def __init__(self, cfg: SimConfig, seed: int, predator: RobotState,
                  prey: RobotState):
@@ -634,7 +641,6 @@ class WorldSim:
         self.prey.angular = prey_cmd.angular
 
     def _render(self):
-        self.scene.prey = self.prey
         if self.scene.moving_distractor is not None:
             md = self.scene.moving_distractor
             md.x = 4.0 + 1.6 * math.sin(self._moving_phase)
@@ -645,21 +651,27 @@ class WorldSim:
             return self.rate_profile.per_pixel(t_s)
         return self.cfg.noise.leak_rate
 
-    def step(self) -> SensorBatch | None:
-        """Advance one timestep; sensor output only on render-grid steps."""
-        dt = self.cfg.timestep_us / 1e6
-        self.predator = kinematics_step(self.predator, dt, self.cfg.arena)
-        self.prey = kinematics_step(self.prey, dt, self.cfg.arena)
-        self.t_us += self.cfg.timestep_us
-        if (self.t_us // self.cfg.timestep_us) % self.cfg.render_every != 0:
-            return None
+    def run(self, n_steps):
+        """Advance n_steps kinematics steps, yielding step() on each render step.
 
+        A command set between yields acts from the next kinematics step on.
+        The run ends at t_us = n_steps * timestep_us, on the render grid or not.
+        """
+        dt = self.cfg.timestep_us / 1e6
+        for _ in range(n_steps):
+            self.predator = kinematics_step(self.predator, dt, self.cfg.arena)
+            self.prey = self.scene.prey = kinematics_step(self.prey, dt, self.cfg.arena)
+            self.t_us += self.cfg.timestep_us
+            if (self.t_us // self.cfg.timestep_us) % self.cfg.render_every == 0:
+                yield self.step()
+
+    def step(self) -> SensorBatch:
+        """Sensor output for the render interval that ends at t_us."""
         t0, t1 = self._last_render_us, self.t_us
         self._last_render_us = t1
         self._moving_phase += 0.9 * (t1 - t0) / 1e6
 
         chunks = []
-        image = None
         if self.cfg.static_scene:
             if self._static_image is None:
                 self._static_image = self._render()
@@ -672,7 +684,7 @@ class WorldSim:
         if len(leak):
             chunks.append(leak)
 
-        aps = None
+        aps_t, aps = [], []
         if t1 >= self._next_aps_us:
             self._aps_k += 1
             self._next_aps_us = self._quantize_aps(self._aps_k * self.cfg.aps_period_us)
@@ -680,7 +692,7 @@ class WorldSim:
             if (self.cfg.corrupt_aps_prob > 0
                     and self.rng_misc.random() < self.cfg.corrupt_aps_prob):
                 img = corrupt_frame(img, self.rng_misc)
-            aps = (t1, img)
+            aps_t, aps = [t1], [img]
             burst = burst_events(self.rng_noise, self.cfg.noise.aps_burst, t1)
             if len(burst):
                 chunks.append(burst)
@@ -693,14 +705,12 @@ class WorldSim:
             events = concat_events(chunks)
             # take() copies whole records; indexing with [] goes field by field
             events = events.take(np.argsort(events["t"], kind="stable"))
-        return SensorBatch(events=events, aps=aps)
+        return SensorBatch(events, aps_t, aps)
 
     def laser(self) -> LaserScan:
-        self.scene.prey = self.prey
         return simulate_laser(self.scene, self.predator.pose)
 
     def ground_truth(self):
-        self.scene.prey = self.prey
         return prey_target_column(self.scene, self.camera, self.predator.pose)
 
     def prey_distance(self):

@@ -21,7 +21,6 @@ from evsteer.nnet import Decision
 DATAGRAM_SIZE = 2
 SEQ_MOD = 256
 PROCESSING_RATE_HZ = 240
-MIN_SEND_INTERVAL_US = round(1_000_000 / PROCESSING_RATE_HZ)
 
 
 class ProtocolError(ValueError):

@@ -13,13 +13,16 @@ from hypothesis import strategies as st
 
 import evsteer
 from evsteer import wire
+from evsteer.behavior import Mode
 from evsteer.cli import (EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
                          _sweep_capacities, main)
 from evsteer.config import KEYS
+from evsteer.decision import FilterConfig
 from evsteer.evaluation import evaluate_records
 from evsteer.frames import (EVENT_DTYPE, Dataset, Recording, assemble_dataset,
                             load_dataset, save_dataset, save_recording, write_events)
-from evsteer.nnet import runtime_network, save_weights
+from evsteer.nnet import Decision, runtime_network, save_weights
+from evsteer.runner import RunnerConfig, decision_step
 
 HEADER = "evsteer-net v1\ninput 36 36 1\n"
 
@@ -86,7 +89,42 @@ SERVE_DATAGRAMS_SHA256 = (
     "8cab627fe474a44f5e0395cdfeba1c3a141f2b5681ad8b6199182f7f345ef050")
 
 
+class ScriptedNet:
+    """Stand-in network whose decisions follow a script, whatever the frame."""
+
+    def __init__(self, script):
+        self.decisions = iter(script)
+
+    def predict(self, values):
+        return next(self.decisions)
+
+
+# seen on the left, lost, then named on the right: an opposite-side reappearance
+REAPPEARANCE = [Decision.L, Decision.L, Decision.N, Decision.N, Decision.R, Decision.R]
+
+
 class TestServeReplay:
+    def test_replay_gates_as_chasing_and_passes_a_reappearance(self, tmp_path, monkeypatch):
+        # the replay has no behaviour controller to say the robot rotates
+        events = np.zeros(5000 * len(REAPPEARANCE), dtype=EVENT_DTYPE)
+        events["t"] = np.arange(len(events))
+        write_events(tmp_path / "rec.events", events)
+        monkeypatch.setattr("evsteer.cli.load_weights", lambda path: ScriptedNet(REAPPEARANCE))
+        sent = []
+        monkeypatch.setattr(wire.UdpEndpoint, "send",
+                            lambda self, payload: sent.append(payload) or True)
+        argv = ["--set", "filter.alpha=1", "serve", "--weights", "unused",
+                "--events", str(tmp_path / "rec.events"), "--listen", "0"]
+        assert main(argv) == EXIT_OK
+        assert [wire.decode_decision(p).direction for p in sent] == REAPPEARANCE
+
+    def test_the_same_script_while_rotating_discards_the_reappearance(self):
+        cfg = RunnerConfig(filter=FilterConfig(alpha=1.0))
+        decide = decision_step(ScriptedNet(REAPPEARANCE), cfg)
+        got = [decide(5000 * k, None, Mode.ROTATE)[3].direction
+               for k in range(len(REAPPEARANCE))]
+        assert got == REAPPEARANCE[:4] + [Decision.N, Decision.N]
+
     def test_file_replay_output_is_pinned(self, tmp_path, weights, generated_recordings,
                                           monkeypatch, capsys):
         save_recording(tmp_path / "rec", generated_recordings[0])
@@ -190,6 +228,12 @@ CLASS_MIX_REPR = ("({'L': 0.0, 'C': 1.0, 'R': 0.0, 'N': 0.0}, "
 # the same trace on the splits of _ramped_recording seeds 0 and 1, whose
 # test split holds L, R and N frames, hashed the same way
 RAMPED_TRACE_SHA256 = "8b44bef20ba88c77cb67320671783ddb226cec31d4640d91e55d9553fc78c9e7"
+# and the same eval on that test split, hashed before predict_batch scored
+# its frames in fixed chunks
+RAMPED_EVAL_SHA256 = {
+    "eval/report.txt": "e13f8d05f6f27db809399129c48903a167ec64cf49e56d5bdbcf4120fc855c9e",
+    "eval/curve.csv": "89e9586f6aa5eeee3254ef381ffca6ef1066cdf6b89a4a6344580d1c94c9b2aa",
+}
 
 
 def _split(tmp_path, recordings):
@@ -217,6 +261,15 @@ class TestEvalGolden:
         assert main(argv) == EXIT_OK
         _train_with_test(tmp_path)
         for name, digest in EVAL_SHA256.items():
+            assert _sha256((tmp_path / name).read_bytes()) == digest, name
+
+    def test_multi_class_dataset_report_is_pinned(self, tmp_path, weights):
+        report = _split(tmp_path, [_ramped_recording(seed) for seed in (0, 1)])
+        assert all(report["test_class_mix"][name] > 0 for name in "LRN")
+        argv = ["eval", "--weights", weights, "--dataset", str(tmp_path / "test.ds"),
+                "--out", str(tmp_path / "eval")]
+        assert main(argv) == EXIT_OK
+        for name, digest in RAMPED_EVAL_SHA256.items():
             assert _sha256((tmp_path / name).read_bytes()) == digest, name
 
     def test_trace_test_accuracy_is_the_eval_p0_accuracy(self, tmp_path, capsys):

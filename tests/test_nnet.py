@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evsteer import nnet
-from evsteer.nnet import (WEIGHT_MAGIC, AdamState, Conv, Decision, Dense,
-                          Dropout, MaxPool, Network, Relu, Sigmoid, Tape,
+from evsteer.nnet import (PREDICT_CHUNK, WEIGHT_MAGIC, AdamState, Conv, Decision,
+                          Dense, Dropout, MaxPool, Network, Relu, Sigmoid, Tape,
                           WeightFileError, Workspace, adam_step,
                           decision_from_logits, load_weights, op_count,
                           param_count, runtime_network, save_weights, softmax)
@@ -211,6 +211,27 @@ class TestPredict:
         transformed = [scale * v + shift for v in logits]
         assert decision_from_logits(transformed) == base
         assert decision_from_logits([math.atan(v) for v in logits]) == base
+
+
+class TestPredictBatch:
+    def test_chunks_keep_decisions_and_bound_peak_memory(self):
+        net = runtime_network(np.random.default_rng(0))
+        x = np.random.default_rng(2).random((1500, 36, 36, 1), dtype=np.float32)
+
+        def traced(batch):
+            tracemalloc.start()
+            try:
+                return net.predict_batch(batch), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        decisions, peak = traced(x)
+        _, chunk_peak = traced(x[:PREDICT_CHUNK])
+        want = [np.argmax(net.forward_batch(x[i:i + PREDICT_CHUNK]), axis=1)
+                for i in range(0, len(x), PREDICT_CHUNK)]
+        assert decisions.tobytes() == np.concatenate(want).tobytes()
+        # one pass over all 1,500 frames peaks near 170 MiB, about 3x one chunk
+        assert peak < 1.2 * chunk_peak
 
 
 def rel_err(a, b):

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from evsteer.behavior import VelocityCmd
 from evsteer.config import ConfigError
 from evsteer.datagen import DatagenConfig, generate_recording
 from evsteer.nnet import runtime_network
 from evsteer.runner import RunnerConfig, run_closed_loop
 from evsteer.sim import (ArenaConfig, Camera, CameraConfig, EventSynth,
-                         RobotState, SimConfig, _wall_distances, default_scene,
-                         render_camera, wall_distance)
+                         RobotState, SimConfig, WorldSim, _wall_distances,
+                         default_scene, render_camera, wall_distance)
 
 # Poses (x, y, heading) through the 9.5 x 6.7 m arena: the chase start with
 # the prey in view, the poster and a floor highlight ahead, the dark box, the
@@ -92,6 +93,29 @@ class TestGolden:
 
     def test_generated_recording(self):
         assert recording_digest() == RECORDING_SHA256
+
+
+class TestWorldClock:
+    @staticmethod
+    def _world():
+        return WorldSim(SimConfig(), 0, RobotState(x=3.0, y=3.0, heading=0.0),
+                        RobotState(x=6.0, y=3.0, heading=0.0))
+
+    def test_run_yields_on_the_render_grid_and_ends_off_it(self):
+        world = self._world()
+        assert world.cfg.render_every == 5
+        assert [world.t_us for _ in world.run(13)] == [5000, 10000]
+        assert world.t_us == 13_000
+
+    def test_a_command_set_after_a_yield_acts_from_the_next_step(self):
+        world = self._world()
+        run = world.run(10)
+        next(run)
+        assert (world.t_us, world.predator.x) == (5000, 3.0)
+        world.set_commands(VelocityCmd(1.0, 0.0), VelocityCmd(0.0, 0.0))
+        next(run)  # five 1 ms steps at 1 m/s along the x axis
+        assert world.predator.x == pytest.approx(3.005)
+        assert world.prey.x == 6.0
 
 
 class TestRenderOutput:
