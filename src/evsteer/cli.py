@@ -6,11 +6,17 @@ error (unreadable or malformed files), 3 runtime error. Every
 artifact-producing command writes a manifest.json next to its outputs with
 the seed, the full config snapshot, and the produced paths; outputs contain
 no wall-clock timestamps, so reruns with the same seed are byte-identical.
+
+gen-data generates its recordings with up to one worker process per usable
+CPU. Each recording is a pure function of (gen config, seed), and the command
+takes them back in seed order, so its stdout and output files equal those of
+a serial run.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -73,6 +79,56 @@ def write_pgm(path, image):
 # ---------------------------------------------------------------------------
 
 
+def _usable_cpus():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _generate_job(job):
+    """Pool task: the recording of one (gen config, seed) pair.
+
+    It calls generate_recording through this module's global, so a wrapper
+    installed there runs in the worker, and the pool pickles this helper, not
+    the possibly wrapped generate_recording, by reference.
+    """
+    return generate_recording(*job)
+
+
+@contextlib.contextmanager
+def _ordered_map(n_jobs):
+    """A map over n_jobs jobs that runs them on up to one worker per usable CPU.
+
+    Results come back in job order. With one worker, or where the "fork"
+    start method does not exist, it is the builtin map in this process.
+    Workers are forked, not spawned: gen-data starts no thread before the
+    pool, and forked workers need no fresh import. No worker outlives the
+    block: the pool is joined after success and terminated on any error.
+    """
+    workers = min(n_jobs, _usable_cpus())
+    if workers <= 1:
+        yield map
+        return
+    import multiprocessing  # only here: its import would add to every cold start
+    if "fork" not in multiprocessing.get_all_start_methods():
+        yield map
+        return
+    # a forked worker flushes the stdio buffers it inherits when it exits
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pool = multiprocessing.get_context("fork").Pool(workers)
+    try:
+        yield pool.imap
+    except BaseException:
+        pool.terminate()
+        raise
+    else:
+        pool.close()
+    finally:
+        pool.join()
+
+
 def cmd_gen_data(args, cfg):
     gen, frames_cfg = cfg.settings.gen, cfg.settings.sim.frames
     n = gen.recordings if args.recordings is None else args.recordings
@@ -83,15 +139,15 @@ def cmd_gen_data(args, cfg):
     seed_base = gen.seed_base
     outputs = []
     recordings = []
-    for i in range(n):
-        seed = seed_base + i
-        rec = generate_recording(gen, seed)
-        prefix = os.path.join(args.out, f"rec{i:03d}")
-        save_recording(prefix, rec)
-        outputs += [prefix + ext for ext in (".events", ".aps", ".labels")]
-        recordings.append(rec)
-        print(f"rec{i:03d}: seed {seed}, {len(rec.events)} events, "
-              f"{len(rec.aps_t)} APS frames")
+    with _ordered_map(n) as ordered_map:
+        jobs = [(gen, seed_base + i) for i in range(n)]
+        for i, rec in enumerate(ordered_map(_generate_job, jobs)):
+            prefix = os.path.join(args.out, f"rec{i:03d}")
+            save_recording(prefix, rec)
+            outputs += [prefix + ext for ext in (".events", ".aps", ".labels")]
+            recordings.append(rec)
+            print(f"rec{i:03d}: seed {seed_base + i}, {len(rec.events)} events, "
+                  f"{len(rec.aps_t)} APS frames")
     train, test, report = assemble_dataset(
         recordings, capacity=frames_cfg.capacity,
         aps_target_fraction=frames_cfg.aps_target_fraction)
@@ -458,7 +514,8 @@ def build_parser():
                         help="override a config key (repeatable, wins over file)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="generate recordings and datasets")
+    p = sub.add_parser("gen-data", help="generate recordings and datasets, with up to "
+                       "one worker per usable CPU; the output equals a serial run")
     p.add_argument("--out", required=True)
     p.add_argument("--recordings", type=int, default=None)
     p.set_defaults(func=cmd_gen_data)

@@ -99,6 +99,13 @@ class DatagenConfig:
     light_max: float = 1.3
 
     def __post_init__(self):
+        if not self.duration > 0:
+            raise ValueError("duration must be positive")
+        if self.seed_base < 0:
+            raise ValueError("seed_base must not be negative")
+        if min(self.light_min, self.prey_speed_min, self.predator_speed_min) < 0:
+            raise ValueError("light_min, prey_speed_min and predator_speed_min "
+                             "must not be negative")
         if (self.prey_speed_min > self.prey_speed_max or self.light_min > self.light_max
                 or self.predator_speed_min > self.predator_speed_max):
             raise ValueError("each gen.*_min must not exceed its gen.*_max")

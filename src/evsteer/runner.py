@@ -158,12 +158,16 @@ def run_closed_loop(net, cfg: RunnerConfig, seed: int,
     predator_cmd = VelocityCmd(0.0, 0.0)
     for batch in world.run(n_steps):
         aps_raw = [aps_resize(image) for image in batch.aps]
-        for t_frame, source, values, _ in stream.push(batch.events, batch.aps_t, aps_raw):
-            mode = behavior.mode
-            t_dec, raw, filtered, datagram = decide(t_frame, values, mode)
+        frames_done = stream.push(batch.events, batch.aps_t, aps_raw)
+        if frames_done:
+            # the world stands still until the commands below, so one ground
+            # truth and one laser scan serve every frame of the batch
             target = world.ground_truth()
             label = label_from_target(target)
             scan = world.laser()
+        for t_frame, source, values, _ in frames_done:
+            mode = behavior.mode
+            t_dec, raw, filtered, datagram = decide(t_frame, values, mode)
             predator_cmd = behavior.step(filtered, scan, now=t_dec / 1e6)
             lines.append(f"DEC {t_dec} {SOURCE_NAMES[source]} {raw.name} {filtered.name}")
             lines.append(f"GT {t_dec} {'N' if target is None else target} {label.name}")

@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
+import multiprocessing
+import os
 import re
 import socket
 from pathlib import Path
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evsteer
-from evsteer import wire
+from evsteer import cli, wire
 from evsteer.behavior import Mode
 from evsteer.cli import (EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
                          _sweep_capacities, main)
@@ -77,6 +79,71 @@ class TestDurationExitCodes:
 
 def _sha256(data):
     return hashlib.sha256(data).hexdigest()
+
+
+def _dir_sha256(path):
+    """sha256 over the name and bytes of every file of a directory, by name."""
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(path)):
+        h.update(name.encode() + b"\0")
+        h.update((path / name).read_bytes())
+    return h.hexdigest()
+
+
+# _dir_sha256 of `--set gen.duration=0.5 gen-data --recordings 3` (seeds
+# 1000..1002, numpy 2.4, x86-64), hashed while gen-data ran its recordings
+# one after another in one process.
+GEN_DATA_SHA256 = "c0bcc1580a30d13314463ecff172a3fb3100ef4cbcf4970e9b9784f84fabc891"
+
+
+class TestGenDataPool:
+    @staticmethod
+    def _gen_data(monkeypatch, capsys, cpus, out, *settings, recordings=3):
+        """Run gen-data as if `cpus` CPUs were usable; returns (exit, stdout,
+        stderr, pid of each recording's generator)."""
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        pid_log = out.parent / f"{out.name}.pids"
+        generate = cli.generate_recording
+
+        def logged(gen, seed):
+            with open(pid_log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return generate(gen, seed)
+
+        # a wrapper on cli's global, as a span tracer installs it
+        monkeypatch.setattr(cli, "generate_recording", logged)
+        argv = [*settings, "gen-data", "--recordings", str(recordings), "--out", str(out)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        pids = {int(line) for line in pid_log.read_text().split()}
+        return code, captured.out, captured.err, pids
+
+    def test_pooled_output_equals_the_serial_output(self, tmp_path, monkeypatch, capsys):
+        serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+        code, serial_out, _, serial_pids = self._gen_data(
+            monkeypatch, capsys, 1, serial, "--set", "gen.duration=0.5")
+        assert code == EXIT_OK and serial_pids == {os.getpid()}
+        code, pooled_out, _, pooled_pids = self._gen_data(
+            monkeypatch, capsys, 2, pooled, "--set", "gen.duration=0.5")
+        assert code == EXIT_OK
+        assert pooled_pids and os.getpid() not in pooled_pids  # the workers ran them
+        assert multiprocessing.active_children() == []
+        assert pooled_out == serial_out
+        assert pooled_out.startswith("rec000: seed 1000,")
+        names = sorted(os.listdir(serial))
+        assert sorted(os.listdir(pooled)) == names
+        for name in names:
+            assert (pooled / name).read_bytes() == (serial / name).read_bytes(), name
+        assert _dir_sha256(pooled) == GEN_DATA_SHA256
+
+    def test_a_failing_pooled_run_leaves_no_worker(self, tmp_path, monkeypatch, capsys):
+        code, _, err, pids = self._gen_data(
+            monkeypatch, capsys, 2, tmp_path / "gen", "--set", "gen.duration=5000",
+            recordings=2)
+        assert code == EXIT_USAGE
+        assert "4294.967295" in err
+        assert pids and os.getpid() not in pids
+        assert multiprocessing.active_children() == []
 
 
 # serve --events rec.events --aps rec.aps --listen 0 over the seed-5 1 s
@@ -375,6 +442,11 @@ class TestConfigExitCodes:
         "sim.corrupt_aps_prob=2",
         "sim.aps_period_us=0",
         "noise.aps_burst=-5",
+        "gen.duration=0",
+        "gen.seed_base=-5",
+        "gen.light_min=-1",
+        "gen.prey_speed_min=-3",
+        "gen.predator_speed_min=-1",
     ])
     def test_bad_override_is_usage_error(self, weights, capsys, override):
         argv = ["--set", override, "simulate", "--weights", weights, "--dry-run"]

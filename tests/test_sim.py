@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from evsteer.behavior import VelocityCmd
-from evsteer.config import ConfigError
+from evsteer.config import ConfigError, load_config
 from evsteer.datagen import DatagenConfig, generate_recording
 from evsteer.nnet import runtime_network
 from evsteer.runner import RunnerConfig, run_closed_loop
@@ -41,6 +41,10 @@ RUNLOG_SHA256 = (
     "efc114a54ef5df5e60b6b8812386cc4eda650c12278ffda98072e0b540c1b9fa")
 RECORDING_SHA256 = (
     "dd38d6c2f37313b291bc344acf7f07734b6c60a5eed70059e7be594f48dff347")
+# run log of the overloaded rate_test scene, where one render batch yields
+# several frames, hashed while each frame took its own laser scan and ground truth
+RATE_TEST_RUNLOG_SHA256 = (
+    "936f287ad737c2596b21c14cf578d0e64c6d45f4272c795590e807ad31b1cbee")
 
 
 def _scene(light_gain):
@@ -76,6 +80,13 @@ def runlog_digest():
     return hashlib.sha256(log.encode()).hexdigest()
 
 
+def rate_test_runlog():
+    """0.5 s of the static scene flooded at 2M events/s, seed 7."""
+    cfg = load_config(overrides=["sim.scenario=rate_test", "sim.rate_profile=1:2000000",
+                                 "sim.duration=0.5"]).settings.sim
+    return run_closed_loop(runtime_network(np.random.default_rng(0)), cfg, seed=7)
+
+
 def recording_digest():
     rec = generate_recording(DatagenConfig(sim=SimConfig(), duration=1.0), seed=5)
     h = hashlib.sha256()
@@ -93,6 +104,18 @@ class TestGolden:
 
     def test_generated_recording(self):
         assert recording_digest() == RECORDING_SHA256
+
+    def test_rate_test_runlog(self):
+        log = rate_test_runlog()
+        assert log.count("\nDEC ") > 100  # more frames than render steps
+        assert hashlib.sha256(log.encode()).hexdigest() == RATE_TEST_RUNLOG_SHA256
+
+    def test_one_laser_scan_per_render_step(self, monkeypatch):
+        calls = []
+        laser = WorldSim.laser
+        monkeypatch.setattr(WorldSim, "laser", lambda self: calls.append(1) or laser(self))
+        rate_test_runlog()
+        assert 0 < len(calls) <= 100  # 0.5 s of 5 ms render steps
 
 
 class TestWorldClock:
