@@ -96,6 +96,37 @@ def _generate_job(job):
     return generate_recording(*job)
 
 
+class WorkerLostError(RuntimeError):
+    """A pool worker died before job `args[0]` came back."""
+
+
+_WORKER_POLL_S = 0.5  # how often a pooled map checks that its workers live
+_taken_by = None  # in a pool worker: the pid that took each job, shared with the parent
+
+
+def _init_worker(taken_by):
+    global _taken_by
+    _taken_by = taken_by
+
+
+def _pooled_call(task):
+    """Pool task: logs this worker's pid as the taker of job `index`, then runs it."""
+    index, fn, job = task
+    _taken_by[index] = os.getpid()
+    return fn(job)
+
+
+def _lost_job(taken_by, live, first):
+    """The first job from `first` on whose worker is not live, else `first`.
+
+    A worker takes jobs in index order, so a dead worker lost the last job
+    it took, if that job has not come back yet.
+    """
+    last = {pid: j for j, pid in enumerate(taken_by) if pid}
+    return min((j for pid, j in last.items() if pid not in live and j >= first),
+               default=first)
+
+
 @contextlib.contextmanager
 def _ordered_map(n_jobs):
     """A map over n_jobs jobs that runs them on up to one worker per usable CPU.
@@ -105,6 +136,11 @@ def _ordered_map(n_jobs):
     Workers are forked, not spawned: gen-data starts no thread before the
     pool, and forked workers need no fresh import. No worker outlives the
     block: the pool is joined after success and terminated on any error.
+
+    A pool replaces a worker killed by a signal but drops its job, so the
+    map waits for each result _WORKER_POLL_S at a time and, once the pool's
+    worker pids differ from those it started with, raises WorkerLostError
+    naming the job that died with its worker.
     """
     workers = min(n_jobs, _usable_cpus())
     if workers <= 1:
@@ -117,9 +153,31 @@ def _ordered_map(n_jobs):
     # a forked worker flushes the stdio buffers it inherits when it exits
     sys.stdout.flush()
     sys.stderr.flush()
-    pool = multiprocessing.get_context("fork").Pool(workers)
+    context = multiprocessing.get_context("fork")
+    taken_by = context.RawArray("q", n_jobs)  # 0 until a worker takes the job
+
+    def worker_pids():
+        return {child.pid for child in multiprocessing.active_children()}
+
+    pool = context.Pool(workers, initializer=_init_worker, initargs=(taken_by,))
+    started = worker_pids()
+
+    def ordered_map(fn, jobs):
+        tasks = [(i, fn, job) for i, job in enumerate(jobs)]
+        results = pool.imap(_pooled_call, tasks)
+        for i in range(len(tasks)):
+            while True:
+                try:
+                    result = results.next(timeout=_WORKER_POLL_S)
+                    break
+                except multiprocessing.TimeoutError:
+                    live = worker_pids()
+                    if live != started:
+                        raise WorkerLostError(_lost_job(taken_by, live, i)) from None
+            yield result
+
     try:
-        yield pool.imap
+        yield ordered_map
     except BaseException:
         pool.terminate()
         raise
@@ -139,15 +197,20 @@ def cmd_gen_data(args, cfg):
     seed_base = gen.seed_base
     outputs = []
     recordings = []
-    with _ordered_map(n) as ordered_map:
-        jobs = [(gen, seed_base + i) for i in range(n)]
-        for i, rec in enumerate(ordered_map(_generate_job, jobs)):
-            prefix = os.path.join(args.out, f"rec{i:03d}")
-            save_recording(prefix, rec)
-            outputs += [prefix + ext for ext in (".events", ".aps", ".labels")]
-            recordings.append(rec)
-            print(f"rec{i:03d}: seed {seed_base + i}, {len(rec.events)} events, "
-                  f"{len(rec.aps_t)} APS frames")
+    try:
+        with _ordered_map(n) as ordered_map:
+            jobs = [(gen, seed_base + i) for i in range(n)]
+            for i, rec in enumerate(ordered_map(_generate_job, jobs)):
+                prefix = os.path.join(args.out, f"rec{i:03d}")
+                save_recording(prefix, rec)
+                outputs += [prefix + ext for ext in (".events", ".aps", ".labels")]
+                recordings.append(rec)
+                print(f"rec{i:03d}: seed {seed_base + i}, {len(rec.events)} events, "
+                      f"{len(rec.aps_t)} APS frames")
+    except WorkerLostError as exc:
+        print(f"gen-data: a worker process died before the recording of seed "
+              f"{seed_base + exc.args[0]} came back", file=sys.stderr)
+        return EXIT_RUNTIME
     train, test, report = assemble_dataset(
         recordings, capacity=frames_cfg.capacity,
         aps_target_fraction=frames_cfg.aps_target_fraction)
@@ -197,7 +260,7 @@ def cmd_train(args, cfg):
     last_eval = ""
     for it in range(1, iters + 1):
         idx = rng.integers(0, len(x), tc.batch)
-        batch = x.take(idx, axis=0, mode="clip",
+        batch = x.take(idx, axis=0, mode="wrap",
                        out=workspace.array("batch", (len(idx),) + x.shape[1:], x.dtype))
         loss, grads = net.loss_and_backward(batch, y[idx], train=True, rng=rng,
                                             workspace=workspace)

@@ -27,11 +27,19 @@ Every layer computes `forward(x, tape)` one way; a tape, passed only when
 something will run backward, records and never changes what a layer
 computes. It holds each activation once, and a layer's `backward` rebuilds
 what it needs from the layer's input and output: the ReLU gate from x, the
-sigmoid slope from y, the dense flattening from x, the max-pool routing from
-x == y. Only Conv (its im2col matrix) and Dropout (its mask) cache more.
-im2col gathers the patch matrix with one `take` through a flat index cached
-per input extent, so training and inference feed the same matrix to the
-same matmul.
+sigmoid slope from y, the dense flattening from x. Three layers cache more:
+Conv its im2col matrix and MaxPool its gathered window phases, since
+gathering them again would cost as much as their forward pass, and Dropout
+its random mask. MaxPool's backward overwrites its phases with the routed
+gradient.
+
+Conv and MaxPool work on long contiguous rows rather than loops over the
+few channels of a channels-last map: im2col gathers the patch matrix, and
+MaxPool its four window phases, with one `take` each through a flat index
+cached per input extent, so training and inference run the same kernels.
+Every `take` here passes out= and mode="wrap": with out= the default
+mode="raise" buffers its output, and every index is in range, so "wrap"
+reads what "clip" would, and it measures faster.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from enum import IntEnum
 import numpy as np
 
 N_CLASSES = 4
-PREDICT_CHUNK = 512  # frames per forward pass of predict_batch
+PREDICT_CHUNK = 64  # frames per forward pass of predict_batch
 
 
 class Decision(IntEnum):
@@ -109,6 +117,34 @@ def _patch_index(h, w, c, k):
     base = (np.arange(hh)[:, None] * w + np.arange(ww)).reshape(-1, 1) * c
     window = (np.arange(k)[:, None] * w + np.arange(k)).reshape(-1) * c
     return base + (np.arange(c)[:, None] + window).reshape(-1)
+
+
+@functools.lru_cache(maxsize=32)
+def _phase_index(h, w, c):
+    """Flat offsets of the 2x2 window phases of an (h, w, c) map, and back.
+
+    With m = (h // 2) * (w // 2) * c, entry k * m + q of the gather reads
+    phase k = 2 * di + dj of output q = (i * (w // 2) + j) * c + ch, input
+    (2i + di, 2j + dj, ch); one last entry reads offset 0 and makes room
+    for a zero slot at 4 * m. Entry p of the inverse is where the gather
+    put input p, or that zero slot for a floored last row or column.
+    Shared and never written, like `_patch_index`.
+    """
+    h2, w2 = h // 2, w // 2
+    row = (2 * np.arange(h2)[:, None] + np.arange(2)) * w  # (i, di)
+    col = 2 * np.arange(w2)[:, None] + np.arange(2)  # (j, dj)
+    offsets = (row.T[:, None, :, None, None] + col.T[None, :, None, :, None]) * c
+    gather = np.append((offsets + np.arange(c)).reshape(-1), 0)
+    inverse = np.full(h * w * c, len(gather) - 1, dtype=gather.dtype)
+    inverse[gather[:-1]] = np.arange(len(gather) - 1)
+    return gather, inverse
+
+
+@functools.lru_cache(maxsize=32)
+def _tile_index(r, m):
+    """Indices that repeat an m-vector r times: `v.take` of them is
+    `np.tile(v, r)` in one call, which matters to a single-frame predict."""
+    return np.arange(r * m) % m
 
 
 class Workspace:
@@ -208,14 +244,17 @@ class Conv(Layer):
         k = self.kernel_size
         hh, ww = h - k + 1, w - k + 1
         index = _patch_index(h, w, c, k)
-        # contiguous (n, h'*w', c*k*k) im2col matrix; mode="clip" because
-        # take() with out= and the default mode="raise" buffers its output
+        # contiguous (n, h'*w', c*k*k) im2col matrix
         cols = x.reshape(n, h * w * c).take(
-            index, axis=1, mode="clip",
+            index, axis=1, mode="wrap",
             out=_out(workspace, self, "cols", (n,) + index.shape, x.dtype))
         y = np.matmul(cols, self.kernels.reshape(self.n_maps, -1).T,
                       out=_out(workspace, self, "y", (n, hh * ww, self.n_maps), x.dtype))
-        y += self.bias
+        # the bias add, r output positions per row: the same adds as a
+        # broadcast over (n, h'*w', maps), on rows r times as long
+        r = math.gcd(hh * ww, 16)
+        wide = y.reshape(-1, r * self.n_maps)
+        wide += self.bias.take(_tile_index(r, self.n_maps))
         if tape is not None:
             tape.caches[self] = cols
         return y.reshape(n, hh, ww, self.n_maps)
@@ -224,7 +263,10 @@ class Conv(Layer):
         n, hh, ww, m = dy.shape
         dy_flat = dy.reshape(n * hh * ww, m)
         grads[0][...] = (dy_flat.T @ cols.reshape(n * hh * ww, -1)).reshape(self.kernels.shape)
-        grads[1][...] = dy_flat.sum(axis=0)
+        # einsum sums each column in row order, as sum(axis=0) does, in one
+        # pass over the rows; a one-map column is contiguous, and there sum
+        # adds pairwise, so einsum would differ
+        grads[1][...] = np.einsum("ij->j", dy_flat) if m > 1 else dy_flat.sum(axis=0)
         if not need_dx:
             return None
         # col2im one kernel offset at a time: dy_flat @ W[:, :, i, j] is the
@@ -249,11 +291,13 @@ class Conv(Layer):
 class MaxPool(Layer):
     """Non-overlapping 2x2 max pool, stride 2; odd extents are floored.
 
-    Each output is the maximum of its window's four phases. backward sends
-    a window's gradient to its first maximum in row-major window order
-    (top-left, top-right, bottom-left, bottom-right), found as the first
-    phase where x == y, so ties go to the earlier element and -0.0 and 0.0
-    compare equal. Comparisons only: no multiplies or adds to count.
+    forward gathers each window's four phases, top-left (00), top-right
+    (01), bottom-left (10) and bottom-right (11), into contiguous rows, and
+    each output is their maximum, bit for bit max(max(00, 10), max(01, 11)).
+    backward sends a window's gradient to its first maximum in that
+    row-major order, found as the first phase where x == y, so ties go to
+    the earlier element and -0.0 and 0.0 compare equal; every other input
+    gets +0.0. Comparisons only: no multiplies or adds to count.
     """
 
     kind = "maxpool"
@@ -262,27 +306,58 @@ class MaxPool(Layer):
         h, w, c = in_shape
         return (h // 2, w // 2, c)
 
+    def _phases(self, x, workspace):
+        """(n, 4 * m + 1) rows: phase k of output q at k * m + q, and a last
+        column left for backward's zero slot."""
+        n, h, w, c = x.shape
+        gather, _ = _phase_index(h, w, c)
+        return x.reshape(n, h * w * c).take(
+            gather, axis=1, mode="wrap",
+            out=_out(workspace, self, "phases", (n, len(gather)), x.dtype))
+
     def forward(self, x, tape):
         workspace = _workspace(tape)
         n, h2, w2, c = x.shape[0], x.shape[1] // 2, x.shape[2] // 2, x.shape[3]
-        x = x[:, : h2 * 2, : w2 * 2, :]
-        rows = np.maximum(x[:, 0::2], x[:, 1::2],
-                          out=_out(workspace, self, "rows", (n, h2, w2 * 2, c), x.dtype))
-        return np.maximum(rows[:, :, 0::2], rows[:, :, 1::2],
-                          out=_out(workspace, self, "y", (n, h2, w2, c), x.dtype))
+        m = h2 * w2 * c
+        phases = self._phases(x, workspace)
+        window = phases[:, :4 * m].reshape(n, 4, m)
+        # max(max(max(00, 10), 01), 11) in place: np.maximum keeps its second
+        # argument on a tie, so both this and max(max(00, 10), max(01, 11))
+        # pick the last tied element in the order 00, 10, 01, 11
+        y = np.maximum(window[:, 0], window[:, 2],
+                       out=_out(workspace, self, "y", (n, m), x.dtype))
+        np.maximum(y, window[:, 1], out=y)
+        np.maximum(y, window[:, 3], out=y)
+        if tape is not None:
+            tape.caches[self] = phases
+        return y.reshape(n, h2, w2, c)
 
-    def backward(self, dy, x, y, cache, grads, workspace=None):
-        h2, w2 = y.shape[1], y.shape[2]
-        dx = _full(workspace, self, "dx", x.shape, x.dtype, 0)
-        unrouted = _full(workspace, self, "unrouted", y.shape, bool, True)
-        first = _out(workspace, self, "first", y.shape, bool)
-        for i in (0, 1):
-            for j in (0, 1):
-                first = np.equal(x[:, i:2 * h2:2, j:2 * w2:2], y, out=first)
-                first &= unrouted
-                np.copyto(dx[:, i:2 * h2:2, j:2 * w2:2], dy, where=first)
-                unrouted ^= first  # first lies inside unrouted: clears it there
-        return dx
+    def backward(self, dy, x, y, phases, grads, workspace=None):
+        """dx, writing the routed gradient over the phases (the tape's, or
+        gathered afresh without one) before scattering it back."""
+        n, h, w, c = x.shape
+        m = math.prod(y.shape[1:])
+        if phases is None:
+            phases = self._phases(x, workspace)
+        bits = np.dtype(f"u{x.itemsize}")
+        window = phases[:, :4 * m].reshape(n, 4, m)
+        routed = phases.view(bits)
+        y, dy = y.reshape(n, m), dy.reshape(n, m).view(bits)
+        unrouted = _full(workspace, self, "unrouted", (n, m), bool, True)
+        first = _out(workspace, self, "first", (n, m), bool)
+        for k in range(4):
+            first = np.equal(window[:, k], y, out=first)
+            first &= unrouted
+            unrouted ^= first  # first lies inside unrouted: clears it there
+            # phase k is read: its row takes a 0 or all-ones mask, then dy's bits
+            part = routed[:, k * m:(k + 1) * m]
+            np.subtract(0, first, out=part, dtype=bits)
+            part &= dy
+        routed[:, 4 * m] = 0  # the zero slot: +0.0 for floored rows and columns
+        _, inverse = _phase_index(h, w, c)
+        dx = phases.take(inverse, axis=1, mode="wrap",
+                         out=_out(workspace, self, "dx", (n, len(inverse)), x.dtype))
+        return dx.reshape(x.shape)
 
 
 class Relu(Layer):
@@ -376,8 +451,9 @@ class Tape:
 
     acts holds each activation once: acts[0] is the batch input and
     acts[i + 1] the output of layer i. caches maps a layer to what its
-    backward cannot rebuild from its input and output; only Conv and
-    Dropout write there. A train tape makes dropout draw its mask from rng.
+    backward cannot rebuild from its input and output; only Conv, MaxPool
+    and Dropout write there, and MaxPool's backward consumes its entry.
+    A train tape makes dropout draw its mask from rng.
     A tape with a workspace makes the layers draw their arrays from it.
     """
 

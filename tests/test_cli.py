@@ -6,6 +6,8 @@ import multiprocessing
 import os
 import re
 import socket
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +36,13 @@ def weights(tmp_path):
     path = tmp_path / "w.net"
     save_weights(runtime_network(np.random.default_rng(0)), path)
     return str(path)
+
+
+def _child_env(**overrides):
+    """The environment of a child Python that imports this evsteer."""
+    src = os.path.dirname(os.path.dirname(evsteer.__file__))
+    return {**os.environ, **overrides,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
 class TestWeightFileExitCodes:
@@ -145,6 +154,37 @@ class TestGenDataPool:
         assert pids and os.getpid() not in pids
         assert multiprocessing.active_children() == []
 
+    # gen-data in a child that patches cli as _gen_data does, but whose wrapper
+    # SIGKILLs the worker generating one seed; prints the children it leaves
+    KILLED_WORKER_SCRIPT = """
+import multiprocessing, os, signal, sys
+from evsteer import cli
+cli._usable_cpus = lambda: 2
+generate = cli.generate_recording
+
+def killing(gen, seed):
+    if seed == int(sys.argv[2]):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return generate(gen, seed)
+
+cli.generate_recording = killing
+code = cli.main(["--set", "gen.duration=0.5", "gen-data", "--recordings", "3",
+                 "--out", sys.argv[1]])
+print("children left:", len(multiprocessing.active_children()))
+sys.exit(code)
+"""
+
+    @pytest.mark.parametrize("seed", [1000, 1001])
+    def test_a_killed_worker_fails_the_run_naming_its_seed(self, tmp_path, seed):
+        # a gen-data that waits forever fails this test at the timeout
+        done = subprocess.run(
+            [sys.executable, "-c", self.KILLED_WORKER_SCRIPT, str(tmp_path / "gen"),
+             str(seed)], capture_output=True, text=True, env=_child_env(), timeout=60)
+        assert done.returncode == EXIT_RUNTIME, done.stderr
+        assert (f"gen-data: a worker process died before the recording of seed {seed} "
+                "came back") in done.stderr
+        assert "children left: 0" in done.stdout
+
 
 # serve --events rec.events --aps rec.aps --listen 0 over the seed-5 1 s
 # recording and the seed-0 runtime network (numpy 2.4, x86-64): stdout and
@@ -236,6 +276,36 @@ class TestTrainSaliencyGolden:
         for pattern, digest in TRAIN_SALIENCY_SHA256.items():
             paths = sorted(tmp_path.glob(pattern))
             assert paths and _sha256(b"".join(p.read_bytes() for p in paths)) == digest, pattern
+
+
+class TestBlasThreads:
+    """Outputs do not depend on how many threads BLAS runs."""
+
+    SCRIPT = """
+import sys
+from evsteer.cli import main
+dataset, weights, out = sys.argv[1:]
+sys.exit(main(["train", "--dataset", dataset, "--iterations", "12", "--seed", "0",
+               "--out", out + "/train/w.net"])
+         or main(["simulate", "--weights", weights, "--seed", "3", "--duration", "0.5",
+                  "--out", out + "/sim"]))
+"""
+
+    def test_train_and_simulate_outputs_equal_at_1_and_2_threads(
+            self, tmp_path, weights, generated_recordings):
+        train, _, _ = assemble_dataset(generated_recordings)
+        save_dataset(tmp_path / "train.ds", train)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            done = subprocess.run(
+                [sys.executable, "-c", self.SCRIPT, str(tmp_path / "train.ds"), weights,
+                 str(out)], capture_output=True, text=True,
+                env=_child_env(OPENBLAS_NUM_THREADS=threads), timeout=120)
+            assert done.returncode == EXIT_OK, done.stderr
+            outputs.append([(out / name).read_bytes() for name in
+                            ("train/w.net", "train/train_trace.csv", "sim/run.log")])
+        assert outputs[0] == outputs[1]
 
 
 def _ramped_recording(seed, duration_us=2_000_000, n_events=300_000):

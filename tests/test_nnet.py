@@ -92,6 +92,7 @@ POOL_CASES = {
     "infs": _POOL_RNG.choice(np.array([-np.inf, np.inf, -1.0, 2.0], np.float32),
                              (2, 8, 8, 3)),
     "odd_13x13": _POOL_RNG.normal(size=(3, 13, 13, 4)).astype(np.float32),
+    "odd_15x13": _POOL_RNG.integers(-2, 3, (2, 15, 13, 3)).astype(np.float32),
     # a training batch at conv0's extent after ReLU: one window in 16 ties at 0
     "relu_64x32x32x4": np.maximum(_POOL_RNG.normal(size=(64, 32, 32, 4)), 0)
                        .astype(np.float32),
@@ -143,6 +144,73 @@ class TestTapeFreeInference:
             layer.forward = counted
         net.predict(rng.random((36, 36)).astype(np.float32))
         assert calls == Counter(range(len(net.layers)))
+
+
+class TestRowKernels:
+    """Pool phases, the wide bias add and the einsum bias gradient equal the
+    plain per-channel forms bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(POOL_CASES))
+    def test_pool_with_and_without_cached_phases_equals_argmax_routing(self, case, dtype):
+        x = POOL_CASES[case].astype(dtype)
+        h2, w2 = x.shape[1] // 2, x.shape[2] // 2
+        dy = np.random.default_rng(3).normal(size=(len(x), h2, w2, x.shape[3])).astype(dtype)
+        _, want_dx = argmax_pool(x, dy)
+        # y's bits are those of max(max(00, 10), max(01, 11)) on strided
+        # views, in that order, down to which signed zero a tie keeps
+        even, odd = (x[:, i:2 * h2:2, : 2 * w2] for i in (0, 1))
+        rows = np.maximum(even, odd)
+        want_y = np.maximum(rows[:, :, 0::2], rows[:, :, 1::2])
+        pool = MaxPool()
+        workspace = Workspace()
+        for _ in range(2):  # the second pass reuses dirty arrays
+            tape = Tape(workspace=workspace)
+            y = pool.forward(x, tape)
+            assert y.tobytes() == want_y.tobytes()
+            dx = pool.backward(dy, x, y, tape.caches[pool], [], workspace=workspace)
+            assert dx.tobytes() == want_dx.tobytes()
+        assert pool.backward(dy, x, y, None, []).tobytes() == want_dx.tobytes()
+
+    @pytest.mark.parametrize("in_hw", [(17, 15), (16, 16), (36, 36), (14, 10), (5, 5)])
+    def test_wide_bias_add_equals_the_broadcast_add(self, in_hw):
+        # outputs 13x11 (143 positions, one per row), 12x12, 32x32, 10x6, 1x1
+        rng = np.random.default_rng(5)
+        conv = Conv(4, 5)
+        conv.build(in_hw + (3,), lambda s, fan_in=None, fan_out=None:
+                   rng.normal(size=s).astype(np.float32))
+        x = rng.normal(size=(3,) + in_hw + (3,)).astype(np.float32)
+        tape = Tape()
+        y = conv.forward(x, tape)
+        want = tape.caches[conv] @ conv.kernels.reshape(4, -1).T
+        want += conv.bias
+        assert y.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("maps", [2, 3, 4, 8, 40])
+    def test_einsum_column_sum_is_sum_over_rows(self, maps, dtype):
+        # Conv's bias gradient relies on this for two or more maps; a numpy
+        # that sums either way differently fails here
+        rng = np.random.default_rng(maps)
+        for rows in (1, 2, 3, 7, 8, 9, 15, 16, 17, 127, 128, 129, 1000, 4096, 8191,
+                     65536, 131072):
+            a = rng.standard_normal((rows, maps), dtype=dtype)
+            a *= 100
+            assert np.einsum("ij->j", a).tobytes() == a.sum(axis=0).tobytes(), rows
+
+    @pytest.mark.parametrize("maps", [1, 4])
+    def test_bias_gradient_is_the_column_sum(self, maps):
+        rng = np.random.default_rng(6)
+        conv = Conv(maps, 5)
+        conv.build((36, 36, 1), lambda s, fan_in=None, fan_out=None:
+                   rng.normal(size=s).astype(np.float32))
+        x = rng.random((64, 36, 36, 1), dtype=np.float32)
+        tape = Tape()
+        y = conv.forward(x, tape)
+        dy = rng.normal(size=y.shape).astype(np.float32)
+        grads = [np.zeros_like(p) for p in conv.params()]
+        conv.backward(dy, x, y, tape.caches[conv], grads, need_dx=False)
+        assert grads[1].tobytes() == dy.reshape(-1, maps).sum(axis=0).tobytes()
 
 
 class TestReadOnlyInference:
@@ -230,7 +298,7 @@ class TestPredictBatch:
         want = [np.argmax(net.forward_batch(x[i:i + PREDICT_CHUNK]), axis=1)
                 for i in range(0, len(x), PREDICT_CHUNK)]
         assert decisions.tobytes() == np.concatenate(want).tobytes()
-        # one pass over all 1,500 frames peaks near 170 MiB, about 3x one chunk
+        # one pass over all 1,500 frames peaks near 170 MiB, far above one chunk
         assert peak < 1.2 * chunk_peak
 
 
