@@ -10,7 +10,9 @@ no wall-clock timestamps, so reruns with the same seed are byte-identical.
 gen-data generates its recordings with up to one worker process per usable
 CPU. Each recording is a pure function of (gen config, seed), and the command
 takes them back in seed order, so its stdout and output files equal those of
-a serial run.
+a serial run. Each worker has a pipe of its own and holds at most one job, so
+EOF on that pipe names the one job its death lost; a worker that dies holding
+no job loses nothing.
 """
 
 from __future__ import annotations
@@ -86,105 +88,91 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _generate_job(job):
-    """Pool task: the recording of one (gen config, seed) pair.
-
-    It calls generate_recording through this module's global, so a wrapper
-    installed there runs in the worker, and the pool pickles this helper, not
-    the possibly wrapped generate_recording, by reference.
-    """
-    return generate_recording(*job)
-
-
 class WorkerLostError(RuntimeError):
-    """A pool worker died before job `args[0]` came back."""
+    """A worker process died before job `args[0]` came back."""
 
 
-_WORKER_POLL_S = 0.5  # how often a pooled map checks that its workers live
-_taken_by = None  # in a pool worker: the pid that took each job, shared with the parent
-
-
-def _init_worker(taken_by):
-    global _taken_by
-    _taken_by = taken_by
-
-
-def _pooled_call(task):
-    """Pool task: logs this worker's pid as the taker of job `index`, then runs it."""
-    index, fn, job = task
-    _taken_by[index] = os.getpid()
-    return fn(job)
-
-
-def _lost_job(taken_by, live, first):
-    """The first job from `first` on whose worker is not live, else `first`.
-
-    A worker takes jobs in index order, so a dead worker lost the last job
-    it took, if that job has not come back yet.
-    """
-    last = {pid: j for j, pid in enumerate(taken_by) if pid}
-    return min((j for pid, j in last.items() if pid not in live and j >= first),
-               default=first)
+def _answer_jobs(conn, fn):
+    """A forked worker's loop: answers each job sent down conn until the pipe closes."""
+    with contextlib.suppress(EOFError, OSError):
+        while True:
+            job = conn.recv()
+            try:
+                answer = True, fn(job)
+            except Exception as exc:  # noqa: BLE001 - re-raised in the parent
+                answer = False, exc
+            conn.send(answer)
 
 
 @contextlib.contextmanager
-def _ordered_map(n_jobs):
-    """A map over n_jobs jobs that runs them on up to one worker per usable CPU.
+def _ordered_map(fn, jobs):
+    """fn over jobs on up to one worker per usable CPU; yields the results in job order.
 
-    Results come back in job order. With one worker, or where the "fork"
-    start method does not exist, it is the builtin map in this process.
-    Workers are forked, not spawned: gen-data starts no thread before the
-    pool, and forked workers need no fresh import. No worker outlives the
-    block: the pool is joined after success and terminated on any error.
-
-    A pool replaces a worker killed by a signal but drops its job, so the
-    map waits for each result _WORKER_POLL_S at a time and, once the pool's
-    worker pids differ from those it started with, raises WorkerLostError
-    naming the job that died with its worker.
+    With one worker, or where the "fork" start method does not exist, it is
+    the builtin map in this process. Otherwise each worker is forked once
+    (gen-data starts no thread before it), so fn is not pickled, and has a
+    pipe of its own: the parent sends it one job at a time and reads each
+    answer as soon as it arrives. A job's exception is raised in its turn,
+    as map would. Only that worker holds the pipe's other end, so EOF on it
+    means the worker died, and WorkerLostError names the job it held. No
+    worker outlives the block.
     """
-    workers = min(n_jobs, _usable_cpus())
-    if workers <= 1:
-        yield map
+    n_workers = min(len(jobs), _usable_cpus())
+    if n_workers <= 1:
+        yield map(fn, jobs)
         return
     import multiprocessing  # only here: its import would add to every cold start
     if "fork" not in multiprocessing.get_all_start_methods():
-        yield map
+        yield map(fn, jobs)
         return
+    from multiprocessing.connection import wait
     # a forked worker flushes the stdio buffers it inherits when it exits
     sys.stdout.flush()
     sys.stderr.flush()
     context = multiprocessing.get_context("fork")
-    taken_by = context.RawArray("q", n_jobs)  # 0 until a worker takes the job
+    lost = (EOFError, BrokenPipeError, ConnectionResetError)
+    todo = iter(enumerate(jobs))
+    workers, held, done = [], {}, {}  # held: pipe -> its worker's job; done: job -> answer
 
-    def worker_pids():
-        return {child.pid for child in multiprocessing.active_children()}
+    def give(conn):
+        for i, job in todo:  # the next job, if one is left
+            held[conn] = i
+            try:
+                conn.send(job)
+            except lost:
+                raise WorkerLostError(i) from None
+            return
 
-    pool = context.Pool(workers, initializer=_init_worker, initargs=(taken_by,))
-    started = worker_pids()
-
-    def ordered_map(fn, jobs):
-        tasks = [(i, fn, job) for i, job in enumerate(jobs)]
-        results = pool.imap(_pooled_call, tasks)
-        for i in range(len(tasks)):
-            while True:
-                try:
-                    result = results.next(timeout=_WORKER_POLL_S)
-                    break
-                except multiprocessing.TimeoutError:
-                    live = worker_pids()
-                    if live != started:
-                        raise WorkerLostError(_lost_job(taken_by, live, i)) from None
-            yield result
+    def results():
+        for i in range(len(jobs)):
+            while i not in done:
+                for conn in wait(list(held)):
+                    j = held.pop(conn)
+                    try:
+                        done[j] = conn.recv()
+                    except lost:
+                        raise WorkerLostError(j) from None
+                    give(conn)
+            ok, value = done.pop(i)
+            if not ok:
+                raise value
+            yield value
 
     try:
-        yield ordered_map
-    except BaseException:
-        pool.terminate()
-        raise
-    else:
-        pool.close()
+        for _ in range(n_workers):
+            conn, child = context.Pipe()
+            worker = context.Process(target=_answer_jobs, args=(child, fn))
+            worker.start()
+            workers.append((worker, conn))
+            child.close()
+            give(conn)
+        yield results()
     finally:
-        pool.join()
+        for worker, _ in workers:
+            worker.terminate()
+        for worker, conn in workers:
+            worker.join()
+            conn.close()
 
 
 def cmd_gen_data(args, cfg):
@@ -198,9 +186,11 @@ def cmd_gen_data(args, cfg):
     outputs = []
     recordings = []
     try:
-        with _ordered_map(n) as ordered_map:
-            jobs = [(gen, seed_base + i) for i in range(n)]
-            for i, rec in enumerate(ordered_map(_generate_job, jobs)):
+        # generate_recording is looked up per call, so a wrapper installed
+        # on this module runs in the workers too
+        jobs = [(gen, seed_base + i) for i in range(n)]
+        with _ordered_map(lambda job: generate_recording(*job), jobs) as recs:
+            for i, rec in enumerate(recs):
                 prefix = os.path.join(args.out, f"rec{i:03d}")
                 save_recording(prefix, rec)
                 outputs += [prefix + ext for ext in (".events", ".aps", ".labels")]
@@ -461,17 +451,13 @@ def cmd_serve(args, cfg):
     rx_thread.start()
 
     decisions = 0
-    sent = 0
     mailbox = wire.Mailbox()
     try:
         if args.sim:
             # live feed: the decision producer hands datagrams to the sender
             # thread through the latest-value mailbox, never blocking on it
-            sent_log = []
-            tx_thread = threading.Thread(
-                target=lambda: wire.sender_loop(
-                    mailbox, endpoint, on_sent=lambda d: sent_log.append(d.seq)),
-                daemon=True)
+            tx_thread = threading.Thread(target=wire.sender_loop,
+                                         args=(mailbox, endpoint), daemon=True)
             tx_thread.start()
 
             def on_datagram(t_dec, datagram):
@@ -483,7 +469,6 @@ def cmd_serve(args, cfg):
             run_closed_loop(net, run_cfg, args.seed, on_datagram=on_datagram)
             mailbox.close()
             tx_thread.join(timeout=5.0)
-            sent = len(sent_log)
         else:
             # file replay is an offline pump: send synchronously so every
             # novel decision yields exactly one datagram. With no behaviour
@@ -496,8 +481,7 @@ def cmd_serve(args, cfg):
                 t_dec, _, _, datagram = decide(t, values)
                 decisions += 1
                 sent_stats.update(datagram.seq, t_dec)
-                if endpoint.send(datagram.encode()):
-                    sent += 1
+                endpoint.send(datagram.encode())
     except KeyboardInterrupt:
         print("interrupted, dumping stats", file=sys.stderr)
     finally:
@@ -505,7 +489,7 @@ def cmd_serve(args, cfg):
         stop.set()
         rx_thread.join(timeout=2.0)
         endpoint.close()
-    print(f"decisions {decisions}, datagrams sent {sent}, "
+    print(f"decisions {decisions}, datagrams sent {endpoint.sent}, "
           f"send errors {endpoint.send_errors}")
     print("decision intervals (sender side):")
     print(sent_stats.histogram_dump(), end="")

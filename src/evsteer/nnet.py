@@ -528,10 +528,14 @@ class Network:
         return self._forward_batch(np.asarray(x, dtype=self.dtype))
 
     def predict_batch(self, x):
-        """Argmax decisions of a (n, h, w, c) batch, PREDICT_CHUNK frames per pass."""
+        """Argmax decisions of a (n, h, w, c) batch, PREDICT_CHUNK frames per pass.
+
+        Like `predict`, it raises FloatingPointError on non-finite logits.
+        """
         # an empty batch still runs one (empty) pass, so it returns an empty array
-        return np.concatenate([np.argmax(self.forward_batch(x[i:i + PREDICT_CHUNK]), axis=1)
-                               for i in range(0, max(len(x), 1), PREDICT_CHUNK)])
+        return np.concatenate([
+            np.argmax(_finite(self.forward_batch(x[i:i + PREDICT_CHUNK])), axis=1)
+            for i in range(0, max(len(x), 1), PREDICT_CHUNK)])
 
     def _backward_batch(self, dy, tape, guided=False, need_input_grad=False):
         grads = [np.zeros_like(p) for p in self.parameters()]

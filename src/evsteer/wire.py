@@ -180,6 +180,7 @@ class UdpEndpoint:
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         if listen_port is not None:
             self.sock.bind(("0.0.0.0", listen_port))
+        self.sent = 0
         self.send_errors = 0
 
     @property
@@ -189,10 +190,11 @@ class UdpEndpoint:
     def send(self, payload: bytes):
         try:
             self.sock.sendto(payload, self.peer)
-            return True
         except OSError:
             self.send_errors += 1  # reported, never retried
             return False
+        self.sent += 1
+        return True
 
     def recv(self, timeout=0.2):
         self.sock.settimeout(timeout)
@@ -206,19 +208,15 @@ class UdpEndpoint:
         self.sock.close()
 
 
-def sender_loop(mailbox: Mailbox, endpoint: UdpEndpoint, on_sent=None):
+def sender_loop(mailbox: Mailbox, endpoint: UdpEndpoint):
     """Drain the mailbox into the socket until the mailbox closes."""
-    sent = 0
     while True:
         item = mailbox.take(timeout=0.1)
         if item is None:
             if mailbox.closed:
-                return sent
+                return
             continue
-        if endpoint.send(item.encode()):
-            sent += 1
-            if on_sent is not None:
-                on_sent(item)
+        endpoint.send(item.encode())
 
 
 def parse_peer(text: str):

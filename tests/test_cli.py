@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import re
+import signal
 import socket
 import subprocess
 import sys
@@ -185,6 +186,91 @@ sys.exit(code)
                 "came back") in done.stderr
         assert "children left: 0" in done.stdout
 
+    def test_a_worker_error_comes_in_job_order(self, tmp_path, monkeypatch, capsys):
+        generate = cli.generate_recording
+
+        def failing(gen, seed):
+            if seed == 1001:
+                raise ValueError(f"bad seed {seed}")
+            return generate(gen, seed)
+
+        monkeypatch.setattr(cli, "generate_recording", failing)
+        serial, pooled = (self._gen_data(monkeypatch, capsys, cpus, tmp_path / f"gen{cpus}",
+                                         "--set", "gen.duration=0.5")[:3] for cpus in (1, 2))
+        assert pooled == serial
+        code, out, err = pooled
+        assert code == EXIT_RUNTIME and "ValueError: bad seed 1001" in err
+        assert out.startswith("rec000: seed 1000,") and "rec001" not in out
+        assert multiprocessing.active_children() == []
+
+    def test_a_parent_side_error_leaves_no_worker(self, tmp_path, monkeypatch, capsys):
+        save = cli.save_recording
+
+        def failing(prefix, rec):
+            if os.path.basename(prefix) == "rec001":
+                raise OSError("no space left on device")
+            save(prefix, rec)
+
+        monkeypatch.setattr(cli, "save_recording", failing)
+        code, out, err, pids = self._gen_data(
+            monkeypatch, capsys, 2, tmp_path / "gen", "--set", "gen.duration=0.5")
+        assert code == EXIT_RUNTIME
+        assert "runtime error: OSError: no space left on device" in err
+        assert out.startswith("rec000: seed 1000,") and "rec001" not in out
+        assert pids and os.getpid() not in pids
+        assert multiprocessing.active_children() == []
+
+    # gen-data of two recordings on two workers in a child whose wrapper has
+    # the worker of seed 1001 SIGKILL the worker of seed 1000 once that
+    # recording is back, so the killed worker holds no job; prints the
+    # children it leaves
+    IDLE_KILL_SCRIPT = """
+import multiprocessing, os, signal, sys, time
+from evsteer import cli
+cli._usable_cpus = lambda: 2
+generate = cli.generate_recording
+out = sys.argv[1]
+
+def killing(gen, seed):
+    if seed == 1000:
+        with open(out + ".pid", "w") as fh:
+            fh.write(str(os.getpid()))
+    else:
+        while not os.path.exists(os.path.join(out, "rec000.labels")):
+            time.sleep(0.01)
+        with open(out + ".pid") as fh:
+            os.kill(int(fh.read()), signal.SIGKILL)
+        open(out + ".killed", "w").close()
+    return generate(gen, seed)
+
+cli.generate_recording = killing
+code = cli.main(["--set", "gen.duration=0.5", "gen-data", "--recordings", "2",
+                 "--out", out])
+print("children left:", len(multiprocessing.active_children()))
+sys.exit(code)
+"""
+
+    def test_a_worker_killed_while_idle_loses_nothing(self, tmp_path, monkeypatch, capsys):
+        # a gen-data that waits forever fails this test at the timeout; the
+        # child runs in a session of its own, so its workers die with it
+        idle = tmp_path / "idle"
+        with subprocess.Popen([sys.executable, "-c", self.IDLE_KILL_SCRIPT, str(idle)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              env=_child_env(), start_new_session=True) as child:
+            try:
+                stdout, stderr = child.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
+                os.killpg(child.pid, signal.SIGKILL)
+                raise
+        assert (child.returncode, stderr) == (EXIT_OK, "")
+        assert (tmp_path / "idle.killed").exists()
+        code, serial_out, _, _ = self._gen_data(
+            monkeypatch, capsys, 1, tmp_path / "serial", "--set", "gen.duration=0.5",
+            recordings=2)
+        assert code == EXIT_OK
+        assert stdout == serial_out + "children left: 0\n"
+        assert _dir_sha256(idle) == _dir_sha256(tmp_path / "serial")
+
 
 # serve --events rec.events --aps rec.aps --listen 0 over the seed-5 1 s
 # recording and the seed-0 runtime network (numpy 2.4, x86-64): stdout and
@@ -236,8 +322,9 @@ class TestServeReplay:
                                           monkeypatch, capsys):
         save_recording(tmp_path / "rec", generated_recordings[0])
         sent = []
-        monkeypatch.setattr(wire.UdpEndpoint, "send",
-                            lambda self, payload: sent.append(payload) or True)
+        # under the endpoint, so its own send runs and counts what it sends
+        monkeypatch.setattr(socket.socket, "sendto",
+                            lambda self, payload, peer: sent.append(payload) or len(payload))
         argv = ["serve", "--weights", weights, "--events", str(tmp_path / "rec.events"),
                 "--aps", str(tmp_path / "rec.aps"), "--listen", "0"]
         assert main(argv) == EXIT_OK
@@ -729,6 +816,25 @@ class TestServeSim:
 
 
 class TestSuccessAndRuntimeExitCodes:
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+    @pytest.mark.parametrize("command", ["eval", "simulate"])
+    def test_overflowing_logits_are_runtime_error(self, tmp_path, capsys, command):
+        # finite weights, so the file reads, but the last layer overflows float32
+        net = runtime_network(np.random.default_rng(0))
+        [layer for layer in net.layers if layer.kind == "dense"][-1].weights[:] = 3e38
+        save_weights(net, tmp_path / "huge.net")
+        argv = [command, "--weights", str(tmp_path / "huge.net")]
+        if command == "eval":
+            frames = np.random.default_rng(1).random((3, 36, 36), dtype=np.float32)
+            save_dataset(tmp_path / "d.ds", Dataset(frames=frames, labels=np.zeros(3, np.uint8),
+                                                    target_x=np.zeros(3, np.int16),
+                                                    source=np.ones(3, np.uint8)))
+            argv += ["--dataset", str(tmp_path / "d.ds")]
+        else:
+            argv += ["--duration", "0.5", "--out", str(tmp_path / "sim")]
+        assert main(argv) == EXIT_RUNTIME
+        assert "FloatingPointError: non-finite logits" in capsys.readouterr().err
+
     def test_simulate_dry_run_succeeds(self, weights, capsys):
         assert main(["simulate", "--weights", weights, "--dry-run"]) == EXIT_OK
         assert "6472 parameters" in capsys.readouterr().out

@@ -127,11 +127,22 @@ class TestTapeFreeInference:
         for frame in rng.random((500, 36, 36)).astype(np.float32):
             assert net.predict(frame) == decision_from_logits(net.forward(frame)[0])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
     def test_non_finite_weights_still_raise(self, rng):
         net = runtime_network(rng)
         net.layers[0].kernels[0, 0, 2, 2] = np.nan
         with pytest.raises(FloatingPointError):
             net.predict(rng.random((36, 36)).astype(np.float32))
+        batch = rng.random((PREDICT_CHUNK + 1, 36, 36, 1)).astype(np.float32)
+        with pytest.raises(FloatingPointError):
+            net.predict_batch(batch)
+        # finite weights whose logits overflow float32 raise too
+        net = runtime_network(rng)
+        net.layers[-1].weights[:] = 3e38
+        with pytest.raises(FloatingPointError):
+            net.predict(batch[0])
+        with pytest.raises(FloatingPointError):
+            net.predict_batch(batch)
 
     def test_predict_calls_each_layer_forward_once(self, rng):
         # per-layer tracing wraps layer.forward on the instance

@@ -196,16 +196,21 @@ class TestUdp:
         tx.close()
         rx.close()
 
+    def test_endpoint_counts_sent_datagrams_and_send_errors(self):
+        rx = UdpEndpoint(listen_port=0)
+        tx = UdpEndpoint(peer=("127.0.0.1", rx.port))
+        assert tx.send(b"\x00\x01") and tx.send(b"\x01\x01")
+        tx.peer = ("127.0.0.1", 0)  # no datagram goes to port 0
+        assert not tx.send(b"\x02\x01")
+        assert (tx.sent, tx.send_errors) == (2, 1)
+        tx.close()
+        rx.close()
+
     def test_sender_loop_drains_mailbox(self):
         rx = UdpEndpoint(listen_port=0)
         tx = UdpEndpoint(peer=("127.0.0.1", rx.port))
         box = Mailbox()
-        sent_count = []
-
-        def run():
-            sent_count.append(sender_loop(box, tx))
-
-        th = threading.Thread(target=run)
+        th = threading.Thread(target=sender_loop, args=(box, tx))
         th.start()
         received = []
         for i in range(5):
@@ -215,8 +220,9 @@ class TestUdp:
                 received.append(decode_decision(data).seq)
         box.close()
         th.join(timeout=2.0)
+        assert not th.is_alive()  # the loop returns once the mailbox closes
         assert received == [0, 1, 2, 3, 4]
-        assert sent_count[0] == 5
+        assert tx.sent == 5
         tx.close()
         rx.close()
 
