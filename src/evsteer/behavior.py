@@ -46,6 +46,15 @@ class BehaviorConfig:
     def __post_init__(self):
         if self.max_linear <= 0 or self.max_linear > 2.0:
             raise ValueError("max_linear must be in (0, 2] m/s")
+        # the speed ramp runs from safety_distance up to slow_factor times it
+        if not self.safety_distance > 0:
+            raise ValueError("safety_distance must be positive")
+        if not self.slow_factor > 1:
+            raise ValueError("slow_factor must be greater than 1")
+        if not self.rotate_angular >= 0:
+            raise ValueError("rotate_angular must not be negative")
+        if not 0 < self.center_laser_fov <= 180:
+            raise ValueError("center_laser_fov must be in (0, 180] deg")
 
 
 @dataclass
@@ -75,7 +84,7 @@ def potential_field_scale(scan: LaserScan, cfg: BehaviorConfig) -> float:
     d_stop = cfg.safety_distance
     d_slow = cfg.slow_factor * d_stop
     d_min = scan.min_range(cfg.center_laser_fov)
-    return float(np.clip((d_min - d_stop) / (d_slow - d_stop), 0.0, 1.0))
+    return min(max((d_min - d_stop) / (d_slow - d_stop), 0.0), 1.0)
 
 
 class BehaviorController:

@@ -27,7 +27,7 @@ import threading
 import numpy as np
 
 from evsteer import __version__
-from evsteer.config import ConfigError, load_config
+from evsteer.config import ConfigError, load_config, steps_for_duration
 from evsteer import evaluation, frames, wire
 from evsteer.datagen import generate_recording
 # dvs_normalize and aps_normalize are unused here but stay bound: span
@@ -387,6 +387,8 @@ def cmd_simulate(args, cfg):
     run_cfg = cfg.settings.sim
     if args.duration is not None:
         run_cfg.duration = args.duration
+    # a dry run refuses the run lengths the run would
+    steps_for_duration(run_cfg.duration, run_cfg.sim.timestep_us)
     if args.dry_run:
         net = load_weights(args.weights)
         print(f"network ok: input {net.input_shape}, {param_count(net)} parameters, "

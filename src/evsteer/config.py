@@ -15,6 +15,7 @@ view, 9.5 x 6.7 m arena, 1.5 m/s top speed, 0.1 Hz per-pixel leak.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from evsteer.behavior import BehaviorConfig
@@ -32,7 +33,10 @@ U32_MAX_US = 2**32 - 1  # event, APS, label and run-log stamps are u32 microseco
 
 
 def steps_for_duration(duration_s, timestep_us):
-    """Kinematics steps in a run; refuses runs whose u32 stamps would wrap."""
+    """Kinematics steps in a run; refuses runs whose u32 stamps would wrap,
+    and negative or non-finite durations."""
+    if not 0 <= duration_s < math.inf:
+        raise ConfigError(f"duration {duration_s} s must be finite and not negative")
     n_steps = int(round(duration_s * 1e6 / timestep_us))
     if n_steps * timestep_us > U32_MAX_US:
         raise ConfigError(f"duration {duration_s} s ends past {U32_MAX_US / 1e6} s, "

@@ -13,6 +13,7 @@ low-pass removes noise):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,13 +43,21 @@ class LowPass:
         self.winner = Decision.N
 
     def update(self, raw: Decision) -> Decision:
-        delta = np.full(4, -self.alpha)
-        delta[int(raw)] = self.alpha
-        self.states = np.clip(self.states + delta, 0.0, 1.0)
-        best = self.states.max()
-        if self.states[int(self.winner)] < best:
-            self.winner = Decision(int(np.argmax(self.states)))
+        # on Python floats: the same sums and clamps as np.clip(states +
+        # delta, 0, 1), NaN included, since max and min keep their first
+        # argument; four elements are too few to pay numpy's call overhead
+        a, r = self.alpha, int(raw)
+        states = [min(max(v + a if i == r else v - a, 0.0), 1.0)
+                  for i, v in enumerate(self.states.tolist())]
+        self.states = np.array(states)
+        best = max(states)
+        # a NaN state makes numpy's max NaN, and nothing compares below it
+        if states[self.winner] < best and not math.isnan(sum(states)):
+            self.winner = Decision(states.index(best))  # the first maximum
         return self.winner
+
+
+_OPPOSITE = {Decision.L: Decision.R, Decision.R: Decision.L}
 
 
 class ConstraintGate:
@@ -70,16 +79,15 @@ class ConstraintGate:
 
     def apply(self, raw: Decision, mode: Mode = Mode.CHASE) -> Decision:
         last = self.last_valid
-        opposite = {Decision.L: Decision.R, Decision.R: Decision.L}
 
         if (mode is Mode.ROTATE and self.last_side is not None
-                and raw is opposite.get(self.last_side)):
+                and raw is _OPPOSITE.get(self.last_side)):
             self._pending_n = False
             return last
         if raw is Decision.N and last is Decision.C and not self._pending_n:
             self._pending_n = True
             return last
-        if raw in (Decision.L, Decision.R) and last is opposite.get(raw):
+        if raw in (Decision.L, Decision.R) and last is _OPPOSITE.get(raw):
             self._pending_n = False
             return last
 

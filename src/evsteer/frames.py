@@ -13,6 +13,7 @@ on-disk formats for events, labels, raw APS frames, and assembled datasets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,8 @@ class FormatError(Exception):
 # the bin row y * 36 // 180 times 36, plus the bin column x * 36 // 240.
 _BIN_ROW = (np.arange(SENSOR_HEIGHT) * FRAME_SIZE // SENSOR_HEIGHT) * FRAME_SIZE
 _BIN_COL = np.arange(SENSOR_WIDTH) * FRAME_SIZE // SENSOR_WIDTH
-_STEP = np.array([-1.0, 1.0]) / GRAY_LEVELS  # indexed by polarity > 0
+# gray step of an event, indexed by its u1 polarity: +1/200 for ON (> 0)
+_STEP = np.where(np.arange(256) > 0, 1.0, -1.0) / GRAY_LEVELS
 
 
 class DvsAccumulator:
@@ -84,15 +86,15 @@ class DvsAccumulator:
         out = []
         pos = 0
         n = len(events)
+        bins = _BIN_ROW.take(events["y"]) + _BIN_COL.take(events["x"])
+        steps = _STEP.take(events["polarity"])
         while pos < n:
             take = min(self.capacity - self.events_in, n - pos)
-            chunk = events[pos:pos + take]
-            bins = _BIN_ROW.take(chunk["y"]) + _BIN_COL.take(chunk["x"])
-            np.add.at(self.values.reshape(-1), bins, _STEP.take(chunk["polarity"] > 0))
+            np.add.at(self.values.reshape(-1), bins[pos:pos + take], steps[pos:pos + take])
             self.events_in += take
             pos += take
             if self.events_in == self.capacity:
-                out.append((int(chunk["t"][-1]), self.values.copy()))
+                out.append((int(events["t"][pos - 1]), self.values.copy()))
                 self.reset()
         return out
 
@@ -104,15 +106,23 @@ def dvs_normalize(hist):
     extremes land exactly on 0 and 1 while zero-event bins stay at 0.5. A
     flat histogram (sigma 0) maps to all 0.5.
     """
-    sigma = float(np.std(hist))
+    # sigma as np.std computes it (pairwise sums, a divide by the bin count,
+    # a correctly rounded square root), without np.std's Python wrapper
+    n = hist.size
+    dev = hist - hist.sum() / n
+    dev *= dev
+    sigma = math.sqrt(dev.sum() / n)
     if sigma == 0.0:
-        values = np.full((FRAME_SIZE, FRAME_SIZE), 0.5, dtype=np.float32)
-    else:
-        bound = 3.0 * sigma
-        dev = np.clip(hist - 0.5, -bound, bound)
-        # dividing by the bound first lands clipped extremes exactly on 0 and 1
-        values = (0.5 + (dev / bound) * 0.5).astype(np.float32)
-    return values
+        return np.full((FRAME_SIZE, FRAME_SIZE), 0.5, dtype=np.float32)
+    bound = 3.0 * sigma
+    dev = hist - 0.5
+    np.maximum(dev, -bound, out=dev)
+    np.minimum(dev, bound, out=dev)
+    # dividing by the bound first lands clipped extremes exactly on 0 and 1
+    dev /= bound
+    dev *= 0.5
+    dev += 0.5
+    return dev.astype(np.float32)
 
 
 def _nearest_indices(n_out, n_in):

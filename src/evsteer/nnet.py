@@ -519,9 +519,15 @@ class Network:
         return _finite(logits), [a[0] for a in tape.acts[1:]]
 
     def predict(self, frame) -> Decision:
-        """Decision for one frame; the same logits as `forward`, with no tape."""
-        logits = self._forward_batch(self._check_input(frame))[0]
-        return decision_from_logits(_finite(logits))
+        """Decision for one frame; the same logits as `forward`, with no tape.
+
+        The finite check and the argmax run on four Python floats, where
+        numpy's call overhead would cost more than the work.
+        """
+        logits = self._forward_batch(self._check_input(frame))[0].tolist()
+        if not all(map(math.isfinite, logits)):
+            raise FloatingPointError("non-finite logits")
+        return Decision(logits.index(max(logits)))  # the first maximum, as argmax
 
     def forward_batch(self, x):
         """Inference logits for a (n, h, w, c) batch; no tape, no dropout."""

@@ -230,14 +230,23 @@ class Camera:
         return max(c0, 0), min(c1, w)
 
 
+def _wall_hits(arena, x, y, cos_a, sin_a):
+    """Distances along each ray to the x = const and y = const walls it faces.
+
+    Divides by zero where a ray runs parallel to a wall; callers ignore it.
+    """
+    tx = np.where(cos_a > 0, (arena.width - x) / cos_a,
+                  np.where(cos_a < 0, (0.0 - x) / cos_a, np.inf))
+    ty = np.where(sin_a > 0, (arena.depth - y) / sin_a,
+                  np.where(sin_a < 0, (0.0 - y) / sin_a, np.inf))
+    return tx, ty
+
+
 def _wall_distances(arena, x, y, ang):
     """Distance to the arena boundary along each ray, plus the hit points."""
     cos_a, sin_a = np.cos(ang), np.sin(ang)
     with np.errstate(divide="ignore"):
-        tx = np.where(cos_a > 0, (arena.width - x) / cos_a,
-                      np.where(cos_a < 0, (0.0 - x) / cos_a, np.inf))
-        ty = np.where(sin_a > 0, (arena.depth - y) / sin_a,
-                      np.where(sin_a < 0, (0.0 - y) / sin_a, np.inf))
+        tx, ty = _wall_hits(arena, x, y, cos_a, sin_a)
     d = np.minimum(tx, ty)
     hx = x + cos_a * d
     hy = y + sin_a * d
@@ -463,11 +472,14 @@ def leak_events(rng, rate_per_pixel: float, t0_us: int, t1_us: int,
     count = int(rng.poisson(lam))
     if count == 0:
         return np.zeros(0, dtype=EVENT_DTYPE)
-    events = np.zeros(count, dtype=EVENT_DTYPE)
-    ts = t0_us + 1 + rng.random(count) * (t1_us - t0_us - 1)
-    events["t"] = np.sort(ts).astype(np.uint32)
-    events["x"] = rng.integers(0, width, count).astype(np.uint16)
-    events["y"] = rng.integers(0, height, count).astype(np.uint16)
+    events = np.empty(count, dtype=EVENT_DTYPE)
+    ts = (t0_us + 1 + rng.random(count) * (t1_us - t0_us - 1)).astype(np.uint32)
+    # truncation keeps order, so sorting the truncated stamps gives the
+    # truncated sorted ones
+    ts.sort()
+    events["t"] = ts
+    events["x"] = rng.integers(0, width, count)
+    events["y"] = rng.integers(0, height, count)
     events["polarity"] = 1
     return events
 
@@ -502,15 +514,19 @@ def simulate_laser(scene: Scene, pose) -> LaserScan:
     """Ray-cast ranges to walls and obstacle circles over LASER_ANGLES."""
     x, y, heading = pose
     ray_ang = heading + LASER_ANGLES
-    d, _, _, _ = _wall_distances(scene.arena, x, y, ray_ang)
     cos_a, sin_a = np.cos(ray_ang), np.sin(ray_ang)
-    for ox, oy, rad in scene.obstacle_circles():
-        dx, dy = ox - x, oy - y
-        proj = dx * cos_a + dy * sin_a
-        perp2 = (dx * dx + dy * dy) - proj * proj
-        hit = (perp2 <= rad * rad) & (proj > 0)
-        reach = proj - np.sqrt(np.maximum(rad * rad - perp2, 0.0))
-        d = np.where(hit & (reach > 0) & (reach < d), reach, d)
+    # every circle (rows) against every ray (columns) at once: a ray hits a
+    # circle at the near crossing, reach, when it meets it (perp2 <= rad^2)
+    # ahead (reach > 0, which implies proj > 0); a miss makes reach NaN
+    circles = np.array(scene.obstacle_circles(), dtype=np.float64)
+    dx, dy, rad = circles[:, 0:1] - x, circles[:, 1:2] - y, circles[:, 2:3]
+    proj = dx * cos_a + dy * sin_a
+    perp2 = (dx * dx + dy * dy) - proj * proj
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.minimum(*_wall_hits(scene.arena, x, y, cos_a, sin_a))
+        reach = proj - np.sqrt(rad * rad - perp2)
+    # the nearest of the walls and the hits, a minimum of exact values
+    np.minimum(d, np.where(reach > 0, reach, np.inf).min(axis=0), out=d)
     return LaserScan(angles=LASER_ANGLES, ranges=d)
 
 

@@ -179,7 +179,11 @@ class UdpEndpoint:
         self.peer = peer
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         if listen_port is not None:
-            self.sock.bind(("0.0.0.0", listen_port))
+            try:
+                self.sock.bind(("0.0.0.0", listen_port))
+            except OSError:
+                self.sock.close()
+                raise
         self.sent = 0
         self.send_errors = 0
 

@@ -8,11 +8,19 @@ Two references are vectorized: argmax_pool finds each pooling window's first
 maximum by argmax where evsteer.nnet tests x == y phase by phase, and
 strided_col2im adds one big patch-gradient matrix back where evsteer.nnet
 adds one kernel offset's product at a time.
+
+The last three keep earlier, plainer formulations of fast paths whose output
+must not change by a bit: std_clip_dvs_normalize (np.std and np.clip),
+per_circle_laser (one obstacle circle at a time) and float_sort_leak_events
+(zeroed records, float stamps sorted before truncation).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from evsteer.frames import EVENT_DTYPE
+from evsteer.sim import LASER_ANGLES
 
 
 def naive_conv(x, kernels, bias):
@@ -168,3 +176,51 @@ class ScalarAccumulator:
         self.values = np.full((36, 36), 0.5)
         self.events_in = 0
         return hist
+
+
+def std_clip_dvs_normalize(hist):
+    """frames.dvs_normalize through np.std and np.clip."""
+    sigma = float(np.std(hist))
+    if sigma == 0.0:
+        return np.full((36, 36), 0.5, dtype=np.float32)
+    bound = 3.0 * sigma
+    dev = np.clip(hist - 0.5, -bound, bound)
+    return (0.5 + (dev / bound) * 0.5).astype(np.float32)
+
+
+def per_circle_laser(scene, pose):
+    """sim.simulate_laser's ranges, casting each obstacle circle in turn."""
+    x, y, heading = pose
+    ray_ang = heading + LASER_ANGLES
+    cos_a, sin_a = np.cos(ray_ang), np.sin(ray_ang)
+    arena = scene.arena
+    with np.errstate(divide="ignore"):
+        tx = np.where(cos_a > 0, (arena.width - x) / cos_a,
+                      np.where(cos_a < 0, (0.0 - x) / cos_a, np.inf))
+        ty = np.where(sin_a > 0, (arena.depth - y) / sin_a,
+                      np.where(sin_a < 0, (0.0 - y) / sin_a, np.inf))
+    d = np.minimum(tx, ty)
+    for ox, oy, rad in scene.obstacle_circles():
+        dx, dy = ox - x, oy - y
+        proj = dx * cos_a + dy * sin_a
+        perp2 = (dx * dx + dy * dy) - proj * proj
+        hit = (perp2 <= rad * rad) & (proj > 0)
+        reach = proj - np.sqrt(np.maximum(rad * rad - perp2, 0.0))
+        d = np.where(hit & (reach > 0) & (reach < d), reach, d)
+    return d
+
+
+def float_sort_leak_events(rng, rate_per_pixel, t0_us, t1_us, width=240, height=180):
+    """sim.leak_events with zeroed records and float stamps sorted first."""
+    dt_s = (t1_us - t0_us) / 1e6
+    lam = rate_per_pixel * width * height * dt_s
+    count = int(rng.poisson(lam))
+    if count == 0:
+        return np.zeros(0, dtype=EVENT_DTYPE)
+    events = np.zeros(count, dtype=EVENT_DTYPE)
+    ts = t0_us + 1 + rng.random(count) * (t1_us - t0_us - 1)
+    events["t"] = np.sort(ts).astype(np.uint32)
+    events["x"] = rng.integers(0, width, count).astype(np.uint16)
+    events["y"] = rng.integers(0, height, count).astype(np.uint16)
+    events["polarity"] = 1
+    return events

@@ -31,6 +31,20 @@ class TestPotentialField:
         mid = cfg.safety_distance * (1 + cfg.slow_factor) / 2
         assert potential_field_scale(scan_with(center=mid), cfg) == pytest.approx(0.5)
 
+    def test_equals_np_clip_of_the_ramp(self):
+        # the scale was float(np.clip(ramp, 0, 1)); NaN, signed zero and the
+        # ends must come out the same
+        cfg = BehaviorConfig()
+        d_stop, d_slow = cfg.safety_distance, cfg.slow_factor * cfg.safety_distance
+        ranges = [0.0, -0.0, d_stop, d_slow, math.inf, math.nan, 1e-300, -5.0]
+        ranges += list(np.random.default_rng(41).uniform(0, 3, 200))
+        for r in ranges:
+            got = potential_field_scale(scan_with(center=r), cfg)
+            want = float(np.clip((float(r) - d_stop) / (d_slow - d_stop), 0.0, 1.0))
+            assert type(got) is float
+            assert (math.isnan(got) and math.isnan(want)) or (
+                got == want and math.copysign(1, got) == math.copysign(1, want)), r
+
 
 class TestChase:
     def test_left_turns_ccw_at_full_speed(self):

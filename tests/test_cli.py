@@ -86,6 +86,21 @@ class TestDurationExitCodes:
         assert main(argv) == EXIT_USAGE
         assert "4294.967295" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("duration", ["nan", "inf", "-1"])
+    def test_simulate_duration_not_finite_or_negative_is_usage_error(
+            self, tmp_path, weights, capsys, duration):
+        argv = ["simulate", "--weights", weights, "--duration", duration,
+                "--out", str(tmp_path / "sim")]
+        assert main(argv) == EXIT_USAGE
+        assert "must be finite and not negative" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
+    def test_simulate_duration_zero_is_an_empty_run(self, tmp_path, weights, capsys):
+        argv = ["simulate", "--weights", weights, "--duration", "0",
+                "--out", str(tmp_path / "sim")]
+        assert main(argv) == EXIT_OK
+        assert (tmp_path / "sim" / "run.log").read_text().endswith("END 0\n")
+
 
 def _sha256(data):
     return hashlib.sha256(data).hexdigest()
@@ -604,6 +619,14 @@ class TestConfigExitCodes:
         "gen.light_min=-1",
         "gen.prey_speed_min=-3",
         "gen.predator_speed_min=-1",
+        "behavior.slow_factor=1",  # divides by zero in the speed ramp
+        "behavior.slow_factor=0.5",  # an inverted ramp
+        "behavior.safety_distance=0",
+        "behavior.rotate_angular=-1",
+        "behavior.center_laser_fov=-5",  # an empty catch sector
+        "sim.duration=nan",
+        "sim.duration=inf",
+        "sim.duration=-1",
     ])
     def test_bad_override_is_usage_error(self, weights, capsys, override):
         argv = ["--set", override, "simulate", "--weights", weights, "--dry-run"]

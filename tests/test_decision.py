@@ -78,6 +78,32 @@ class TestLowPass:
             others = np.delete(s, d, axis=1)
             assert np.all(others < 1.0)
 
+    def test_equals_the_np_clip_update(self):
+        # the update was np.clip(states + delta, 0, 1), then argmax when the
+        # winner's state fell below the maximum; arbitrary assigned states,
+        # NaN among them, must step the same
+        def clip_update(states, winner, raw, alpha):
+            delta = np.full(4, -alpha)
+            delta[raw] = alpha
+            states = np.clip(states + delta, 0.0, 1.0)
+            if states[winner] < states.max():
+                winner = int(np.argmax(states))
+            return states, winner
+
+        rng = np.random.default_rng(51)
+        picks = np.array([0.0, 0.25, 0.5, 1.0, -0.0, 1.5, -0.3, np.nan, np.inf])
+        for _ in range(3000):
+            alpha = float(rng.choice([0.1, 0.25, 0.4, 1.0]))
+            states = np.where(rng.random(4) < 0.5, rng.choice(picks, 4), rng.random(4))
+            lp = LowPass(alpha)
+            lp.states, lp.winner = states.copy(), Decision(int(rng.integers(4)))
+            want_states, want_winner = states, int(lp.winner)
+            for raw in rng.integers(0, 4, 5):
+                want_states, want_winner = clip_update(want_states, want_winner, raw, alpha)
+                assert int(lp.update(Decision(int(raw)))) == want_winner
+                assert lp.states.dtype == np.float64 and lp.states.shape == (4,)
+                assert lp.states.tobytes() == want_states.tobytes()
+
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
             LowPass(alpha=0.0)

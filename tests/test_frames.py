@@ -13,7 +13,8 @@ from evsteer.frames import (SOURCE_APS, SOURCE_DVS, Dataset, DvsAccumulator,
                             read_events, read_labels, save_dataset,
                             save_recording, write_events)
 from evsteer.nnet import Decision
-from oracles import AddressEvent, ScalarAccumulator, subsample_address
+from oracles import (AddressEvent, ScalarAccumulator, std_clip_dvs_normalize,
+                     subsample_address)
 
 
 def make_events(ts, xs, ys, pols):
@@ -597,6 +598,32 @@ class TestReaderFuzz:
             assert np.all(ds.labels <= 3) and np.all(ds.source <= 1)
             assert np.all((ds.target_x >= -1) & (ds.target_x < 36))
             assert ds.frames.shape == (len(ds), 36, 36)
+
+
+class TestDvsNormalizeOracle:
+    def test_bytes_equal_the_std_clip_formulation(self):
+        rng = np.random.default_rng(31)
+        clipped = 0
+        for k in range(2000):
+            hist = np.full((36, 36), 0.5)
+            kind = k % 5
+            if kind == 1:  # a constant-count frame: whole gray steps in many bins
+                n = int(rng.integers(1, 1296))
+                idx = rng.choice(1296, n, replace=False)
+                hist.reshape(-1)[idx] += rng.integers(-40, 41, n) / 200
+            elif kind == 2:  # heavy tails: a few bins far beyond 3 sigma
+                idx = rng.choice(1296, int(rng.integers(1, 8)), replace=False)
+                hist.reshape(-1)[idx] += rng.standard_cauchy(len(idx))
+            elif kind == 3:
+                hist += rng.normal(0, 0.05, hist.shape)
+            elif kind == 4:  # flat but not at 0.5: sigma 0
+                hist += float(rng.normal())
+            got = dvs_normalize(hist)
+            want = std_clip_dvs_normalize(hist)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), k
+            clipped += bool(np.any(got == 1.0) or np.any(got == 0.0))
+        assert clipped > 300
 
 
 class TestNormalizedFrameInvariant:

@@ -9,9 +9,12 @@ from evsteer.config import ConfigError, load_config
 from evsteer.datagen import DatagenConfig, generate_recording
 from evsteer.nnet import runtime_network
 from evsteer.runner import RunnerConfig, run_closed_loop
-from evsteer.sim import (ArenaConfig, Camera, CameraConfig, EventSynth,
-                         RobotState, SimConfig, WorldSim, _wall_distances,
-                         default_scene, render_camera, wall_distance)
+from evsteer.sim import (LASER_ANGLES, ArenaConfig, Camera, CameraConfig,
+                         Distractor, EventSynth, RobotState, Scene, SimConfig,
+                         WorldSim, _wall_distances, default_scene, leak_events,
+                         render_camera, simulate_laser, wall_distance)
+
+from oracles import float_sort_leak_events, per_circle_laser
 
 # Poses (x, y, heading) through the 9.5 x 6.7 m arena: the chase start with
 # the prey in view, the poster and a floor highlight ahead, the dark box, the
@@ -197,6 +200,74 @@ class TestWallDistance:
         for xi, yi, a in zip(x, y, angles):
             want = float(_wall_distances(arena, xi, yi, np.array([a]))[0][0])
             assert wall_distance(arena, float(xi), float(yi), float(a)) == want
+
+
+class TestLaserOracle:
+    @staticmethod
+    def _poses(rng, circles, arena, n):
+        """Random poses: a quarter inside a circle, a quarter on its rim
+        (some of them outside the arena), the rest anywhere in the arena;
+        headings include those that put a ray at exactly 0 rad."""
+        exact = [0.0, -0.0, math.pi, math.pi / 2] + [-a for a in LASER_ANGLES[::17]]
+        for k in range(n):
+            heading = (exact[k % len(exact)] if k % 3 == 0
+                       else float(rng.uniform(-2 * math.pi, 2 * math.pi)))
+            ox, oy, rad = circles[k % len(circles)]
+            a = float(rng.uniform(0, 2 * math.pi))
+            if k % 4 == 0:
+                r = float(rng.uniform(0, rad))
+                yield ox + r * math.cos(a), oy + r * math.sin(a), heading
+            elif k % 4 == 1:
+                yield ox + rad * math.cos(a), oy + rad * math.sin(a), heading
+            else:
+                yield (float(rng.uniform(0, arena.width)),
+                       float(rng.uniform(0, arena.depth)), heading)
+
+    @pytest.mark.parametrize("distractors,moving", [(True, True), (True, False),
+                                                    (False, False)])
+    def test_ranges_equal_the_per_circle_loop(self, distractors, moving):
+        arena = ArenaConfig(distractors=distractors, moving_distractor=moving)
+        rng = np.random.default_rng(11)
+        for k in range(10):
+            prey = RobotState(x=float(rng.uniform(0, arena.width)),
+                              y=float(rng.uniform(0, arena.depth)), heading=0.0)
+            scene = default_scene(SimConfig(arena=arena), prey)
+            circles = scene.obstacle_circles()
+            assert len(circles) == 1 + distractors + moving
+            for pose in self._poses(rng, circles, arena, 70):
+                got = simulate_laser(scene, pose).ranges
+                assert got.tobytes() == per_circle_laser(scene, pose).tobytes(), pose
+
+    def test_overlapping_circles_take_the_nearest(self):
+        arena = ArenaConfig()
+        prey = RobotState(x=5.0, y=3.0, heading=0.0)
+        scene = Scene(arena=arena, prey=prey,
+                      distractors=[Distractor(x=5.2, y=3.0), Distractor(x=4.1, y=3.1)])
+        rng = np.random.default_rng(12)
+        for pose in self._poses(rng, scene.obstacle_circles(), arena, 200):
+            got = simulate_laser(scene, pose).ranges
+            assert got.tobytes() == per_circle_laser(scene, pose).tobytes(), pose
+
+
+class TestLeakOracle:
+    # 0.1 Hz/pixel is the default; 2M events/s over 240 x 180 pixels is the
+    # flood rate; 1e-4 Hz/pixel leaves most 5 ms steps empty
+    @pytest.mark.parametrize("rate", [0.1, 2e6 / (240 * 180), 1e-4])
+    def test_events_equal_the_float_sort_formulation(self, rate):
+        mine, ref = np.random.default_rng(21), np.random.default_rng(21)
+        steps = np.random.default_rng(22)
+        t0, empty = 0, 0
+        for _ in range(300):
+            t1 = t0 + int(steps.choice([1, 2, 5000, 5000, 5000, 12345]))
+            got = leak_events(mine, rate, t0, t1)
+            want = float_sort_leak_events(ref, rate, t0, t1)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            empty += len(got) == 0
+            t0 = t1
+        # the same draws in the same order: both streams end in one state
+        assert mine.bit_generator.state == ref.bit_generator.state
+        if rate == 1e-4:
+            assert empty > 100
 
 
 class TestDurationLimit:

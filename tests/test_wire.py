@@ -226,6 +226,21 @@ class TestUdp:
         tx.close()
         rx.close()
 
+    def test_failed_bind_closes_the_socket(self, monkeypatch):
+        made = []
+        real_socket = wire.socket.socket
+
+        def recording_socket(*args):
+            made.append(real_socket(*args))
+            return made[-1]
+
+        held = UdpEndpoint(listen_port=0)
+        monkeypatch.setattr(wire.socket, "socket", recording_socket)
+        with pytest.raises(OSError):
+            UdpEndpoint(listen_port=held.port)
+        held.close()
+        assert len(made) == 1 and made[0].fileno() == -1  # closed
+
 
 def test_parse_peer():
     assert wire.parse_peer("127.0.0.1:9770") == ("127.0.0.1", 9770)
