@@ -51,8 +51,8 @@ class BehaviorConfig:
             raise ValueError("safety_distance must be positive")
         if not self.slow_factor > 1:
             raise ValueError("slow_factor must be greater than 1")
-        if not self.rotate_angular >= 0:
-            raise ValueError("rotate_angular must not be negative")
+        if not (0 <= self.chase_angular < math.inf and 0 <= self.rotate_angular < math.inf):
+            raise ValueError("chase_angular and rotate_angular must be finite and not negative")
         if not 0 < self.center_laser_fov <= 180:
             raise ValueError("center_laser_fov must be in (0, 180] deg")
 
@@ -69,11 +69,15 @@ class LaserScan:
 
     angles: np.ndarray
     ranges: np.ndarray
+    _min_ranges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def min_range(self, fov_deg):
-        """Nearest range within the centred sector fov_deg wide."""
-        r = self.ranges[np.abs(self.angles) <= math.radians(fov_deg) / 2.0]
-        return float(r.min()) if r.size else math.inf
+        """Nearest range within the centred sector fov_deg wide, taken once per fov."""
+        d_min = self._min_ranges.get(fov_deg)
+        if d_min is None:
+            r = self.ranges[np.abs(self.angles) <= math.radians(fov_deg) / 2.0]
+            d_min = self._min_ranges[fov_deg] = float(r.min()) if r.size else math.inf
+        return d_min
 
 
 def potential_field_scale(scan: LaserScan, cfg: BehaviorConfig) -> float:

@@ -12,7 +12,11 @@ CPU. Each recording is a pure function of (gen config, seed), and the command
 takes them back in seed order, so its stdout and output files equal those of
 a serial run. Each worker has a pipe of its own and holds at most one job, so
 EOF on that pipe names the one job its death lost; a worker that dies holding
-no job loses nothing.
+no job loses nothing. The pool shares its plumbing (`evsteer.workers`) with
+the frame producer that a static scene's `simulate` forks: the usable-CPU
+count, answers as (ok, value) pairs, the stdio flush before a fork, the lazy
+import of multiprocessing, and the terminate and join of every worker when
+its block ends.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ from evsteer.nnet import (AdamState, Decision, WeightFileError, Workspace,
                           adam_step, dump_activations, load_weights, op_count,
                           param_count, runtime_network, save_weights)
 from evsteer.runner import decision_step, parse_runlog, run_closed_loop
+from evsteer.workers import (LOST, WorkerLostError, _usable_cpus, answer,
+                             fork_context, forked, receive, unpack)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -81,27 +87,10 @@ def write_pgm(path, image):
 # ---------------------------------------------------------------------------
 
 
-def _usable_cpus():
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-class WorkerLostError(RuntimeError):
-    """A worker process died before job `args[0]` came back."""
-
-
 def _answer_jobs(conn, fn):
-    """A forked worker's loop: answers each job sent down conn until the pipe closes."""
-    with contextlib.suppress(EOFError, OSError):
-        while True:
-            job = conn.recv()
-            try:
-                answer = True, fn(job)
-            except Exception as exc:  # noqa: BLE001 - re-raised in the parent
-                answer = False, exc
-            conn.send(answer)
+    """A gen-data worker's loop: answers each job sent down conn until the pipe closes."""
+    while True:
+        conn.send(answer(fn, conn.recv()))
 
 
 @contextlib.contextmanager
@@ -110,36 +99,26 @@ def _ordered_map(fn, jobs):
 
     With one worker, or where the "fork" start method does not exist, it is
     the builtin map in this process. Otherwise each worker is forked once
-    (gen-data starts no thread before it), so fn is not pickled, and has a
-    pipe of its own: the parent sends it one job at a time and reads each
-    answer as soon as it arrives. A job's exception is raised in its turn,
-    as map would. Only that worker holds the pipe's other end, so EOF on it
-    means the worker died, and WorkerLostError names the job it held. No
-    worker outlives the block.
+    (gen-data starts no thread before it) and the parent sends it one job
+    at a time, reading each answer as soon as it arrives. A job's exception
+    is raised in its turn, as map would, and a dead worker's
+    WorkerLostError names the job it held.
     """
     n_workers = min(len(jobs), _usable_cpus())
-    if n_workers <= 1:
-        yield map(fn, jobs)
-        return
-    import multiprocessing  # only here: its import would add to every cold start
-    if "fork" not in multiprocessing.get_all_start_methods():
+    context = fork_context() if n_workers > 1 else None
+    if context is None:
         yield map(fn, jobs)
         return
     from multiprocessing.connection import wait
-    # a forked worker flushes the stdio buffers it inherits when it exits
-    sys.stdout.flush()
-    sys.stderr.flush()
-    context = multiprocessing.get_context("fork")
-    lost = (EOFError, BrokenPipeError, ConnectionResetError)
     todo = iter(enumerate(jobs))
-    workers, held, done = [], {}, {}  # held: pipe -> its worker's job; done: job -> answer
+    held, done = {}, {}  # held: pipe -> its worker's job; done: job -> answer
 
     def give(conn):
         for i, job in todo:  # the next job, if one is left
             held[conn] = i
             try:
                 conn.send(job)
-            except lost:
+            except LOST:
                 raise WorkerLostError(i) from None
             return
 
@@ -148,31 +127,14 @@ def _ordered_map(fn, jobs):
             while i not in done:
                 for conn in wait(list(held)):
                     j = held.pop(conn)
-                    try:
-                        done[j] = conn.recv()
-                    except lost:
-                        raise WorkerLostError(j) from None
+                    done[j] = receive(conn, j)
                     give(conn)
-            ok, value = done.pop(i)
-            if not ok:
-                raise value
-            yield value
+            yield unpack(done.pop(i))
 
-    try:
-        for _ in range(n_workers):
-            conn, child = context.Pipe()
-            worker = context.Process(target=_answer_jobs, args=(child, fn))
-            worker.start()
-            workers.append((worker, conn))
-            child.close()
+    with forked(context, _answer_jobs, [(fn,)] * n_workers) as conns:
+        for conn in conns:
             give(conn)
         yield results()
-    finally:
-        for worker, _ in workers:
-            worker.terminate()
-        for worker, conn in workers:
-            worker.join()
-            conn.close()
 
 
 def cmd_gen_data(args, cfg):

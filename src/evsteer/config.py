@@ -85,6 +85,9 @@ class RunnerConfig:
     def __post_init__(self):
         if self.prey_policy not in PREY_POLICIES:
             raise ValueError(f"prey_policy must be one of {', '.join(PREY_POLICIES)}")
+        if not (0 <= self.prey_speed < math.inf and 0 < self.circle_radius < math.inf):
+            raise ValueError("prey_speed must be finite and not negative, "
+                             "circle_radius finite and positive")
 
 
 @dataclass
@@ -129,6 +132,8 @@ class TrainConfig:
             raise ValueError("batch and eval_every must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError("lr must be finite and positive")
 
 
 @dataclass

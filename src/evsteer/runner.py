@@ -8,6 +8,17 @@ and the loop sets the robots' commands between batches. A
 runs too, gives each frame one decision and one UDP datagram under the 240 Hz
 processing cap; the loop logs both.
 
+A static scene's frames never depend on the robots' commands: its one render
+happens at the first render step, before any command is set, and its noise
+draws follow the clock alone. So where a second CPU is free,
+`run_closed_loop` forks a producer that runs the world's sensor side on its
+own copy of the world (leak and burst noise, the one render, APS capture and
+the frame stream) and sends each render step's frames down a pipe. This
+process keeps the clock with the sensors off, the laser, the ground truth,
+the decision chain and the log. The copy starts from the state this world
+has at the fork and draws from the same generators in the same order as an
+in-process run, so the run log is byte-identical either way.
+
 The run log is the run's only record: `run_closed_loop` returns its text, and
 every count or score of a run is read back from it. `simulate` writes the log
 and reports on it through the same function as `eval --runlog`, so the two
@@ -26,7 +37,9 @@ Run logs are line-oriented text, one record per line:
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 
 import numpy as np
 
@@ -40,6 +53,7 @@ from evsteer.frames import (SOURCE_NAMES, FrameStream, aps_normalize, aps_resize
 from evsteer.nnet import Decision
 from evsteer.sim import RobotState, WorldSim, wrap_angle
 from evsteer.wire import SEQ_MOD, DecisionEncoder
+from evsteer.workers import _usable_cpus, answer, fork_context, forked, receive, unpack
 
 RUNLOG_MAGIC = "# evsteer-runlog v1"
 
@@ -135,6 +149,48 @@ def decision_step(net, cfg: RunnerConfig):
     return step
 
 
+def _sensed_frames(batches, stream):
+    """The frames stream finishes on each sensor batch, one list per batch."""
+    for batch in batches:
+        aps_raw = [aps_resize(image) for image in batch.aps]
+        yield stream.push(batch.events, batch.aps_t, aps_raw)
+
+
+def _send_frames(conn, steps):
+    """A frame producer's loop: each step's frames down conn as an answer,
+    until a step raises or the steps end."""
+    ok = True
+    while ok:
+        ok, frames_done = answer(next, steps)
+        conn.send((ok, frames_done))
+
+
+@contextlib.contextmanager
+def _frame_steps(world, stream, n_steps):
+    """Yields the frames of each render step of world.run(n_steps), one list per step.
+
+    A static scene's frames come from a forked producer where that can pay
+    and is safe: two usable CPUs, the "fork" start method and no other
+    running thread. The producer's copy of the world runs its sensors
+    (`WorldSim.static_batches`); this world keeps the clock, with its sensors
+    off. Anywhere else the frames come from this world's clock, in this process.
+    """
+    context = None
+    if world.cfg.static_scene and _usable_cpus() >= 2 and threading.active_count() == 1:
+        context = fork_context()
+    if context is None:
+        yield _sensed_frames(world.run(n_steps), stream)
+        return
+
+    def received(conn):
+        for _ in world.run(n_steps, sense=False):
+            yield unpack(receive(conn, f"the frame producer's render step at {world.t_us} us"))
+
+    steps = _sensed_frames(world.static_batches(n_steps), stream)
+    with forked(context, _send_frames, [(steps,)]) as (conn,):
+        yield received(conn)
+
+
 def run_closed_loop(net, cfg: RunnerConfig, seed: int,
                     on_datagram=None) -> str:
     """Run one seeded episode and return its log text. Pure in (net, cfg, seed).
@@ -152,34 +208,33 @@ def run_closed_loop(net, cfg: RunnerConfig, seed: int,
     behavior = BehaviorController(cfg.behavior,
                                   seed=int(behavior_seed.generate_state(1)[0]))
     decide = decision_step(net, cfg)
-    stream = FrameStream(cfg.frames.capacity)
 
     lines = [RUNLOG_MAGIC, f"# seed {seed}"]
     predator_cmd = VelocityCmd(0.0, 0.0)
-    for batch in world.run(n_steps):
-        aps_raw = [aps_resize(image) for image in batch.aps]
-        frames_done = stream.push(batch.events, batch.aps_t, aps_raw)
-        if frames_done:
-            # the world stands still until the commands below, so one ground
-            # truth and one laser scan serve every frame of the batch
-            target = world.ground_truth()
-            label = label_from_target(target)
-            scan = world.laser()
-        for t_frame, source, values, _ in frames_done:
-            mode = behavior.mode
-            t_dec, raw, filtered, datagram = decide(t_frame, values, mode)
-            predator_cmd = behavior.step(filtered, scan, now=t_dec / 1e6)
-            lines.append(f"DEC {t_dec} {SOURCE_NAMES[source]} {raw.name} {filtered.name}")
-            lines.append(f"GT {t_dec} {'N' if target is None else target} {label.name}")
-            lines.append(f"UDP {t_dec} {datagram.seq} {int(datagram.direction)}")
-            if on_datagram is not None:
-                on_datagram(t_dec, datagram)
-            if behavior.mode is not mode:
-                d_min = scan.min_range(cfg.behavior.center_laser_fov)
-                lines.append(f"MODE {t_dec} {behavior.mode.name} {filtered.name} {d_min:.3f}")
-                if behavior.mode is Mode.PREY_CAUGHT:
-                    lines.append(f"CATCH {t_dec} {world.prey_distance():.3f}")
-        world.set_commands(predator_cmd, prey_policy.command(world.prey, world.t_us / 1e6))
+    with _frame_steps(world, FrameStream(cfg.frames.capacity), n_steps) as steps:
+        for frames_done in steps:
+            if frames_done:
+                # the world stands still until the commands below, so one
+                # ground truth and one laser scan serve every frame of the step
+                target = world.ground_truth()
+                label = label_from_target(target)
+                scan = world.laser()
+            for t_frame, source, values, _ in frames_done:
+                mode = behavior.mode
+                t_dec, raw, filtered, datagram = decide(t_frame, values, mode)
+                predator_cmd = behavior.step(filtered, scan, now=t_dec / 1e6)
+                lines.append(f"DEC {t_dec} {SOURCE_NAMES[source]} {raw.name} {filtered.name}")
+                lines.append(f"GT {t_dec} {'N' if target is None else target} {label.name}")
+                lines.append(f"UDP {t_dec} {datagram.seq} {int(datagram.direction)}")
+                if on_datagram is not None:
+                    on_datagram(t_dec, datagram)
+                if behavior.mode is not mode:
+                    d_min = scan.min_range(cfg.behavior.center_laser_fov)
+                    lines.append(f"MODE {t_dec} {behavior.mode.name} {filtered.name} "
+                                 f"{d_min:.3f}")
+                    if behavior.mode is Mode.PREY_CAUGHT:
+                        lines.append(f"CATCH {t_dec} {world.prey_distance():.3f}")
+            world.set_commands(predator_cmd, prey_policy.command(world.prey, world.t_us / 1e6))
 
     lines.append(f"END {world.t_us}")
     return "\n".join(lines) + "\n"

@@ -17,6 +17,7 @@ coupling). Everything is a pure function of (config, seed).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -62,8 +63,10 @@ class NoiseConfig:
     threshold: float = 0.15  # log-intensity units per event
 
     def __post_init__(self):
-        if self.leak_rate < 0 or self.threshold <= 0 or self.aps_burst < 0:
-            raise ValueError("leak_rate and aps_burst must be >= 0 and threshold positive")
+        if not (0 <= self.leak_rate < math.inf and 0 < self.threshold < math.inf
+                and self.aps_burst >= 0):
+            raise ValueError("leak_rate and aps_burst must be >= 0 and threshold positive, "
+                             "both finite")
 
 
 @dataclass
@@ -84,6 +87,8 @@ class SimConfig:
             raise ValueError("timestep_us, render_every and aps_period_us must be positive")
         if not 0.0 <= self.corrupt_aps_prob <= 1.0:
             raise ValueError("corrupt_aps_prob must be in [0, 1]")
+        if not 0.0 <= self.light_gain < math.inf:
+            raise ValueError("light_gain must be finite and not negative")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {', '.join(SCENARIOS)}")
         if self.rate_profile:
@@ -642,6 +647,7 @@ class WorldSim:
         self._aps_k = 1
         self._next_aps_us = self._quantize_aps(cfg.aps_period_us)
         self._moving_phase = 0.0
+        self._held = False  # a static scene holds still from its first render step on
         self.rate_profile = RateProfile(cfg.rate_profile) if cfg.rate_profile else None
         self._static_image = None
 
@@ -657,9 +663,6 @@ class WorldSim:
         self.prey.angular = prey_cmd.angular
 
     def _render(self):
-        if self.scene.moving_distractor is not None:
-            md = self.scene.moving_distractor
-            md.x = 4.0 + 1.6 * math.sin(self._moving_phase)
         return render_camera(self.scene, self.camera, self.predator.pose)
 
     def _leak_rate(self, t_s):
@@ -667,9 +670,13 @@ class WorldSim:
             return self.rate_profile.per_pixel(t_s)
         return self.cfg.noise.leak_rate
 
-    def run(self, n_steps):
+    def run(self, n_steps, sense=True):
         """Advance n_steps kinematics steps, yielding step() on each render step.
 
+        With sense=False a render step only moves the scene as step() does
+        and yields its render interval: a static scene's sensors, whose output
+        no command changes, can then run apart in a copy of this world
+        (`static_batches`).
         A command set between yields acts from the next kinematics step on.
         The run ends at t_us = n_steps * timestep_us, on the render grid or not.
         """
@@ -679,14 +686,35 @@ class WorldSim:
             self.prey = self.scene.prey = kinematics_step(self.prey, dt, self.cfg.arena)
             self.t_us += self.cfg.timestep_us
             if (self.t_us // self.cfg.timestep_us) % self.cfg.render_every == 0:
-                yield self.step()
+                yield self.step() if sense else self._advance()
 
-    def step(self) -> SensorBatch:
-        """Sensor output for the render interval that ends at t_us."""
+    def static_batches(self, n_steps):
+        """The batches run(n_steps) yields in a static scene, commands or not.
+
+        Only the one render, at the first render step and before any command
+        can be set, reads the robots, so past it the clock runs on without
+        kinematics. It leaves t_us at the last render step.
+        """
+        yield from itertools.islice(self.run(n_steps), 1)
+        grid = self.cfg.timestep_us * self.cfg.render_every
+        for _ in range(n_steps // self.cfg.render_every - 1):
+            self.t_us += grid
+            yield self.step()
+
+    def _advance(self):
+        """Move the scene to t_us; returns the render interval (t0, t1]."""
         t0, t1 = self._last_render_us, self.t_us
         self._last_render_us = t1
         self._moving_phase += 0.9 * (t1 - t0) / 1e6
+        md = self.scene.moving_distractor
+        if md is not None and not self._held:
+            md.x = 4.0 + 1.6 * math.sin(self._moving_phase)
+        self._held = self.cfg.static_scene
+        return t0, t1
 
+    def step(self) -> SensorBatch:
+        """Sensor output for the render interval that ends at t_us."""
+        t0, t1 = self._advance()
         chunks = []
         if self.cfg.static_scene:
             if self._static_image is None:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evsteer
-from evsteer import cli, wire
+from evsteer import cli, runner, sim, wire
 from evsteer.behavior import Mode
 from evsteer.cli import (EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
                          _sweep_capacities, main)
@@ -285,6 +285,106 @@ sys.exit(code)
         assert code == EXIT_OK
         assert stdout == serial_out + "children left: 0\n"
         assert _dir_sha256(idle) == _dir_sha256(tmp_path / "serial")
+
+
+FLOOD = ["--set", "sim.scenario=rate_test", "--set", "sim.rate_profile=1:2000000"]
+
+
+class TestFrameProducer:
+    """simulate of a static scene, whose frames a forked producer makes."""
+
+    @pytest.fixture
+    def simulate(self, monkeypatch, capsys, push_pids):
+        """simulate(cpus, out, weights) runs 0.3 s of the flood as if `cpus`
+        CPUs were usable; returns (exit, stdout without the log path, stderr)."""
+        def run(cpus, out, weights):
+            monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
+            argv = [*FLOOD, "simulate", "--weights", weights, "--seed", "7",
+                    "--duration", "0.3", "--out", str(out)]
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert multiprocessing.active_children() == []
+            assert (os.getpid() in push_pids()) == (cpus == 1)  # forked with two CPUs
+            return code, captured.out.replace(str(out), "OUT"), captured.err
+
+        return run
+
+    def test_success_leaves_no_producer(self, tmp_path, simulate, weights):
+        runs = [simulate(cpus, tmp_path / f"sim{cpus}", weights) for cpus in (2, 1)]
+        assert runs[0] == runs[1] and runs[0][0] == EXIT_OK
+        assert (tmp_path / "sim2" / "run.log").read_bytes() == \
+            (tmp_path / "sim1" / "run.log").read_bytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+    def test_a_parent_side_error_leaves_no_producer(self, tmp_path, simulate):
+        net = runtime_network(np.random.default_rng(0))
+        [layer for layer in net.layers if layer.kind == "dense"][-1].weights[:] = 3e38
+        save_weights(net, tmp_path / "huge.net")
+        code, _, err = simulate(2, tmp_path / "sim", str(tmp_path / "huge.net"))
+        assert code == EXIT_RUNTIME
+        assert "FloatingPointError: non-finite logits" in err
+
+    def test_a_producer_error_is_the_in_process_error(self, tmp_path, monkeypatch, simulate,
+                                                      weights):
+        leak = sim.leak_events
+
+        def failing(rng, rate, t0, t1, *args):
+            if t0 >= 100_000:
+                raise ValueError(f"no leak after {t0} us")
+            return leak(rng, rate, t0, t1, *args)
+
+        monkeypatch.setattr(sim, "leak_events", failing)
+        runs = [simulate(cpus, tmp_path / f"sim{cpus}", weights) for cpus in (2, 1)]
+        assert runs[0] == runs[1]
+        assert runs[0] == (EXIT_RUNTIME, "", "runtime error: ValueError: no leak after "
+                                             "100000 us\n")
+
+    # simulate of the flood in a child whose leak noise SIGKILLs the process
+    # it runs in, the producer, at 0.1 s; prints the children it leaves
+    KILLED_PRODUCER_SCRIPT = """
+import multiprocessing, os, signal, sys
+from evsteer import cli, runner, sim
+runner._usable_cpus = lambda: 2
+parent, leak = os.getpid(), sim.leak_events
+
+def killing(rng, rate, t0, t1, *args):
+    if t0 >= 100_000 and os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return leak(rng, rate, t0, t1, *args)
+
+sim.leak_events = killing
+code = cli.main(sys.argv[2:])
+print("children left:", len(multiprocessing.active_children()))
+sys.exit(code)
+"""
+
+    def test_a_killed_producer_fails_the_run(self, tmp_path, weights):
+        # a simulate that waits forever fails this test at the timeout; the
+        # child runs in a session of its own, so its producer dies with it
+        argv = [*FLOOD, "simulate", "--weights", weights, "--duration", "0.5",
+                "--out", str(tmp_path / "sim")]
+        with subprocess.Popen([sys.executable, "-c", self.KILLED_PRODUCER_SCRIPT, "-", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              env=_child_env(), start_new_session=True) as child:
+            try:
+                stdout, stderr = child.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
+                os.killpg(child.pid, signal.SIGKILL)
+                raise
+        assert child.returncode == EXIT_RUNTIME, stderr
+        assert stderr == ("runtime error: WorkerLostError: a worker process died before the "
+                          "answer to the frame producer's render step at 105000 us came back\n")
+        assert stdout == "children left: 0\n"
+        assert not (tmp_path / "sim").exists()
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # a cold start pays for multiprocessing only where a worker is forked
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, evsteer.cli; print(sorted(m for m in sys.modules "
+                               "if m.split('.')[0] == 'multiprocessing'))"],
+        capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 # serve --events rec.events --aps rec.aps --listen 0 over the seed-5 1 s
@@ -627,6 +727,19 @@ class TestConfigExitCodes:
         "sim.duration=nan",
         "sim.duration=inf",
         "sim.duration=-1",
+        "noise.leak_rate=nan",
+        "noise.leak_rate=inf",
+        "noise.threshold=nan",
+        "noise.threshold=inf",
+        "sim.light_gain=nan",
+        "sim.light_gain=-1",
+        "sim.prey_speed=-1",
+        "sim.prey_speed=nan",
+        "sim.circle_radius=0",
+        "sim.circle_radius=-1",
+        "behavior.chase_angular=-1",
+        "train.lr=-1",
+        "train.lr=nan",
     ])
     def test_bad_override_is_usage_error(self, weights, capsys, override):
         argv = ["--set", override, "simulate", "--weights", weights, "--dry-run"]
@@ -836,6 +949,30 @@ class TestServeSim:
             peer.close()
         seqs = [d.seq for d in received]
         assert 0 < len(seqs) <= n_dec and seqs == sorted(set(seqs))
+
+    def test_a_live_static_scene_runs_in_process_with_the_simulated_decisions(
+            self, tmp_path, weights, monkeypatch, capsys):
+        # serve --sim runs threads, so its closed loop forks no producer
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+        argv = [*FLOOD, "simulate", "--weights", weights, "--seed", "3", "--duration",
+                "0.3", "--out", str(tmp_path / "sim")]
+        assert main(argv) == EXIT_OK
+        n_dec = (tmp_path / "sim" / "run.log").read_text().count("\nDEC ")
+        assert n_dec > 0
+        capsys.readouterr()
+        forked = []
+        monkeypatch.setattr(runner, "forked", lambda *args: forked.append(args))
+        peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        peer.bind(("127.0.0.1", 0))
+        try:
+            argv = [*FLOOD, "serve", "--weights", weights, "--sim", "--seed", "3",
+                    "--duration", "0.3", "--listen", "0",
+                    "--peer", f"127.0.0.1:{peer.getsockname()[1]}"]
+            assert main(argv) == EXIT_OK
+        finally:
+            peer.close()
+        assert capsys.readouterr().out.startswith(f"decisions {n_dec}, datagrams sent ")
+        assert forked == []
 
 
 class TestSuccessAndRuntimeExitCodes:

@@ -1,9 +1,12 @@
 import hashlib
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from evsteer import runner
 from evsteer.behavior import VelocityCmd
 from evsteer.config import ConfigError, load_config
 from evsteer.datagen import DatagenConfig, generate_recording
@@ -83,10 +86,10 @@ def runlog_digest():
     return hashlib.sha256(log.encode()).hexdigest()
 
 
-def rate_test_runlog():
+def rate_test_runlog(overrides=()):
     """0.5 s of the static scene flooded at 2M events/s, seed 7."""
     cfg = load_config(overrides=["sim.scenario=rate_test", "sim.rate_profile=1:2000000",
-                                 "sim.duration=0.5"]).settings.sim
+                                 "sim.duration=0.5", *overrides]).settings.sim
     return run_closed_loop(runtime_network(np.random.default_rng(0)), cfg, seed=7)
 
 
@@ -121,6 +124,34 @@ class TestGolden:
         assert 0 < len(calls) <= 100  # 0.5 s of 5 ms render steps
 
 
+class TestFrameProducer:
+    """A static scene's frames from a forked producer equal the in-process ones."""
+
+    @pytest.mark.parametrize("overrides", [
+        [],
+        ["sim.rate_profile=0.05:0,0.1:2000000"],  # a phase without events
+        ["arena.moving_distractor=true"],
+        ["sim.corrupt_aps_prob=0.5"],
+        ["sim.light_gain=1.3"],
+    ])
+    def test_forked_log_equals_the_in_process_log(self, monkeypatch, push_pids, overrides):
+        logs = {}
+        for cpus in (2, 1):
+            monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
+            logs[cpus] = rate_test_runlog(overrides)
+            assert (os.getpid() in push_pids()) == (cpus == 1)
+        assert multiprocessing.active_children() == []
+        assert logs[2] == logs[1]
+        if not overrides:
+            assert hashlib.sha256(logs[2].encode()).hexdigest() == RATE_TEST_RUNLOG_SHA256
+
+    def test_a_chase_runs_in_process(self, monkeypatch, push_pids):
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+        run_closed_loop(runtime_network(np.random.default_rng(0)),
+                        RunnerConfig(duration=0.1), seed=0)
+        assert push_pids() == {os.getpid()}
+
+
 class TestWorldClock:
     @staticmethod
     def _world():
@@ -132,6 +163,44 @@ class TestWorldClock:
         assert world.cfg.render_every == 5
         assert [world.t_us for _ in world.run(13)] == [5000, 10000]
         assert world.t_us == 13_000
+
+    @pytest.mark.parametrize("scenario", ["chase", "rate_test"])
+    def test_a_clock_without_sensors_moves_the_scene_as_step_does(self, scenario):
+        # the moving distractor is what the laser and the ground truth read
+        worlds = [WorldSim(SimConfig(arena=ArenaConfig(moving_distractor=True),
+                                     scenario=scenario), 0,
+                           RobotState(x=3.0, y=3.0, heading=0.0),
+                           RobotState(x=6.0, y=3.0, heading=0.0)) for _ in range(2)]
+        sensed, clock = worlds[0].run(23), worlds[1].run(23, sense=False)
+        for batch, interval in zip(sensed, clock, strict=True):
+            assert interval == (worlds[1].t_us - 5000, worlds[1].t_us)
+            assert worlds[0].scene == worlds[1].scene
+            assert worlds[0].laser().ranges.tobytes() == worlds[1].laser().ranges.tobytes()
+            worlds[1].set_commands(VelocityCmd(1.0, 0.5), VelocityCmd(0.5, 0.0))
+            worlds[0].set_commands(VelocityCmd(1.0, 0.5), VelocityCmd(0.5, 0.0))
+        assert worlds[0].t_us == worlds[1].t_us == 23_000
+        moved = worlds[0].scene.moving_distractor.x != 4.0 + 1.6 * math.sin(0.9 * 0.005)
+        assert moved == (scenario == "chase")
+
+    @pytest.mark.parametrize("n_steps", [0, 4, 5, 23, 400])
+    def test_static_batches_are_the_batches_of_the_clock(self, n_steps):
+        # commands move the robots of one world only, after its one render
+        cfg = SimConfig(arena=ArenaConfig(moving_distractor=True), scenario="rate_test",
+                        rate_profile="0.05:0,0.1:2000000", corrupt_aps_prob=0.5)
+        worlds = [WorldSim(cfg, 0, RobotState(x=3.0, y=3.0, heading=0.3),
+                           RobotState(x=6.0, y=3.0, heading=0.0)) for _ in range(2)]
+        want = []
+        for batch in worlds[0].run(n_steps):
+            want.append(batch)
+            worlds[0].set_commands(VelocityCmd(1.0, 0.5), VelocityCmd(0.5, 0.0))
+        got = list(worlds[1].static_batches(n_steps))
+        assert len(got) == len(want) == n_steps // 5
+        assert any(len(batch.aps) for batch in want) == (n_steps == 400)
+        for a, b in zip(want, got):
+            assert a.events.tobytes() == b.events.tobytes()
+            assert a.aps_t == b.aps_t
+            assert [img.tobytes() for img in a.aps] == [img.tobytes() for img in b.aps]
+        assert worlds[0].scene.moving_distractor == worlds[1].scene.moving_distractor
 
     def test_a_command_set_after_a_yield_acts_from_the_next_step(self):
         world = self._world()
