@@ -32,7 +32,7 @@ import numpy as np
 
 from evsteer import __version__
 from evsteer.config import ConfigError, load_config, steps_for_duration
-from evsteer import evaluation, frames, wire
+from evsteer import evaluation, frames, wire, workers
 from evsteer.datagen import generate_recording
 # dvs_normalize and aps_normalize are unused here but stay bound: span
 # tracers that wrap them by their importers' names look them up on this module.
@@ -43,8 +43,8 @@ from evsteer.nnet import (AdamState, Decision, WeightFileError, Workspace,
                           adam_step, dump_activations, load_weights, op_count,
                           param_count, runtime_network, save_weights)
 from evsteer.runner import decision_step, parse_runlog, run_closed_loop
-from evsteer.workers import (LOST, WorkerLostError, _usable_cpus, answer,
-                             fork_context, forked, receive, unpack)
+from evsteer.workers import (LOST, WorkerLostError, answer, fork_context, forked,
+                             receive, unpack)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -104,7 +104,7 @@ def _ordered_map(fn, jobs):
     is raised in its turn, as map would, and a dead worker's
     WorkerLostError names the job it held.
     """
-    n_workers = min(len(jobs), _usable_cpus())
+    n_workers = min(len(jobs), workers.usable_cpus())
     context = fork_context() if n_workers > 1 else None
     if context is None:
         yield map(fn, jobs)

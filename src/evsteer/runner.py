@@ -10,14 +10,15 @@ processing cap; the loop logs both.
 
 A static scene's frames never depend on the robots' commands: its one render
 happens at the first render step, before any command is set, and its noise
-draws follow the clock alone. So where a second CPU is free,
-`run_closed_loop` forks a producer that runs the world's sensor side on its
-own copy of the world (leak and burst noise, the one render, APS capture and
-the frame stream) and sends each render step's frames down a pipe. This
-process keeps the clock with the sensors off, the laser, the ground truth,
-the decision chain and the log. The copy starts from the state this world
-has at the fork and draws from the same generators in the same order as an
-in-process run, so the run log is byte-identical either way.
+draws follow the clock alone. So where a second CPU is usable and the noise
+is busy enough to pay for it, `run_closed_loop` forks a producer that runs
+the world's sensor side on its own copy of the world (leak and burst noise,
+the one render, APS capture and the frame stream) and sends each render
+step's frames down a pipe. This process keeps the clock with the sensors
+off, the laser, the ground truth, the decision chain and the log. The copy
+starts from the state this world has at the fork and draws from the same
+generators in the same order as an in-process run, so the run log is
+byte-identical either way.
 
 The run log is the run's only record: `run_closed_loop` returns its text, and
 every count or score of a run is read back from it. `simulate` writes the log
@@ -43,6 +44,7 @@ import threading
 
 import numpy as np
 
+from evsteer import workers
 from evsteer.behavior import BehaviorController, Mode, VelocityCmd
 from evsteer.config import RunnerConfig, steps_for_duration
 from evsteer.decision import DecisionFilter
@@ -53,9 +55,14 @@ from evsteer.frames import (SOURCE_NAMES, FrameStream, aps_normalize, aps_resize
 from evsteer.nnet import Decision
 from evsteer.sim import RobotState, WorldSim, wrap_angle
 from evsteer.wire import SEQ_MOD, DecisionEncoder
-from evsteer.workers import _usable_cpus, answer, fork_context, forked, receive, unpack
+from evsteer.workers import answer, fork_context, forked, receive, unpack
 
 RUNLOG_MAGIC = "# evsteer-runlog v1"
+
+# noise events/s below which a static scene's frames are made in-process: on
+# 2 CPUs a 2 s run forked lost at 100k events/s, broke even at 200k-400k and
+# won from 800k on
+PRODUCER_MIN_RATE = 500_000
 
 
 class CirclePolicy:
@@ -169,24 +176,27 @@ def _send_frames(conn, steps):
 def _frame_steps(world, stream, n_steps):
     """Yields the frames of each render step of world.run(n_steps), one list per step.
 
-    A static scene's frames come from a forked producer where that can pay
-    and is safe: two usable CPUs, the "fork" start method and no other
-    running thread. The producer's copy of the world runs its sensors
-    (`WorldSim.static_batches`); this world keeps the clock, with its sensors
-    off. Anywhere else the frames come from this world's clock, in this process.
+    A static scene's frames come from a forked producer where that is safe
+    and its noise is busy enough to pay for the fork and the pipe: two usable
+    CPUs, the "fork" start method, no other running thread and at least
+    PRODUCER_MIN_RATE noise events per second. The producer runs a copy of
+    this world's clock with its sensors on; this world runs the same clock
+    with its sensors off. Anywhere else the frames come from this world's
+    clock, in this process.
     """
     context = None
-    if world.cfg.static_scene and _usable_cpus() >= 2 and threading.active_count() == 1:
+    if (world.cfg.static_scene and world.noise_rate() >= PRODUCER_MIN_RATE
+            and workers.usable_cpus() >= 2 and threading.active_count() == 1):
         context = fork_context()
+    steps = _sensed_frames(world.run(n_steps), stream)
     if context is None:
-        yield _sensed_frames(world.run(n_steps), stream)
+        yield steps
         return
 
     def received(conn):
         for _ in world.run(n_steps, sense=False):
             yield unpack(receive(conn, f"the frame producer's render step at {world.t_us} us"))
 
-    steps = _sensed_frames(world.static_batches(n_steps), stream)
     with forked(context, _send_frames, [(steps,)]) as (conn,):
         yield received(conn)
 

@@ -17,7 +17,6 @@ coupling). Everything is a pure function of (config, seed).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -670,13 +669,18 @@ class WorldSim:
             return self.rate_profile.per_pixel(t_s)
         return self.cfg.noise.leak_rate
 
+    def noise_rate(self):
+        """Leak-noise events per second, averaged over a rate profile's cycle."""
+        if self.rate_profile is not None:
+            return sum(d * r for d, r in self.rate_profile.phases) / self.rate_profile.cycle
+        return self.cfg.noise.leak_rate * SENSOR_WIDTH * SENSOR_HEIGHT
+
     def run(self, n_steps, sense=True):
         """Advance n_steps kinematics steps, yielding step() on each render step.
 
         With sense=False a render step only moves the scene as step() does
         and yields its render interval: a static scene's sensors, whose output
-        no command changes, can then run apart in a copy of this world
-        (`static_batches`).
+        no command changes, can then run apart in a copy of this world.
         A command set between yields acts from the next kinematics step on.
         The run ends at t_us = n_steps * timestep_us, on the render grid or not.
         """
@@ -687,19 +691,6 @@ class WorldSim:
             self.t_us += self.cfg.timestep_us
             if (self.t_us // self.cfg.timestep_us) % self.cfg.render_every == 0:
                 yield self.step() if sense else self._advance()
-
-    def static_batches(self, n_steps):
-        """The batches run(n_steps) yields in a static scene, commands or not.
-
-        Only the one render, at the first render step and before any command
-        can be set, reads the robots, so past it the clock runs on without
-        kinematics. It leaves t_us at the last render step.
-        """
-        yield from itertools.islice(self.run(n_steps), 1)
-        grid = self.cfg.timestep_us * self.cfg.render_every
-        for _ in range(n_steps // self.cfg.render_every - 1):
-            self.t_us += grid
-            yield self.step()
 
     def _advance(self):
         """Move the scene to t_us; returns the render interval (t0, t1]."""

@@ -21,7 +21,7 @@ import sys
 LOST = (EOFError, BrokenPipeError, ConnectionResetError)
 
 
-def _usable_cpus():
+def usable_cpus():
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evsteer
-from evsteer import cli, runner, sim, wire
+from evsteer import cli, runner, sim, wire, workers
 from evsteer.behavior import Mode
 from evsteer.cli import (EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
                          _sweep_capacities, main)
@@ -126,7 +126,7 @@ class TestGenDataPool:
     def _gen_data(monkeypatch, capsys, cpus, out, *settings, recordings=3):
         """Run gen-data as if `cpus` CPUs were usable; returns (exit, stdout,
         stderr, pid of each recording's generator)."""
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
         pid_log = out.parent / f"{out.name}.pids"
         generate = cli.generate_recording
 
@@ -174,8 +174,8 @@ class TestGenDataPool:
     # SIGKILLs the worker generating one seed; prints the children it leaves
     KILLED_WORKER_SCRIPT = """
 import multiprocessing, os, signal, sys
-from evsteer import cli
-cli._usable_cpus = lambda: 2
+from evsteer import cli, workers
+workers.usable_cpus = lambda: 2
 generate = cli.generate_recording
 
 def killing(gen, seed):
@@ -241,8 +241,8 @@ sys.exit(code)
     # children it leaves
     IDLE_KILL_SCRIPT = """
 import multiprocessing, os, signal, sys, time
-from evsteer import cli
-cli._usable_cpus = lambda: 2
+from evsteer import cli, workers
+workers.usable_cpus = lambda: 2
 generate = cli.generate_recording
 out = sys.argv[1]
 
@@ -298,7 +298,7 @@ class TestFrameProducer:
         """simulate(cpus, out, weights) runs 0.3 s of the flood as if `cpus`
         CPUs were usable; returns (exit, stdout without the log path, stderr)."""
         def run(cpus, out, weights):
-            monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
             argv = [*FLOOD, "simulate", "--weights", weights, "--seed", "7",
                     "--duration", "0.3", "--out", str(out)]
             code = main(argv)
@@ -343,8 +343,8 @@ class TestFrameProducer:
     # it runs in, the producer, at 0.1 s; prints the children it leaves
     KILLED_PRODUCER_SCRIPT = """
 import multiprocessing, os, signal, sys
-from evsteer import cli, runner, sim
-runner._usable_cpus = lambda: 2
+from evsteer import cli, sim, workers
+workers.usable_cpus = lambda: 2
 parent, leak = os.getpid(), sim.leak_events
 
 def killing(rng, rate, t0, t1, *args):
@@ -953,7 +953,7 @@ class TestServeSim:
     def test_a_live_static_scene_runs_in_process_with_the_simulated_decisions(
             self, tmp_path, weights, monkeypatch, capsys):
         # serve --sim runs threads, so its closed loop forks no producer
-        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
         argv = [*FLOOD, "simulate", "--weights", weights, "--seed", "3", "--duration",
                 "0.3", "--out", str(tmp_path / "sim")]
         assert main(argv) == EXIT_OK

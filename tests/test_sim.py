@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from evsteer import runner
+from evsteer import workers
 from evsteer.behavior import VelocityCmd
 from evsteer.config import ConfigError, load_config
 from evsteer.datagen import DatagenConfig, generate_recording
@@ -137,7 +137,7 @@ class TestFrameProducer:
     def test_forked_log_equals_the_in_process_log(self, monkeypatch, push_pids, overrides):
         logs = {}
         for cpus in (2, 1):
-            monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
             logs[cpus] = rate_test_runlog(overrides)
             assert (os.getpid() in push_pids()) == (cpus == 1)
         assert multiprocessing.active_children() == []
@@ -146,10 +146,33 @@ class TestFrameProducer:
             assert hashlib.sha256(logs[2].encode()).hexdigest() == RATE_TEST_RUNLOG_SHA256
 
     def test_a_chase_runs_in_process(self, monkeypatch, push_pids):
-        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
         run_closed_loop(runtime_network(np.random.default_rng(0)),
                         RunnerConfig(duration=0.1), seed=0)
         assert push_pids() == {os.getpid()}
+
+    @pytest.mark.parametrize("overrides", [
+        [],  # the default leak noise
+        ["sim.rate_profile=1:400000"],
+        ["sim.rate_profile=1:0,1:800000"],
+    ])
+    def test_a_quiet_static_scene_runs_in_process(self, monkeypatch, push_pids, overrides):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+        cfg = load_config(overrides=["sim.scenario=rate_test", "sim.duration=0.2",
+                                     *overrides]).settings.sim
+        run_closed_loop(runtime_network(np.random.default_rng(0)), cfg, seed=7)
+        assert push_pids() == {os.getpid()}
+
+    @pytest.mark.parametrize("overrides, rate", [
+        ([], 0.1 * 240 * 180),
+        (["sim.rate_profile=1:0,3:2000000"], 1_500_000),
+        (["sim.rate_profile=0.05:0,0.1:2000000"], 2_000_000 * 2 / 3),
+    ])
+    def test_the_noise_rate_is_the_mean_over_a_profile_cycle(self, overrides, rate):
+        cfg = load_config(overrides=["sim.scenario=rate_test", *overrides]).settings.sim.sim
+        world = WorldSim(cfg, 0, RobotState(x=3.0, y=3.0, heading=0.0),
+                         RobotState(x=6.0, y=3.0, heading=0.0))
+        assert world.noise_rate() == pytest.approx(rate)
 
 
 class TestWorldClock:
@@ -181,26 +204,6 @@ class TestWorldClock:
         assert worlds[0].t_us == worlds[1].t_us == 23_000
         moved = worlds[0].scene.moving_distractor.x != 4.0 + 1.6 * math.sin(0.9 * 0.005)
         assert moved == (scenario == "chase")
-
-    @pytest.mark.parametrize("n_steps", [0, 4, 5, 23, 400])
-    def test_static_batches_are_the_batches_of_the_clock(self, n_steps):
-        # commands move the robots of one world only, after its one render
-        cfg = SimConfig(arena=ArenaConfig(moving_distractor=True), scenario="rate_test",
-                        rate_profile="0.05:0,0.1:2000000", corrupt_aps_prob=0.5)
-        worlds = [WorldSim(cfg, 0, RobotState(x=3.0, y=3.0, heading=0.3),
-                           RobotState(x=6.0, y=3.0, heading=0.0)) for _ in range(2)]
-        want = []
-        for batch in worlds[0].run(n_steps):
-            want.append(batch)
-            worlds[0].set_commands(VelocityCmd(1.0, 0.5), VelocityCmd(0.5, 0.0))
-        got = list(worlds[1].static_batches(n_steps))
-        assert len(got) == len(want) == n_steps // 5
-        assert any(len(batch.aps) for batch in want) == (n_steps == 400)
-        for a, b in zip(want, got):
-            assert a.events.tobytes() == b.events.tobytes()
-            assert a.aps_t == b.aps_t
-            assert [img.tobytes() for img in a.aps] == [img.tobytes() for img in b.aps]
-        assert worlds[0].scene.moving_distractor == worlds[1].scene.moving_distractor
 
     def test_a_command_set_after_a_yield_acts_from_the_next_step(self):
         world = self._world()
