@@ -10,13 +10,12 @@ no wall-clock timestamps, so reruns with the same seed are byte-identical.
 gen-data generates its recordings with up to one worker process per usable
 CPU. Each recording is a pure function of (gen config, seed), and the command
 takes them back in seed order, so its stdout and output files equal those of
-a serial run. Each worker has a pipe of its own and holds at most one job, so
-EOF on that pipe names the one job its death lost; a worker that dies holding
-no job loses nothing. The pool shares its plumbing (`evsteer.workers`) with
-the frame producer that a static scene's `simulate` forks: the usable-CPU
-count, answers as (ok, value) pairs, the stdio flush before a fork, the lazy
-import of multiprocessing, and the terminate and join of every worker when
-its block ends.
+a serial run. Worker k of n makes the fixed slice of seeds k, k + n, ... and
+streams them down a pipe of its own, so EOF on the pipe the parent is
+reading names the one seed a worker's death lost; a worker that dies after
+its last recording came back loses nothing. The pool and the frame producer
+that a static scene's `simulate` forks run the one worker loop of
+`evsteer.workers`, which also decides when a fork is safe.
 """
 
 from __future__ import annotations
@@ -43,8 +42,7 @@ from evsteer.nnet import (AdamState, Decision, WeightFileError, Workspace,
                           adam_step, dump_activations, load_weights, op_count,
                           param_count, runtime_network, save_weights)
 from evsteer.runner import decision_step, parse_runlog, run_closed_loop
-from evsteer.workers import (LOST, WorkerLostError, answer, fork_context, forked,
-                             receive, unpack)
+from evsteer.workers import WorkerLostError, fork_context, forked, receive, unpack
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -87,54 +85,26 @@ def write_pgm(path, image):
 # ---------------------------------------------------------------------------
 
 
-def _answer_jobs(conn, fn):
-    """A gen-data worker's loop: answers each job sent down conn until the pipe closes."""
-    while True:
-        conn.send(answer(fn, conn.recv()))
-
-
 @contextlib.contextmanager
 def _ordered_map(fn, jobs):
     """fn over jobs on up to one worker per usable CPU; yields the results in job order.
 
-    With one worker, or where the "fork" start method does not exist, it is
-    the builtin map in this process. Otherwise each worker is forked once
-    (gen-data starts no thread before it) and the parent sends it one job
-    at a time, reading each answer as soon as it arrives. A job's exception
-    is raised in its turn, as map would, and a dead worker's
-    WorkerLostError names the job it held.
+    With one worker, or where `fork_context` finds no safe fork (gen-data
+    starts no thread before it), it is the builtin map in this process.
+    Otherwise worker k of n is forked once with the fixed slice jobs[k::n]
+    and streams its results in slice order, so the parent sends no jobs and
+    reads job i from worker i % n. A job's exception is raised in its turn,
+    as map would, and its worker computes nothing after it; a dead worker's
+    WorkerLostError names the job the parent was waiting for.
     """
     n_workers = min(len(jobs), workers.usable_cpus())
     context = fork_context() if n_workers > 1 else None
     if context is None:
         yield map(fn, jobs)
         return
-    from multiprocessing.connection import wait
-    todo = iter(enumerate(jobs))
-    held, done = {}, {}  # held: pipe -> its worker's job; done: job -> answer
-
-    def give(conn):
-        for i, job in todo:  # the next job, if one is left
-            held[conn] = i
-            try:
-                conn.send(job)
-            except LOST:
-                raise WorkerLostError(i) from None
-            return
-
-    def results():
-        for i in range(len(jobs)):
-            while i not in done:
-                for conn in wait(list(held)):
-                    j = held.pop(conn)
-                    done[j] = receive(conn, j)
-                    give(conn)
-            yield unpack(done.pop(i))
-
-    with forked(context, _answer_jobs, [(fn,)] * n_workers) as conns:
-        for conn in conns:
-            give(conn)
-        yield results()
+    slices = [map(fn, jobs[k::n_workers]) for k in range(n_workers)]
+    with forked(context, slices) as conns:
+        yield (unpack(receive(conns[i % n_workers], i)) for i in range(len(jobs)))
 
 
 def cmd_gen_data(args, cfg):
@@ -435,14 +405,18 @@ def cmd_serve(args, cfg):
             tx_thread.join(timeout=5.0)
         else:
             # file replay is an offline pump: send synchronously so every
-            # novel decision yields exactly one datagram. With no behaviour
-            # controller it gates in decision_step's default, Mode.CHASE.
+            # decision yields exactly one datagram, and a late frame none.
+            # With no behaviour controller it gates in decision_step's
+            # default, Mode.CHASE.
             decide = decision_step(net, run_cfg)
             events = frames.read_events(args.events)
             aps_t, aps_raw = frames.read_aps(args.aps) if args.aps else ((), ())
             stream = FrameStream(run_cfg.frames.capacity)
             for t, _, values, _ in stream.push(events, aps_t, aps_raw):
-                t_dec, _, _, datagram = decide(t, values)
+                decided = decide(t, values)
+                if decided is None:
+                    continue
+                t_dec, _, _, datagram = decided
                 decisions += 1
                 sent_stats.update(datagram.seq, t_dec)
                 endpoint.send(datagram.encode())

@@ -10,13 +10,14 @@ processing cap; the loop logs both.
 
 A static scene's frames never depend on the robots' commands: its one render
 happens at the first render step, before any command is set, and its noise
-draws follow the clock alone. So where a second CPU is usable and the noise
-is busy enough to pay for it, `run_closed_loop` forks a producer that runs
-the world's sensor side on its own copy of the world (leak and burst noise,
-the one render, APS capture and the frame stream) and sends each render
-step's frames down a pipe. This process keeps the clock with the sensors
-off, the laser, the ground truth, the decision chain and the log. The copy
-starts from the state this world has at the fork and draws from the same
+draws follow the clock alone. So where a second CPU is usable and the noise is
+busy enough to pay for it, `run_closed_loop` forks a producer: the one worker
+loop of `evsteer.workers`, as gen-data's workers are, whose items are the
+render steps of the world's sensor side on its own copy of the world (leak and
+burst noise, the one render, APS capture and the frame stream). It streams
+each render step's frames down its pipe. This process keeps the clock with the
+sensors off, the laser, the ground truth, the decision chain and the log. The
+copy starts from the state this world has at the fork and draws from the same
 generators in the same order as an in-process run, so the run log is
 byte-identical either way.
 
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import threading
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from evsteer.frames import (SOURCE_NAMES, FrameStream, aps_normalize, aps_resize
 from evsteer.nnet import Decision
 from evsteer.sim import RobotState, WorldSim, wrap_angle
 from evsteer.wire import SEQ_MOD, DecisionEncoder
-from evsteer.workers import answer, fork_context, forked, receive, unpack
+from evsteer.workers import fork_context, forked, receive, unpack
 
 RUNLOG_MAGIC = "# evsteer-runlog v1"
 
@@ -141,13 +141,17 @@ def decision_step(net, cfg: RunnerConfig):
     """One run's frame-to-datagram chain: predict, the gate, the low-pass, the encoder.
 
     Returns step(t_frame, values, mode=Mode.CHASE) -> (t_dec, raw, filtered,
-    datagram). The closed loop gates in the behaviour's mode; the file
-    replay, which has no behaviour controller, in the default.
+    datagram), or None for a frame the encoder calls late: that frame is
+    dropped before `predict`, so no decision lags its frame by more than one
+    processing interval. The closed loop gates in the behaviour's mode; the
+    file replay, which has no behaviour controller, in the default.
     """
     filt = DecisionFilter(cfg.filter)
     encoder = DecisionEncoder(cfg.wire.rate_cap_hz)
 
     def step(t_frame, values, mode=Mode.CHASE):
+        if encoder.is_late(t_frame):
+            return None
         raw = net.predict(values)
         filtered = filt.update(raw, mode)
         t_dec, datagram = encoder.offer(filtered, t_frame)
@@ -163,30 +167,20 @@ def _sensed_frames(batches, stream):
         yield stream.push(batch.events, batch.aps_t, aps_raw)
 
 
-def _send_frames(conn, steps):
-    """A frame producer's loop: each step's frames down conn as an answer,
-    until a step raises or the steps end."""
-    ok = True
-    while ok:
-        ok, frames_done = answer(next, steps)
-        conn.send((ok, frames_done))
-
-
 @contextlib.contextmanager
 def _frame_steps(world, stream, n_steps):
     """Yields the frames of each render step of world.run(n_steps), one list per step.
 
-    A static scene's frames come from a forked producer where that is safe
-    and its noise is busy enough to pay for the fork and the pipe: two usable
-    CPUs, the "fork" start method, no other running thread and at least
-    PRODUCER_MIN_RATE noise events per second. The producer runs a copy of
-    this world's clock with its sensors on; this world runs the same clock
-    with its sensors off. Anywhere else the frames come from this world's
-    clock, in this process.
+    A static scene's frames come from a forked producer where `fork_context`
+    finds a fork safe and the noise is busy enough to pay for the fork and
+    the pipe: two usable CPUs and at least PRODUCER_MIN_RATE noise events
+    per second. The producer runs a copy of this world's clock with its
+    sensors on; this world runs the same clock with its sensors off.
+    Anywhere else the frames come from this world's clock, in this process.
     """
     context = None
     if (world.cfg.static_scene and world.noise_rate() >= PRODUCER_MIN_RATE
-            and workers.usable_cpus() >= 2 and threading.active_count() == 1):
+            and workers.usable_cpus() >= 2):
         context = fork_context()
     steps = _sensed_frames(world.run(n_steps), stream)
     if context is None:
@@ -197,7 +191,7 @@ def _frame_steps(world, stream, n_steps):
         for _ in world.run(n_steps, sense=False):
             yield unpack(receive(conn, f"the frame producer's render step at {world.t_us} us"))
 
-    with forked(context, _send_frames, [(steps,)]) as (conn,):
+    with forked(context, [steps]) as (conn,):
         yield received(conn)
 
 
@@ -223,15 +217,19 @@ def run_closed_loop(net, cfg: RunnerConfig, seed: int,
     predator_cmd = VelocityCmd(0.0, 0.0)
     with _frame_steps(world, FrameStream(cfg.frames.capacity), n_steps) as steps:
         for frames_done in steps:
-            if frames_done:
-                # the world stands still until the commands below, so one
-                # ground truth and one laser scan serve every frame of the step
-                target = world.ground_truth()
-                label = label_from_target(target)
-                scan = world.laser()
+            scan = None
             for t_frame, source, values, _ in frames_done:
                 mode = behavior.mode
-                t_dec, raw, filtered, datagram = decide(t_frame, values, mode)
+                decided = decide(t_frame, values, mode)
+                if decided is None:
+                    continue
+                t_dec, raw, filtered, datagram = decided
+                if scan is None:
+                    # the world stands still until the commands below, so one
+                    # ground truth and one laser scan serve every decided frame
+                    target = world.ground_truth()
+                    label = label_from_target(target)
+                    scan = world.laser()
                 predator_cmd = behavior.step(filtered, scan, now=t_dec / 1e6)
                 lines.append(f"DEC {t_dec} {SOURCE_NAMES[source]} {raw.name} {filtered.name}")
                 lines.append(f"GT {t_dec} {'N' if target is None else target} {label.name}")

@@ -116,14 +116,22 @@ class LinkStats:
 class DecisionEncoder:
     """Stamps decisions with sequence numbers and the 240 Hz pacing cap.
 
-    One datagram per (novel) decision; emission timestamps never come closer
-    than the processing interval, late decisions are deferred, not dropped.
+    One datagram per offered decision; emission timestamps never come closer
+    than the processing interval, so a decision offered less than one
+    interval after the last emission is deferred to that interval's end. A
+    frame stamped before the last emission is late (`is_late`): its decision
+    is dropped, never offered, so no decision lags its frame by more than
+    min_interval_us.
     """
 
     def __init__(self, rate_cap_hz: float = PROCESSING_RATE_HZ):
         self.next_seq = 0  # wraps at SEQ_MOD
         self.min_interval_us = round(1_000_000 / rate_cap_hz)
         self._last_t_us: int | None = None
+
+    def is_late(self, t_us: int) -> bool:
+        """Whether a frame stamped t_us came before the last emission."""
+        return self._last_t_us is not None and t_us < self._last_t_us
 
     def offer(self, decision: Decision, t_us: int):
         if self._last_t_us is not None:
@@ -134,7 +142,12 @@ class DecisionEncoder:
 
 
 class Mailbox:
-    """Single-slot latest-value handoff; put overwrites, take blocks."""
+    """Single-slot latest-value handoff; put overwrites, take blocks.
+
+    Its drop policy is the encoder's: what would only arrive late is
+    dropped, not queued. A value the sender has not taken yet is
+    overwritten by the next, as a late frame gets no decision.
+    """
 
     def __init__(self):
         self._cond = threading.Condition()

@@ -1,10 +1,12 @@
-"""Forked worker processes: the plumbing that gen-data's pool
+"""Forked worker processes: the one worker loop that gen-data's pool
 (`cli._ordered_map`) and a static scene's frame producer (`runner`) share.
 
-A worker is forked, so what it runs is not pickled, and it talks to the
-parent over a pipe of its own. It sends answers as (ok, value) pairs: a false
-ok carries the exception, which `unpack` raises in the parent with its class
-and message. Only the worker holds the other end of its pipe, so EOF on it
+A worker is forked with an iterator of items, so what it runs is not
+pickled, and streams their answers to the parent over a pipe of its own, in
+order, without being asked: the parent sends a worker nothing. An answer is
+an (ok, value) pair: a false ok carries the exception, which `unpack` raises
+in the parent with its class and message, and the worker computes nothing
+after it. Only the worker holds the other end of its pipe, so EOF on it
 means the worker died, and `receive` raises WorkerLostError instead of
 waiting forever. No worker outlives the block of `forked`, whether the block
 ends in success or in an exception. Ctrl-C is the parent's to handle: a
@@ -16,9 +18,7 @@ from __future__ import annotations
 import contextlib
 import os
 import sys
-
-# what the parent's end of a dead worker's pipe raises
-LOST = (EOFError, BrokenPipeError, ConnectionResetError)
+import threading
 
 
 def usable_cpus():
@@ -36,20 +36,15 @@ class WorkerLostError(RuntimeError):
 
 
 def fork_context():
-    """The multiprocessing context of the "fork" start method, or None where
-    that method does not exist."""
+    """The multiprocessing context of the "fork" start method where a fork is
+    safe, or None: where that method does not exist, or while another thread
+    runs, whose locks the child would inherit in whatever state they are."""
+    if threading.active_count() != 1:
+        return None
     import multiprocessing  # only here: its import would add to every cold start
     if "fork" not in multiprocessing.get_all_start_methods():
         return None
     return multiprocessing.get_context("fork")
-
-
-def answer(fn, *args):
-    """fn(*args) as an answer: (True, its result) or (False, its exception)."""
-    try:
-        return True, fn(*args)
-    except Exception as exc:  # noqa: BLE001 - re-raised in the parent
-        return False, exc
 
 
 def unpack(reply):
@@ -64,31 +59,38 @@ def receive(conn, job):
     """The next answer on conn; WorkerLostError(job) when its worker died."""
     try:
         return conn.recv()
-    except LOST:
+    except (EOFError, ConnectionResetError):  # what a dead worker's pipe raises
         raise WorkerLostError(job) from None
 
 
-def _serve(target, conn, *args):
-    """A worker's body: target(conn, *args) until it returns or the pipe closes."""
+def _serve(conn, items):
+    """A worker's body: the answer to each next item down conn, until an item
+    raises, the items end or the pipe closes."""
     import signal  # only in a worker: a cold start would pay for it
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    with contextlib.suppress(EOFError, OSError):
-        target(conn, *args)
+    ok = True
+    with contextlib.suppress(OSError):
+        while ok:
+            try:
+                value = next(items)
+            except Exception as exc:  # noqa: BLE001 - re-raised in the parent
+                ok, value = False, exc
+            conn.send((ok, value))
 
 
 @contextlib.contextmanager
-def forked(context, target, args_list):
-    """One worker per tuple in args_list, forked from context, each running
-    target(conn, *args) on a pipe of its own; yields the parent's ends in
+def forked(context, streams):
+    """One worker per iterator in streams, forked from context, each sending
+    its items' answers down a pipe of its own; yields the parent's ends in
     order. Every worker is terminated and joined when the block ends."""
     # a forked worker flushes the stdio buffers it inherits when it exits
     sys.stdout.flush()
     sys.stderr.flush()
     workers = []
     try:
-        for args in args_list:
+        for items in streams:
             conn, child = context.Pipe()
-            worker = context.Process(target=_serve, args=(target, child, *args))
+            worker = context.Process(target=_serve, args=(child, items))
             worker.start()
             workers.append((worker, conn))
             child.close()

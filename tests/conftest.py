@@ -1,7 +1,20 @@
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left():
+    """Fails every test after which a forked worker is still running, and
+    ends those workers so that the next test starts without them."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join()
+    assert left == []
 
 
 @pytest.fixture

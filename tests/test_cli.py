@@ -426,6 +426,24 @@ class TestServeReplay:
         assert main(argv) == EXIT_OK
         assert [wire.decode_decision(p).direction for p in sent] == REAPPEARANCE
 
+    def test_a_late_frame_sends_nothing(self, tmp_path, monkeypatch, capsys):
+        # twelve DVS frames 1 ms apart against the 240 Hz cap: frames 0, 1, 5
+        # and 9 come at or after the last emission, the others before it
+        events = np.zeros(5000 * 12, dtype=EVENT_DTYPE)
+        events["t"] = np.arange(len(events)) // 5
+        write_events(tmp_path / "rec.events", events)
+        net = ScriptedNet([Decision.C] * 12)
+        monkeypatch.setattr("evsteer.cli.load_weights", lambda path: net)
+        sent = []
+        monkeypatch.setattr(wire.UdpEndpoint, "send",
+                            lambda self, payload: sent.append(payload) or True)
+        argv = ["serve", "--weights", "unused", "--events", str(tmp_path / "rec.events"),
+                "--listen", "0"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.startswith("decisions 4,")
+        assert [wire.decode_decision(p).seq for p in sent] == [0, 1, 2, 3]
+        assert len(list(net.decisions)) == 8  # a late frame never reaches the CNN
+
     def test_the_same_script_while_rotating_discards_the_reappearance(self):
         cfg = RunnerConfig(filter=FilterConfig(alpha=1.0))
         decide = decision_step(ScriptedNet(REAPPEARANCE), cfg)

@@ -16,6 +16,7 @@ from evsteer.sim import (LASER_ANGLES, ArenaConfig, Camera, CameraConfig,
                          Distractor, EventSynth, RobotState, Scene, SimConfig,
                          WorldSim, _wall_distances, default_scene, leak_events,
                          render_camera, simulate_laser, wall_distance)
+from evsteer.wire import DecisionEncoder
 
 from oracles import float_sort_leak_events, per_circle_laser
 
@@ -48,9 +49,9 @@ RUNLOG_SHA256 = (
 RECORDING_SHA256 = (
     "dd38d6c2f37313b291bc344acf7f07734b6c60a5eed70059e7be594f48dff347")
 # run log of the overloaded rate_test scene, where one render batch yields
-# several frames, hashed while each frame took its own laser scan and ground truth
+# several frames, hashed once late frames were dropped before the CNN
 RATE_TEST_RUNLOG_SHA256 = (
-    "936f287ad737c2596b21c14cf578d0e64c6d45f4272c795590e807ad31b1cbee")
+    "0f15a02a066ed02190b2042e267b28c8959c28a09debf26dc5fdafc175e726bc")
 
 
 def _scene(light_gain):
@@ -122,6 +123,20 @@ class TestGolden:
         monkeypatch.setattr(WorldSim, "laser", lambda self: calls.append(1) or laser(self))
         rate_test_runlog()
         assert 0 < len(calls) <= 100  # 0.5 s of 5 ms render steps
+
+    def test_every_decision_lags_its_frame_by_at_most_one_interval(self, monkeypatch):
+        # the flood makes about 400 frames per second against the 240 Hz cap
+        lags, offer = [], DecisionEncoder.offer
+
+        def timed(self, decision, t_us):
+            t_dec, datagram = offer(self, decision, t_us)
+            lags.append(t_dec - t_us)
+            return t_dec, datagram
+
+        monkeypatch.setattr(DecisionEncoder, "offer", timed)
+        log = rate_test_runlog()
+        assert len(lags) == log.count("\nDEC ") > 100
+        assert max(lags) <= round(1e6 / 240)
 
 
 class TestFrameProducer:

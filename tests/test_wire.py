@@ -79,6 +79,13 @@ class TestEncoder:
         t1, _ = enc.offer(Decision.C, 100)  # only 0.1 ms later
         assert t1 - t0 >= round(1e6 / 240)
 
+    def test_only_a_frame_before_the_last_emission_is_late(self):
+        enc = DecisionEncoder(rate_cap_hz=240)
+        assert not enc.is_late(0)
+        enc.offer(Decision.C, 1000)
+        t1, _ = enc.offer(Decision.C, 1100)  # deferred to 1000 + 4167
+        assert (enc.is_late(t1 - 1), enc.is_late(t1)) == (True, False)
+
     def test_rate_never_exceeds_cap(self, rng):
         enc = DecisionEncoder(rate_cap_hz=240)
         ts = np.cumsum(rng.integers(0, 3000, 2000))
