@@ -44,15 +44,18 @@ class BehaviorConfig:
     wander_linear_factor: float = 0.5  # of max_linear
 
     def __post_init__(self):
-        if self.max_linear <= 0 or self.max_linear > 2.0:
+        if not 0 < self.max_linear <= 2.0:
             raise ValueError("max_linear must be in (0, 2] m/s")
         # the speed ramp runs from safety_distance up to slow_factor times it
-        if not self.safety_distance > 0:
-            raise ValueError("safety_distance must be positive")
-        if not self.slow_factor > 1:
-            raise ValueError("slow_factor must be greater than 1")
-        if not (0 <= self.chase_angular < math.inf and 0 <= self.rotate_angular < math.inf):
-            raise ValueError("chase_angular and rotate_angular must be finite and not negative")
+        if not 0 < self.safety_distance < math.inf:
+            raise ValueError("safety_distance must be finite and positive")
+        if not 1 < self.slow_factor < math.inf:
+            raise ValueError("slow_factor must be finite and greater than 1")
+        if not all(0 <= v < math.inf for v in (
+                self.chase_angular, self.rotate_angular, self.lost_timeout,
+                self.caught_pause, self.wander_interval, self.wander_linear_factor)):
+            raise ValueError("the angular rates, timers and wander_linear_factor must be "
+                             "finite and not negative")
         if not 0 < self.center_laser_fov <= 180:
             raise ValueError("center_laser_fov must be in (0, 180] deg")
 

@@ -7,6 +7,11 @@ artifact-producing command writes a manifest.json next to its outputs with
 the seed, the full config snapshot, and the produced paths; outputs contain
 no wall-clock timestamps, so reruns with the same seed are byte-identical.
 
+Every setting has one home, its config key. A flag that names one, such as
+`simulate --duration`, spells `--set sim.duration=...` and wins over --config
+and --set, so a manifest's config block holds the settings that ran: given
+back as --config with the same seed, it reruns the run.
+
 gen-data generates its recordings with up to one worker process per usable
 CPU. Each recording is a pure function of (gen config, seed), and the command
 takes them back in seed order, so its stdout and output files equal those of
@@ -109,10 +114,6 @@ def _ordered_map(fn, jobs):
 
 def cmd_gen_data(args, cfg):
     gen, frames_cfg = cfg.settings.gen, cfg.settings.sim.frames
-    n = gen.recordings if args.recordings is None else args.recordings
-    if n <= 0:
-        print("gen-data: need at least one recording seed", file=sys.stderr)
-        return EXIT_USAGE
     os.makedirs(args.out, exist_ok=True)
     seed_base = gen.seed_base
     outputs = []
@@ -120,7 +121,7 @@ def cmd_gen_data(args, cfg):
     try:
         # generate_recording is looked up per call, so a wrapper installed
         # on this module runs in the workers too
-        jobs = [(gen, seed_base + i) for i in range(n)]
+        jobs = [(gen, seed_base + i) for i in range(gen.recordings)]
         with _ordered_map(lambda job: generate_recording(*job), jobs) as recs:
             for i, rec in enumerate(recs):
                 prefix = os.path.join(args.out, f"rec{i:03d}")
@@ -145,7 +146,7 @@ def cmd_gen_data(args, cfg):
         for key in sorted(report):
             fh.write(f"{key}: {report[key]}\n")
     outputs += [train_path, test_path, report_path]
-    write_manifest(args.out, "gen-data", list(range(seed_base, seed_base + n)),
+    write_manifest(args.out, "gen-data", list(range(seed_base, seed_base + gen.recordings)),
                    cfg, outputs)
     print(f"train {len(train)} frames / test {len(test)} frames "
           f"(APS fraction {report['train_aps_fraction']:.3f})")
@@ -170,9 +171,7 @@ def cmd_train(args, cfg):
         if ds is not None and not len(ds):
             raise DataError(f"{path}: dataset has no frames to train or test on")
     tc = cfg.settings.train
-    iters = tc.iterations if args.iterations is None else args.iterations
-    seed = tc.seed if args.seed is None else args.seed
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(tc.seed)
     net = runtime_network(rng, dropout_rate=tc.dropout)
     state = AdamState.for_params(net.parameters(), lr=tc.lr)
     workspace = Workspace()  # every step's large arrays, the batch included
@@ -180,18 +179,18 @@ def cmd_train(args, cfg):
     y = train.labels.astype(np.int64)
     trace = ["iteration,loss,test_accuracy"]
     last_eval = ""
-    for it in range(1, iters + 1):
+    for it in range(1, tc.iterations + 1):
         idx = rng.integers(0, len(x), tc.batch)
         batch = x.take(idx, axis=0, mode="wrap",
                        out=workspace.array("batch", (len(idx),) + x.shape[1:], x.dtype))
         loss, grads = net.loss_and_backward(batch, y[idx], train=True, rng=rng,
                                             workspace=workspace)
         adam_step(net.parameters(), grads, state)
-        if it % tc.eval_every == 0 or it == iters:
+        if it % tc.eval_every == 0 or it == tc.iterations:
             acc = "" if test is None else f"{_dataset_accuracy(net, test):.4f}"
             trace.append(f"{it},{loss:.6f},{acc}")
             last_eval = f" test_acc {acc}" if acc else ""
-            print(f"iter {it}/{iters} loss {loss:.4f}{last_eval}")
+            print(f"iter {it}/{tc.iterations} loss {loss:.4f}{last_eval}")
         elif it == 1:
             trace.append(f"{it},{loss:.6f},")
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
@@ -200,7 +199,7 @@ def cmd_train(args, cfg):
     trace_path = args.trace or os.path.join(out_dir, "train_trace.csv")
     with open(trace_path, "w") as fh:
         fh.write("\n".join(trace) + "\n")
-    write_manifest(out_dir, "train", [seed], cfg, [args.out, trace_path])
+    write_manifest(out_dir, "train", [tc.seed], cfg, [args.out, trace_path])
     print(f"weights -> {args.out}")
     return EXIT_OK
 
@@ -317,8 +316,6 @@ def cmd_eval(args, cfg):
 
 def cmd_simulate(args, cfg):
     run_cfg = cfg.settings.sim
-    if args.duration is not None:
-        run_cfg.duration = args.duration
     # a dry run refuses the run lengths the run would
     steps_for_duration(run_cfg.duration, run_cfg.sim.timestep_us)
     if args.dry_run:
@@ -355,10 +352,7 @@ def cmd_simulate(args, cfg):
 def cmd_serve(args, cfg):
     net = load_weights(args.weights)
     run_cfg = cfg.settings.sim
-    if args.duration is not None:
-        run_cfg.duration = args.duration
-    peer = wire.parse_peer(args.peer or run_cfg.wire.peer)
-    listen = args.listen if args.listen is not None else run_cfg.wire.listen
+    peer, listen = wire.parse_peer(run_cfg.wire.peer), run_cfg.wire.listen
     try:
         endpoint = wire.UdpEndpoint(peer=peer, listen_port=listen)
     except OSError as exc:
@@ -492,17 +486,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
+    # a flag whose dest is a config key spells --set; main applies it last
     parser = _Parser(prog="evsteer",
                      description="event-driven steering pipeline at desk scale")
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--set", action="append", default=[], metavar="K=V",
-                        help="override a config key (repeatable, wins over file)")
+                        help="override a config key (repeatable, wins over file); "
+                        "a flag taking a KEY.NAME spells --set and wins over both")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate recordings and datasets, with up to "
                        "one worker per usable CPU; the output equals a serial run")
     p.add_argument("--out", required=True)
-    p.add_argument("--recordings", type=int, default=None)
+    p.add_argument("--recordings", dest="gen.recordings", type=int)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train the runtime network")
@@ -510,8 +506,8 @@ def build_parser():
     p.add_argument("--test")
     p.add_argument("--out", required=True, help="weight file path")
     p.add_argument("--trace", help="loss/accuracy csv path")
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--iterations", dest="train.iterations", type=int)
+    p.add_argument("--seed", dest="train.seed", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate weights on datasets or run logs")
@@ -529,7 +525,7 @@ def build_parser():
     p = sub.add_parser("simulate", help="closed-loop run with trained weights")
     p.add_argument("--weights", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--duration", type=float, default=None)
+    p.add_argument("--duration", dest="sim.duration", type=float)
     p.add_argument("--out", default="simout")
     p.add_argument("--dry-run", action="store_true")
     p.set_defaults(func=cmd_simulate)
@@ -542,9 +538,9 @@ def build_parser():
     feed.add_argument("--sim", action="store_true", help="live simulator feed")
     p.add_argument("--aps", help="recording APS file to interleave")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--duration", type=float, default=None)
-    p.add_argument("--peer")
-    p.add_argument("--listen", type=int, default=None)
+    p.add_argument("--duration", dest="sim.duration", type=float)
+    p.add_argument("--peer", dest="wire.peer")
+    p.add_argument("--listen", dest="wire.listen", type=int)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("saliency", help="guided-backprop map for one frame")
@@ -570,8 +566,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    settings = [f"{key}={value}" for key, value in vars(args).items()
+                if "." in key and value is not None]
     try:
-        cfg = load_config(args.config, args.set)
+        cfg = load_config(args.config, args.set + settings)
         return args.func(args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ from evsteer.behavior import BehaviorConfig
 from evsteer.decision import FilterConfig
 from evsteer.frames import DEFAULT_CAPACITY
 from evsteer.sim import SimConfig
-from evsteer.wire import PROCESSING_RATE_HZ
+from evsteer.wire import PROCESSING_RATE_HZ, parse_peer
 
 
 class ConfigError(Exception):
@@ -33,10 +33,8 @@ U32_MAX_US = 2**32 - 1  # event, APS, label and run-log stamps are u32 microseco
 
 
 def steps_for_duration(duration_s, timestep_us):
-    """Kinematics steps in a run; refuses runs whose u32 stamps would wrap,
-    and negative or non-finite durations."""
-    if not 0 <= duration_s < math.inf:
-        raise ConfigError(f"duration {duration_s} s must be finite and not negative")
+    """Kinematics steps in a run of a finite duration that is not negative
+    (its config checks that); refuses runs whose u32 stamps would wrap."""
     n_steps = int(round(duration_s * 1e6 / timestep_us))
     if n_steps * timestep_us > U32_MAX_US:
         raise ConfigError(f"duration {duration_s} s ends past {U32_MAX_US / 1e6} s, "
@@ -55,6 +53,8 @@ class FramesConfig:
     def __post_init__(self):
         if self.capacity < 1:
             raise ValueError("capacity must be positive")
+        if not 0 <= self.aps_target_fraction < 1:
+            raise ValueError("aps_target_fraction must be in [0, 1)")
 
 
 @dataclass
@@ -64,8 +64,11 @@ class WireConfig:
     listen: int = 9771  # serve: feedback port
 
     def __post_init__(self):
-        if self.rate_cap_hz <= 0:
-            raise ValueError("rate_cap_hz must be positive")
+        if not 0 < self.rate_cap_hz < math.inf:
+            raise ValueError("rate_cap_hz must be finite and positive")
+        if not 0 <= self.listen <= 65535:
+            raise ValueError("listen must be a port in 0..65535")
+        parse_peer(self.peer)
 
 
 @dataclass
@@ -88,6 +91,8 @@ class RunnerConfig:
         if not (0 <= self.prey_speed < math.inf and 0 < self.circle_radius < math.inf):
             raise ValueError("prey_speed must be finite and not negative, "
                              "circle_radius finite and positive")
+        if not 0 <= self.duration < math.inf:
+            raise ValueError(f"duration {self.duration} s must be finite and not negative")
 
 
 @dataclass
@@ -106,16 +111,18 @@ class DatagenConfig:
     light_max: float = 1.3
 
     def __post_init__(self):
-        if not self.duration > 0:
-            raise ValueError("duration must be positive")
+        if self.recordings < 1:
+            raise ValueError("recordings must be positive")
+        if not 0 < self.duration < math.inf:
+            raise ValueError("duration must be finite and positive")
         if self.seed_base < 0:
             raise ValueError("seed_base must not be negative")
-        if min(self.light_min, self.prey_speed_min, self.predator_speed_min) < 0:
-            raise ValueError("light_min, prey_speed_min and predator_speed_min "
-                             "must not be negative")
-        if (self.prey_speed_min > self.prey_speed_max or self.light_min > self.light_max
-                or self.predator_speed_min > self.predator_speed_max):
-            raise ValueError("each gen.*_min must not exceed its gen.*_max")
+        for lo, hi in ((self.prey_speed_min, self.prey_speed_max),
+                       (self.predator_speed_min, self.predator_speed_max),
+                       (self.light_min, self.light_max)):
+            if not 0 <= lo <= hi < math.inf:
+                raise ValueError("each gen.*_min must be finite, not negative and "
+                                 "not above its gen.*_max")
 
 
 @dataclass
@@ -128,8 +135,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch < 1 or self.eval_every < 1:
-            raise ValueError("batch and eval_every must be positive")
+        if self.iterations < 1 or self.batch < 1 or self.eval_every < 1:
+            raise ValueError("iterations, batch and eval_every must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must not be negative")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if not 0.0 < self.lr < math.inf:

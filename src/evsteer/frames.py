@@ -262,11 +262,10 @@ def _to_dataset(items):
     )
 
 
-DEFAULT_SHIFT_GRID = (0.15, -0.15, 0.30, -0.30)
+SHIFT_GRID = (0.15, -0.15, 0.30, -0.30)  # exposure shifts of the augmented APS copies
 
 
-def assemble_dataset(recordings, capacity=DEFAULT_CAPACITY,
-                     aps_target_fraction=0.45, shift_grid=DEFAULT_SHIFT_GRID):
+def assemble_dataset(recordings, capacity=DEFAULT_CAPACITY, aps_target_fraction=0.45):
     """Per-recording temporal 80/20 split plus APS exposure augmentation.
 
     The first 80% of each recording's frame stream goes to training, the rest
@@ -295,7 +294,7 @@ def assemble_dataset(recordings, capacity=DEFAULT_CAPACITY,
     target_aps = int(round(n_dvs * aps_target_fraction / (1.0 - aps_target_fraction)))
     for i in range(max(0, target_aps - n_aps)):
         t, source, _, label, x, raw = aps_items[i % len(aps_items)]
-        shifted = exposure_augment(raw, shift_grid[i % len(shift_grid)])
+        shifted = exposure_augment(raw, SHIFT_GRID[i % len(SHIFT_GRID)])
         train_items.append((t, source, aps_normalize(shifted), label, x, raw))
     train, test = _to_dataset(train_items), _to_dataset(test_items)
 

@@ -1,7 +1,7 @@
 """Dense tensor kernel and the runtime CNN.
 
 Everything here is hand-rolled on top of numpy arrays: valid convolutions via
-im2col, non-overlapping 2x2 max pooling, ReLU / sigmoid activations,
+im2col, non-overlapping 2x2 max pooling, ReLU activations,
 fully-connected layers, inverted dropout, softmax loss with analytic backprop,
 Adam updates, guided backpropagation saliency, and a line-oriented text
 weight format.
@@ -26,12 +26,11 @@ one training step at a time: the step updates its parameters in place.
 Every layer computes `forward(x, tape)` one way; a tape, passed only when
 something will run backward, records and never changes what a layer
 computes. It holds each activation once, and a layer's `backward` rebuilds
-what it needs from the layer's input and output: the ReLU gate from x, the
-sigmoid slope from y, the dense flattening from x. Three layers cache more:
-Conv its im2col matrix and MaxPool its gathered window phases, since
-gathering them again would cost as much as their forward pass, and Dropout
-its random mask. MaxPool's backward overwrites its phases with the routed
-gradient.
+what it needs from the layer's input and output: the ReLU gate and the
+dense flattening from x. Three layers cache more: Conv its im2col matrix and
+MaxPool its gathered window phases, since gathering them again would cost as
+much as their forward pass, and Dropout its random mask. MaxPool's backward
+overwrites its phases with the routed gradient.
 
 Conv and MaxPool work on long contiguous rows rather than loops over the
 few channels of a channels-last map: im2col gathers the patch matrix, and
@@ -374,16 +373,6 @@ class Relu(Layer):
         return np.multiply(dy, gate, out=dy)
 
 
-class Sigmoid(Layer):
-    kind = "sigmoid"
-
-    def forward(self, x, tape):
-        return 1.0 / (1.0 + np.exp(-x))
-
-    def backward(self, dy, x, y, cache, grads, workspace=None):
-        return dy * y * (1.0 - y)
-
-
 class Dense(Layer):
     """Fully connected layer; flattens map inputs in (row, col, map) order."""
 
@@ -641,10 +630,9 @@ class AdamState:
     lr: float = 1e-3
 
     @classmethod
-    def for_params(cls, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def for_params(cls, params, lr=1e-3):
         return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params],
-                   t=0, beta1=beta1, beta2=beta2, eps=eps, lr=lr)
+                   v=[np.zeros_like(p) for p in params], lr=lr)
 
 
 def adam_step(params, grads, state: AdamState):
@@ -769,8 +757,8 @@ def load_weights(path, dtype=np.float32) -> Network:
             if len(decl) != 2:
                 raise MalformedWeightFileError("dense declaration needs unit count")
             layer = Dense(*_decl_numbers(decl, int))
-        elif kind in ("maxpool", "relu", "sigmoid"):
-            layer = {"maxpool": MaxPool, "relu": Relu, "sigmoid": Sigmoid}[kind]()
+        elif kind in ("maxpool", "relu"):
+            layer = {"maxpool": MaxPool, "relu": Relu}[kind]()
         elif kind == "dropout":
             if len(decl) != 2:
                 raise MalformedWeightFileError("dropout declaration needs a rate")

@@ -66,38 +66,35 @@ PRODUCER_MIN_RATE = 500_000
 
 
 class CirclePolicy:
-    """Scripted orbit: P-control onto the tangent of a fixed circle."""
+    """Scripted counter-clockwise orbit: P-control onto the tangent of a fixed circle."""
 
-    def __init__(self, center, radius, speed, ccw=True):
+    def __init__(self, center, radius, speed):
         self.center = center
         self.radius = radius
         self.speed = speed
-        self.ccw = ccw
 
     def command(self, state: RobotState, t_s: float) -> VelocityCmd:
         cx, cy = self.center
         pos_ang = math.atan2(state.y - cy, state.x - cx)
         r_err = math.hypot(state.x - cx, state.y - cy) - self.radius
-        side = 1.0 if self.ccw else -1.0
-        desired = pos_ang + side * (math.pi / 2.0 + max(-0.8, min(0.8, 0.9 * r_err)))
+        desired = pos_ang + (math.pi / 2.0 + max(-0.8, min(0.8, 0.9 * r_err)))
         ang = max(-2.0, min(2.0, 2.5 * wrap_angle(desired - state.heading)))
         return VelocityCmd(self.speed, ang)
 
 
 class WaypointPolicy:
-    """Semi-random wall-avoiding wander: waypoints resampled every 3-6 s."""
+    """Wall-avoiding wander: waypoints 1 m inside the walls, resampled every 3-6 s."""
 
-    def __init__(self, rng, arena, speed, margin=1.0):
+    def __init__(self, rng, arena, speed):
         self.rng = rng
         self.arena = arena
         self.speed = speed
-        self.margin = margin
         self.waypoint = self._sample()
         self.next_resample = float(rng.uniform(3.0, 6.0))
 
     def _sample(self):
-        return (float(self.rng.uniform(self.margin, self.arena.width - self.margin)),
-                float(self.rng.uniform(self.margin, self.arena.depth - self.margin)))
+        return (float(self.rng.uniform(1.0, self.arena.width - 1.0)),
+                float(self.rng.uniform(1.0, self.arena.depth - 1.0)))
 
     def command(self, state: RobotState, t_s: float) -> VelocityCmd:
         if t_s >= self.next_resample or \

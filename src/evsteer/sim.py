@@ -42,8 +42,11 @@ class ArenaConfig:
     moving_distractor: bool = False
 
     def __post_init__(self):
-        if min(self.width, self.depth) < 2 * START_MARGIN:
-            raise ValueError(f"arena width and depth must be at least {2 * START_MARGIN} m")
+        if not all(2 * START_MARGIN <= v < math.inf for v in (self.width, self.depth)):
+            raise ValueError(f"arena width and depth must be finite and at least "
+                             f"{2 * START_MARGIN} m")
+        if not 0 < self.wall_height < math.inf:
+            raise ValueError("wall_height must be finite and positive")
 
 
 @dataclass
@@ -116,8 +119,7 @@ def wrap_angle(a):
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def kinematics_step(state: RobotState, dt: float, arena: ArenaConfig,
-                    radius: float = ROBOT_RADIUS) -> RobotState:
+def kinematics_step(state: RobotState, dt: float, arena: ArenaConfig) -> RobotState:
     """Integrate one step: turn first, then advance along the new heading.
 
     Wall contact clamps position (zero restitution), robots never exit.
@@ -125,8 +127,8 @@ def kinematics_step(state: RobotState, dt: float, arena: ArenaConfig,
     heading = wrap_angle(state.heading + state.angular * dt)
     x = state.x + state.linear * dt * math.cos(heading)
     y = state.y + state.linear * dt * math.sin(heading)
-    x = min(max(x, radius), arena.width - radius)
-    y = min(max(y, radius), arena.depth - radius)
+    x = min(max(x, ROBOT_RADIUS), arena.width - ROBOT_RADIUS)
+    y = min(max(y, ROBOT_RADIUS), arena.depth - ROBOT_RADIUS)
     return RobotState(x=x, y=y, heading=heading,
                       linear=state.linear, angular=state.angular)
 
@@ -395,11 +397,11 @@ def render_camera(scene: Scene, camera: Camera, pose):
     return img
 
 
-def corrupt_frame(img, rng, n_stripes=3):
-    """Blank horizontal stripes, mimicking dropped transfer bursts."""
+def corrupt_frame(img, rng):
+    """Three blank horizontal stripes, mimicking dropped transfer bursts."""
     out = img.copy()
     h = img.shape[0]
-    for _ in range(n_stripes):
+    for _ in range(3):
         top = int(rng.integers(0, h - 12))
         out[top:top + int(rng.integers(6, 14)), :] = 0.0
     return out
@@ -468,11 +470,10 @@ class EventSynth:
         return events.take(order)
 
 
-def leak_events(rng, rate_per_pixel: float, t0_us: int, t1_us: int,
-                width=SENSOR_WIDTH, height=SENSOR_HEIGHT):
+def leak_events(rng, rate_per_pixel: float, t0_us: int, t1_us: int):
     """Poisson reset-switch leakage: ON events at random addresses."""
     dt_s = (t1_us - t0_us) / 1e6
-    lam = rate_per_pixel * width * height * dt_s
+    lam = rate_per_pixel * SENSOR_WIDTH * SENSOR_HEIGHT * dt_s
     count = int(rng.poisson(lam))
     if count == 0:
         return np.zeros(0, dtype=EVENT_DTYPE)
@@ -482,22 +483,21 @@ def leak_events(rng, rate_per_pixel: float, t0_us: int, t1_us: int,
     # truncated sorted ones
     ts.sort()
     events["t"] = ts
-    events["x"] = rng.integers(0, width, count)
-    events["y"] = rng.integers(0, height, count)
+    events["x"] = rng.integers(0, SENSOR_WIDTH, count)
+    events["y"] = rng.integers(0, SENSOR_HEIGHT, count)
     events["polarity"] = 1
     return events
 
 
-def burst_events(rng, count: int, t_us: int,
-                 width=SENSOR_WIDTH, height=SENSOR_HEIGHT):
+def burst_events(rng, count: int, t_us: int):
     """Shutter-coupling burst: events concentrated in a few scan-line bands."""
     if count <= 0:
         return np.zeros(0, dtype=EVENT_DTYPE)
     n_bands = int(rng.integers(2, 6))
-    band_tops = rng.integers(0, height - 3, n_bands)
+    band_tops = rng.integers(0, SENSOR_HEIGHT - 3, n_bands)
     events = np.zeros(count, dtype=EVENT_DTYPE)
     events["t"] = t_us
-    events["x"] = rng.integers(0, width, count).astype(np.uint16)
+    events["x"] = rng.integers(0, SENSOR_WIDTH, count).astype(np.uint16)
     band = band_tops[rng.integers(0, n_bands, count)]
     events["y"] = (band + rng.integers(0, 3, count)).astype(np.uint16)
     events["polarity"] = rng.integers(0, 2, count).astype(np.uint8)

@@ -238,6 +238,6 @@ def sender_loop(mailbox: Mailbox, endpoint: UdpEndpoint):
 
 def parse_peer(text: str):
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"peer must be host:port, got {text!r}")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise ValueError(f"peer must be host:port with a port in 0..65535, got {text!r}")
     return host, int(port)

@@ -107,8 +107,6 @@ def naive_forward(net, frame):
             x = naive_maxpool(x)
         elif kind == "relu":
             x = np.maximum(x, 0.0)
-        elif kind == "sigmoid":
-            x = 1.0 / (1.0 + np.exp(-x))
         elif kind == "dense":
             x = naive_dense(x, layer.weights, layer.bias)
         elif kind == "dropout":
@@ -210,17 +208,17 @@ def per_circle_laser(scene, pose):
     return d
 
 
-def float_sort_leak_events(rng, rate_per_pixel, t0_us, t1_us, width=240, height=180):
+def float_sort_leak_events(rng, rate_per_pixel, t0_us, t1_us):
     """sim.leak_events with zeroed records and float stamps sorted first."""
     dt_s = (t1_us - t0_us) / 1e6
-    lam = rate_per_pixel * width * height * dt_s
+    lam = rate_per_pixel * 240 * 180 * dt_s
     count = int(rng.poisson(lam))
     if count == 0:
         return np.zeros(0, dtype=EVENT_DTYPE)
     events = np.zeros(count, dtype=EVENT_DTYPE)
     ts = t0_us + 1 + rng.random(count) * (t1_us - t0_us - 1)
     events["t"] = np.sort(ts).astype(np.uint32)
-    events["x"] = rng.integers(0, width, count).astype(np.uint16)
-    events["y"] = rng.integers(0, height, count).astype(np.uint16)
+    events["x"] = rng.integers(0, 240, count).astype(np.uint16)
+    events["y"] = rng.integers(0, 180, count).astype(np.uint16)
     events["polarity"] = 1
     return events

@@ -21,7 +21,7 @@ from evsteer import cli, runner, sim, wire, workers
 from evsteer.behavior import Mode
 from evsteer.cli import (EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
                          _sweep_capacities, main)
-from evsteer.config import KEYS
+from evsteer.config import KEYS, Config, ConfigError
 from evsteer.decision import FilterConfig
 from evsteer.evaluation import evaluate_records
 from evsteer.frames import (EVENT_DTYPE, Dataset, Recording, assemble_dataset,
@@ -71,6 +71,12 @@ class TestWeightFileExitCodes:
         assert main(argv) == EXIT_DATA
         assert "data error" in capsys.readouterr().err
 
+    def test_a_sigmoid_layer_is_data_error(self, tmp_path, weights, capsys):
+        path = tmp_path / "sigmoid.net"
+        path.write_text(Path(weights).read_text().replace("\nrelu\n", "\nsigmoid\n", 1))
+        assert main(["inspect-weights", "--weights", str(path)]) == EXIT_DATA
+        assert "unknown layer kind 'sigmoid'" in capsys.readouterr().err
+
 
 class TestDurationExitCodes:
     # u32 microsecond timestamps wrap after 4294.967295 s
@@ -116,9 +122,10 @@ def _dir_sha256(path):
 
 
 # _dir_sha256 of `--set gen.duration=0.5 gen-data --recordings 3` (seeds
-# 1000..1002, numpy 2.4, x86-64), hashed while gen-data ran its recordings
-# one after another in one process.
-GEN_DATA_SHA256 = "c0bcc1580a30d13314463ecff172a3fb3100ef4cbcf4970e9b9784f84fabc891"
+# 1000..1002, numpy 2.4, x86-64); every file but manifest.json was hashed
+# while gen-data ran its recordings one after another in one process, and
+# manifest.json was re-pinned once its config block recorded gen.recordings.
+GEN_DATA_SHA256 = "13bef55af5f1a2fb006ab3f6098b97de13099d19d820cd23ec3a50cb697fd550"
 
 
 class TestGenDataPool:
@@ -758,6 +765,17 @@ class TestConfigExitCodes:
         "behavior.chase_angular=-1",
         "train.lr=-1",
         "train.lr=nan",
+        "arena.width=nan",
+        "arena.depth=inf",
+        "arena.wall_height=nan",
+        "arena.wall_height=-1",
+        "wire.rate_cap_hz=nan",
+        "wire.rate_cap_hz=inf",
+        "wire.listen=65536",
+        "wire.peer=no-port",
+        "wire.peer=127.0.0.1:99999",  # sendto() refuses the port mid-run
+        "behavior.lost_timeout=nan",
+        "frames.aps_target_fraction=1",  # no DVS share left to divide by
     ])
     def test_bad_override_is_usage_error(self, weights, capsys, override):
         argv = ["--set", override, "simulate", "--weights", weights, "--dry-run"]
@@ -777,14 +795,32 @@ class TestConfigExitCodes:
         assert main(argv) == EXIT_USAGE
         assert "cannot read config" in capsys.readouterr().err
 
+    def test_no_numeric_key_takes_a_non_finite_or_negative_value(self):
+        numeric = [key for key, default in KEYS.items() if type(default) in (int, float)]
+        assert len(numeric) == 45
+        accepted = []
+        for key in numeric:
+            for value in ("nan", "inf", "-1"):
+                with contextlib.suppress(ConfigError):
+                    Config([(key, value)])
+                    accepted.append(f"{key}={value}")
+        assert accepted == []
+
+    def test_gen_data_without_recordings_is_usage_error(self, tmp_path, capsys):
+        argv = ["gen-data", "--recordings", "0", "--out", str(tmp_path / "gen")]
+        assert main(argv) == EXIT_USAGE
+        assert "recordings must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "gen").exists()
+
 
 # stdout of `simulate --dry-run` (the network line and every key = default)
 # and the sha256 of the sorted-key JSON of the manifest `config` block after
-# three overrides that coerce (1 -> 1.0, text profile, off -> False); both
-# hashed over the 52 keys left once behavior.center_vision_fov, which nothing
-# read, was deleted.
+# three overrides that coerce (1 -> 1.0, text profile, off -> False) and
+# `--duration 0.05`, which the block records as sim.duration; both hashed
+# over the 52 keys left once behavior.center_vision_fov, which nothing read,
+# was deleted.
 DRY_RUN_SHA256 = "a6ed892089114896c80e101d48e1d8b037822a17876d9bb0047d09576453e924"
-MANIFEST_CONFIG_SHA256 = "aedc53b579727b115f1dc58eb7d9ca3f3ee705a3433dc777695bdd4499a3437e"
+MANIFEST_CONFIG_SHA256 = "cf0cf19e9eb54cb4a47369d2f0110a1da7bfe52ad4d4f2726007dbece9ee4f34"
 
 
 class TestConfigSurface:
@@ -806,6 +842,54 @@ class TestConfigSurface:
         config = json.loads((tmp_path / "sim" / "manifest.json").read_text())["config"]
         assert len(config) == 52
         assert _sha256(json.dumps(config, sort_keys=True).encode()) == MANIFEST_CONFIG_SHA256
+
+
+def _manifest_config(out):
+    return json.loads((out / "manifest.json").read_text())["config"]
+
+
+class TestSettingFlags:
+    """A flag that names a config key spells --set, so the manifest records it."""
+
+    def test_a_flag_wins_over_set_which_wins_over_config(self, tmp_path, weights, capsys):
+        path = tmp_path / "c.cfg"
+        path.write_text("sim.duration = 0.1\nsim.light_gain = 0.9\narena.depth = 6.5\n")
+        argv = ["--config", str(path), "--set", "sim.duration=0.2", "--set",
+                "sim.light_gain=0.8", "simulate", "--weights", weights, "--duration",
+                "0.05", "--dry-run"]
+        assert main(argv) == EXIT_OK
+        dump = capsys.readouterr().out
+        for line in ("sim.duration = 0.05", "sim.light_gain = 0.8", "arena.depth = 6.5",
+                     "arena.width = 9.5"):
+            assert f"\n{line}\n" in dump
+
+    def test_simulate_reruns_from_its_manifest_config(self, tmp_path, weights):
+        argv = ["simulate", "--weights", weights, "--seed", "5"]
+        assert main([*argv, "--duration", "0.3", "--out", str(tmp_path / "a")]) == EXIT_OK
+        config = _manifest_config(tmp_path / "a")
+        assert config["sim.duration"] == 0.3
+        path = tmp_path / "ran.cfg"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in config.items()))
+        assert main(["--config", str(path), *argv, "--out", str(tmp_path / "b")]) == EXIT_OK
+        assert _manifest_config(tmp_path / "b") == config
+        assert (tmp_path / "b" / "run.log").read_bytes() == \
+            (tmp_path / "a" / "run.log").read_bytes()
+
+    def test_train_records_its_iterations_and_seed(self, tmp_path, generated_recordings):
+        _split(tmp_path, generated_recordings)
+        argv = ["train", "--dataset", str(tmp_path / "train.ds"), "--iterations", "3",
+                "--seed", "9", "--out", str(tmp_path / "train" / "w.net")]
+        assert main(argv) == EXIT_OK
+        manifest = json.loads((tmp_path / "train" / "manifest.json").read_text())
+        assert manifest["seeds"] == [9]
+        assert (manifest["config"]["train.iterations"], manifest["config"]["train.seed"]) \
+            == (3, 9)
+
+    def test_gen_data_records_its_recording_count(self, tmp_path):
+        argv = ["--set", "gen.duration=0.2", "gen-data", "--recordings", "2",
+                "--out", str(tmp_path / "gen")]
+        assert main(argv) == EXIT_OK
+        assert _manifest_config(tmp_path / "gen")["gen.recordings"] == 2
 
 
 # sha256 of the three outputs of `simulate --seed 3 --duration 1` with the

@@ -251,5 +251,6 @@ class TestUdp:
 
 def test_parse_peer():
     assert wire.parse_peer("127.0.0.1:9770") == ("127.0.0.1", 9770)
-    with pytest.raises(ValueError):
-        wire.parse_peer("no-port")
+    for bad in ("no-port", "127.0.0.1:65536"):
+        with pytest.raises(ValueError):
+            wire.parse_peer(bad)
