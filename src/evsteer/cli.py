@@ -18,9 +18,10 @@ takes them back in seed order, so its stdout and output files equal those of
 a serial run. Worker k of n makes the fixed slice of seeds k, k + n, ... and
 streams them down a pipe of its own, so EOF on the pipe the parent is
 reading names the one seed a worker's death lost; a worker that dies after
-its last recording came back loses nothing. The pool and the frame producer
-that a static scene's `simulate` forks run the one worker loop of
-`evsteer.workers`, which also decides when a fork is safe.
+its last recording came back loses nothing. The pool, the frame producer
+that a static scene's `simulate` forks and the renderer that a chase's forks
+run the one worker loop of `evsteer.workers`, which also decides when a fork
+is safe.
 """
 
 from __future__ import annotations

@@ -21,6 +21,39 @@ copy starts from the state this world has at the fork and draws from the same
 generators in the same order as an in-process run, so the run log is
 byte-identical either way.
 
+A chase's frames depend on the commands, but its renders are pure in a few
+floats, and the predator's command seldom changes between render steps. So
+where a second CPU is usable and the processor keeps stores in order
+(STORES_IN_ORDER), `run_closed_loop` forks a renderer, again on the worker
+loop of `evsteer.workers`. On its own copy of the world and the prey
+policy it runs the clock with the sensors off, guesses the predator's pose
+from the last command it was sent, and renders each step ahead of the loop
+into a slot of a ring of RING_SLOTS images in an anonymous shared mapping.
+It writes a slot's key after its image: the render step and the exact floats
+`render_camera` reads (predator x, y and heading, prey x and y, moving
+distractor x). Last it publishes (epoch << 32) | step in one aligned word,
+the epoch being the number of commands it has applied.
+- **Exact keys.** The loop uses slot j % RING_SLOTS at render step j only
+  where the slot's key equals its own world's, byte for byte; otherwise it
+  renders in-process. So the run log is byte-identical whatever the renderer
+  does, and a step whose image is ready costs no pipe message and no pickle,
+  only a semaphore release.
+- **Commands.** The loop sends (step, pose, command) down the pipe only where
+  the predator's command changed after that step; the renderer then rewinds
+  its predator to that pose and integrates it up to its own step.
+- **Waiting.** The loop waits, on a semaphore, only for the step the renderer
+  is rendering now on the current command: the one after its last published
+  step, in the epoch of every command sent. A step the renderer has not
+  started the loop renders itself, and the renderer skips the steps the
+  loop has passed.
+- **Slot lifetime.** The loop gives slot j back through a token semaphore
+  when it starts step j + 1, so an image from the ring is only valid within
+  its step: `EventSynth.update` and `aps_resize` consume it there, and the
+  loop gets it as a read-only view.
+A dead renderer raises WorkerLostError, at the latest when the run ends, and
+a renderer whose loop died reads EOF on its pipe, within _POLL_S where it
+waits for a slot, and ends.
+
 The run log is the run's only record: `run_closed_loop` returns its text, and
 every count or score of a run is read back from it. `simulate` writes the log
 and reports on it through the same function as `eval --runlog`, so the two
@@ -39,8 +72,12 @@ Run logs are line-oriented text, one record per line:
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import math
+import mmap
+import platform
+import struct
 
 import numpy as np
 
@@ -50,19 +87,25 @@ from evsteer.config import RunnerConfig, steps_for_duration
 from evsteer.decision import DecisionFilter
 # dvs_normalize and aps_normalize are unused here but stay bound: span
 # tracers that wrap them by their importers' names look them up on this module.
-from evsteer.frames import (SOURCE_NAMES, FrameStream, aps_normalize, aps_resize,
-                            dvs_normalize, label_from_target)
+from evsteer.frames import (SENSOR_HEIGHT, SENSOR_WIDTH, SOURCE_NAMES, FrameStream,
+                            aps_normalize, aps_resize, dvs_normalize, label_from_target)
 from evsteer.nnet import Decision
-from evsteer.sim import RobotState, WorldSim, wrap_angle
+from evsteer.sim import RobotState, WorldSim, kinematics_step, wrap_angle
 from evsteer.wire import SEQ_MOD, DecisionEncoder
-from evsteer.workers import fork_context, forked, receive, unpack
+from evsteer.workers import fork_context, forked, receive, send, unpack
 
 RUNLOG_MAGIC = "# evsteer-runlog v1"
 
 # noise events/s below which a static scene's frames are made in-process: on
-# 2 CPUs a 2 s run forked lost at 100k events/s, broke even at 200k-400k and
-# won from 800k on
+# 2 CPUs a 2 s run forked lost at 100k events/s, broke even between 200k and
+# 400k and won 10 of 10 alternations at 400k, by a quarter of the run time
 PRODUCER_MIN_RATE = 500_000
+
+# images a chase's forked renderer may render ahead of the loop
+RING_SLOTS = 3
+# the ring's reader relies on seeing the renderer's stores in the order it
+# made them, which x86 processors guarantee and weakly ordered ones do not
+STORES_IN_ORDER = platform.machine() in ("x86_64", "AMD64", "i386", "i686")
 
 
 class CirclePolicy:
@@ -164,32 +207,153 @@ def _sensed_frames(batches, stream):
         yield stream.push(batch.events, batch.aps_t, aps_raw)
 
 
+class _RenderRing:
+    """The shared image ring of a chase's forked renderer (see the module
+    docstring). The mapping holds two words, the renderer's last published
+    (epoch << 32) | step and the step the loop is in, then one key per slot
+    at _KEYS, then one image per slot at _IMAGES."""
+
+    _KEY = struct.Struct("q6d")
+    _KEYS = 16
+    _IMAGES = mmap.PAGESIZE
+    _STEP = (1 << 32) - 1  # the step bits of a published word
+    _POLL_S = 0.1  # how often a waiting process looks whether the other died
+
+    def __init__(self, context, world):
+        self.world = world
+        self.step_us = world.cfg.timestep_us * world.cfg.render_every
+        shape = (RING_SLOTS, SENSOR_HEIGHT, SENSOR_WIDTH)
+        self.buf = mmap.mmap(-1, self._IMAGES + 4 * math.prod(shape))
+        self.words = memoryview(self.buf)[:self._KEYS].cast("q")
+        self.words[0] = -1  # no step published: the first step renders here
+        self.images = np.frombuffer(self.buf, np.float32, offset=self._IMAGES).reshape(shape)
+        self.views = self.images.view()
+        self.views.flags.writeable = False
+        self.free = context.Semaphore(RING_SLOTS)  # slots the loop gave back
+        self.ready = context.Semaphore(0)  # one release per published image
+        self.conn = None  # the loop's end of the renderer's pipe
+        predator = world.predator
+        self.pose = predator.pose  # the loop's predator at its last render step
+        self.command = (predator.linear, predator.angular)  # the last one sent
+        self.sent = 0
+
+    def _key(self, step):
+        world = self.world
+        predator, prey = world.predator, world.scene.prey
+        moving = world.scene.moving_distractor
+        return self._KEY.pack(step, *predator.pose, prey.x, prey.y,
+                              0.0 if moving is None else moving.x)
+
+    def _key_bytes(self, step):
+        """Where the key of step's slot lies in the mapping."""
+        start = self._KEYS + step % RING_SLOTS * self._KEY.size
+        return slice(start, start + self._KEY.size)
+
+    def image(self):
+        """The loop's world.render: the ring's image of this step where its
+        key matches, else an in-process render."""
+        world, predator = self.world, self.world.predator
+        step = world.t_us // self.step_us
+        command = (predator.linear, predator.angular)
+        if command != self.command:
+            send(self.conn, (step - 1, *self.pose, *command),
+                 f"the renderer's command at {world.t_us} us")
+            self.command = command
+            self.sent += 1
+        self.pose = predator.pose
+        self.words[1] = step
+        if step > 1:
+            self.free.release()  # the slot of the last step
+        if self.words[0] == (self.sent << 32) | (step - 1):
+            self._wait(step)
+        if self.buf[self._key_bytes(step)] == self._key(step):
+            return self.views[step % RING_SLOTS]
+        return WorldSim.render(world)
+
+    def _wait(self, step):
+        """Waits until the renderer publishes step or a later one."""
+        while self.words[0] & self._STEP < step:
+            if not self.ready.acquire(timeout=self._POLL_S):
+                self.check()
+
+    def check(self):
+        """Raises what ended the renderer, if it ended in an error or died."""
+        if self.conn.poll():
+            unpack(receive(self.conn, f"the renderer's step at {self.world.t_us} us"))
+
+    def renderer(self, prey_policy, n_steps):
+        """The renderer's items, from its end of the pipe: one answer, the
+        number of commands it applied, once its clock ends."""
+        world, cfg = self.world, self.world.cfg
+        dt = cfg.timestep_us / 1e6
+
+        def render_ahead(conn):
+            epoch, commands = 0, collections.deque()
+            for _ in world.run(n_steps, sense=False):
+                step = world.t_us // self.step_us
+                # the slot of this step is the renderer's; EOF from recv,
+                # once the loop's process is gone, ends the renderer
+                while not self.free.acquire(timeout=self._POLL_S):
+                    if conn.poll():
+                        commands.append(conn.recv())
+                while conn.poll():
+                    commands.append(conn.recv())
+                while commands and commands[0][0] <= step:
+                    at, *state = commands.popleft()
+                    predator = RobotState(*state)
+                    for _ in range((step - at) * cfg.render_every):
+                        predator = kinematics_step(predator, dt, cfg.arena)
+                    world.predator = predator
+                    epoch += 1
+                if step >= self.words[1]:  # the loop has not passed it
+                    self.images[step % RING_SLOTS] = WorldSim.render(world)
+                    self.buf[self._key_bytes(step)] = self._key(step)
+                    self.words[0] = (epoch << 32) | step
+                    self.ready.release()
+                predator = world.predator
+                world.set_commands(VelocityCmd(predator.linear, predator.angular),
+                                   prey_policy.command(world.prey, world.t_us / 1e6))
+            yield epoch
+
+        return render_ahead
+
+
 @contextlib.contextmanager
-def _frame_steps(world, stream, n_steps):
+def _frame_steps(world, stream, n_steps, prey_policy):
     """Yields the frames of each render step of world.run(n_steps), one list per step.
 
-    A static scene's frames come from a forked producer where `fork_context`
-    finds a fork safe and the noise is busy enough to pay for the fork and
-    the pipe: two usable CPUs and at least PRODUCER_MIN_RATE noise events
-    per second. The producer runs a copy of this world's clock with its
-    sensors on; this world runs the same clock with its sensors off.
-    Anywhere else the frames come from this world's clock, in this process.
+    The frames come from this world's clock, in this process, unless
+    `fork_context` finds a fork safe and two CPUs are usable. Then a static
+    scene whose noise is busy enough to pay for the fork and the pipe, at
+    least PRODUCER_MIN_RATE events per second, gets its frames from a forked
+    producer, which runs a copy of this world's clock with its sensors on
+    while this world runs the same clock with its sensors off. A chase with
+    render steps, on a processor that keeps stores in order, renders
+    through a `_RenderRing` that a forked renderer, driven by a copy of
+    prey_policy, fills ahead.
     """
-    context = None
-    if (world.cfg.static_scene and world.noise_rate() >= PRODUCER_MIN_RATE
-            and workers.usable_cpus() >= 2):
-        context = fork_context()
+    cfg = world.cfg
+    if cfg.static_scene:
+        fork = world.noise_rate() >= PRODUCER_MIN_RATE
+    else:
+        fork = n_steps >= cfg.render_every and STORES_IN_ORDER
+    context = fork_context() if fork and workers.usable_cpus() >= 2 else None
     steps = _sensed_frames(world.run(n_steps), stream)
     if context is None:
         yield steps
-        return
+    elif cfg.static_scene:
+        def received(conn):
+            for _ in world.run(n_steps, sense=False):
+                yield unpack(receive(conn, f"the frame producer's render step at {world.t_us} us"))
 
-    def received(conn):
-        for _ in world.run(n_steps, sense=False):
-            yield unpack(receive(conn, f"the frame producer's render step at {world.t_us} us"))
-
-    with forked(context, [steps]) as (conn,):
-        yield received(conn)
+        with forked(context, [steps]) as (conn,):
+            yield received(conn)
+    else:
+        ring = _RenderRing(context, world)
+        with forked(context, [ring.renderer(prey_policy, n_steps)]) as (ring.conn,):
+            world.render = ring.image
+            yield steps
+            ring.check()
 
 
 def run_closed_loop(net, cfg: RunnerConfig, seed: int,
@@ -212,7 +376,8 @@ def run_closed_loop(net, cfg: RunnerConfig, seed: int,
 
     lines = [RUNLOG_MAGIC, f"# seed {seed}"]
     predator_cmd = VelocityCmd(0.0, 0.0)
-    with _frame_steps(world, FrameStream(cfg.frames.capacity), n_steps) as steps:
+    with _frame_steps(world, FrameStream(cfg.frames.capacity), n_steps,
+                      prey_policy) as steps:
         for frames_done in steps:
             scan = None
             for t_frame, source, values, _ in frames_done:

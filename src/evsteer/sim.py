@@ -181,7 +181,9 @@ class Camera:
 
     Also owns the renderer's per-frame scratch buffers, so a render step
     allocates no full-frame temporaries besides the image it returns; one
-    Camera therefore renders in one thread at a time.
+    Camera therefore renders in one thread at a time. A forked process
+    renders with its own copy of the buffers, so a chase's renderer and the
+    loop it renders ahead of may both render at once.
     """
 
     FLOOR_BLOBS = ((2.6, 2.1), (6.8, 4.4))  # specular highlights, 0.6 m radius
@@ -661,7 +663,12 @@ class WorldSim:
         self.prey.linear = prey_cmd.linear
         self.prey.angular = prey_cmd.angular
 
-    def _render(self):
+    def render(self):
+        """The camera image at the current poses, the one render of step().
+
+        `run_closed_loop` replaces it on its world with a reader of images
+        that a forked renderer made ahead, which returns an equal image.
+        """
         return render_camera(self.scene, self.camera, self.predator.pose)
 
     def _leak_rate(self, t_s):
@@ -709,11 +716,11 @@ class WorldSim:
         chunks = []
         if self.cfg.static_scene:
             if self._static_image is None:
-                self._static_image = self._render()
+                self._static_image = self.render()
                 self.synth.update(self._static_image, t0, t1)
             image = self._static_image
         else:
-            image = self._render()
+            image = self.render()
             chunks.append(self.synth.update(image, t0, t1))
         leak = leak_events(self.rng_noise, self._leak_rate(t1 / 1e6), t0, t1)
         if len(leak):

@@ -366,23 +366,90 @@ sys.exit(code)
 """
 
     def test_a_killed_producer_fails_the_run(self, tmp_path, weights):
-        # a simulate that waits forever fails this test at the timeout; the
-        # child runs in a session of its own, so its producer dies with it
         argv = [*FLOOD, "simulate", "--weights", weights, "--duration", "0.5",
                 "--out", str(tmp_path / "sim")]
-        with subprocess.Popen([sys.executable, "-c", self.KILLED_PRODUCER_SCRIPT, "-", *argv],
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                              env=_child_env(), start_new_session=True) as child:
-            try:
-                stdout, stderr = child.communicate(timeout=60)
-            except subprocess.TimeoutExpired:
-                os.killpg(child.pid, signal.SIGKILL)
-                raise
-        assert child.returncode == EXIT_RUNTIME, stderr
+        code, stdout, stderr = _run_script(self.KILLED_PRODUCER_SCRIPT, argv)
+        assert code == EXIT_RUNTIME, stderr
         assert stderr == ("runtime error: WorkerLostError: a worker process died before the "
                           "answer to the frame producer's render step at 105000 us came back\n")
         assert stdout == "children left: 0\n"
         assert not (tmp_path / "sim").exists()
+
+
+def _run_script(script, argv):
+    """(exit, stdout, stderr) of a python -c script run with argv; a script
+    that runs past 60 s fails the test. The script runs in a session of its
+    own, so the workers it forks die with it then."""
+    with subprocess.Popen([sys.executable, "-c", script, "-", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env=_child_env(), start_new_session=True) as child:
+        try:
+            stdout, stderr = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            raise
+    return child.returncode, stdout, stderr
+
+
+# simulate of the chase in a child whose renders SIGKILL the process they run
+# in, the renderer, at its 20th image; prints the children it leaves
+KILLED_RENDERER_SCRIPT = """
+import itertools, multiprocessing, os, signal, sys
+from evsteer import cli, sim, workers
+workers.usable_cpus = lambda: 2
+parent, render, images = os.getpid(), sim.render_camera, itertools.count(1)
+
+def killing(*args):
+    if os.getpid() != parent and next(images) == 20:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return render(*args)
+
+sim.render_camera = killing
+code = cli.main(sys.argv[2:])
+print("children left:", len(multiprocessing.active_children()))
+sys.exit(code)
+"""
+
+
+def test_a_killed_renderer_fails_the_chase(tmp_path, weights):
+    argv = ["simulate", "--weights", weights, "--duration", "1", "--out", str(tmp_path / "sim")]
+    code, stdout, stderr = _run_script(KILLED_RENDERER_SCRIPT, argv)
+    assert code == EXIT_RUNTIME, stderr
+    assert stderr.startswith("runtime error: WorkerLostError: a worker process died before "
+                             "the answer to the renderer's "), stderr
+    assert stdout == "children left: 0\n"
+    assert not (tmp_path / "sim").exists()
+
+
+# simulate of the chase in a child that prints its renderer's pid and SIGKILLs
+# itself at its 100th render step, so `forked` never ends its block
+KILLED_CHASE_SCRIPT = """
+import itertools, multiprocessing, os, signal, sys
+from evsteer import cli, runner, workers
+workers.usable_cpus = lambda: 2
+image, steps = runner._RenderRing.image, itertools.count(1)
+
+def killing(ring):
+    if next(steps) == 100:
+        print(*(child.pid for child in multiprocessing.active_children()), flush=True)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return image(ring)
+
+runner._RenderRing.image = killing
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_the_renderer_ends_when_the_chase_is_killed(tmp_path, weights, left_running):
+    # the renderer, ahead of the loop, waits for a slot the loop never gives
+    # back; a renderer that waited for ever would hold the script's stdout,
+    # and _run_script would fail at its timeout
+    argv = ["simulate", "--weights", weights, "--duration", "1", "--out", str(tmp_path / "sim")]
+    code, stdout, stderr = _run_script(KILLED_CHASE_SCRIPT, argv)
+    assert code == -signal.SIGKILL, stderr
+    pids = [int(pid) for pid in stdout.split()]
+    assert len(pids) == 1
+    assert left_running(pids) == []
 
 
 def test_importing_the_cli_leaves_multiprocessing_unloaded():

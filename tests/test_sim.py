@@ -2,6 +2,7 @@ import hashlib
 import math
 import multiprocessing
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -188,6 +189,57 @@ class TestFrameProducer:
         world = WorldSim(cfg, 0, RobotState(x=3.0, y=3.0, heading=0.0),
                          RobotState(x=6.0, y=3.0, heading=0.0))
         assert world.noise_rate() == pytest.approx(rate)
+
+
+def chase_runlog(overrides=()):
+    """1 s of the chase, seed 11; the default is the one RUNLOG_SHA256 pins."""
+    cfg = load_config(overrides=["sim.duration=1.0", *overrides]).settings.sim
+    return run_closed_loop(runtime_network(np.random.default_rng(0)), cfg, seed=11)
+
+
+class TestRenderAhead:
+    """A chase whose images a forked renderer makes ahead equals the in-process chase."""
+
+    @pytest.mark.parametrize("overrides", [
+        [],
+        ["sim.prey_policy=waypoint"],
+        ["arena.moving_distractor=true"],
+        ["sim.corrupt_aps_prob=0.5", "sim.light_gain=1.3"],
+    ])
+    def test_rendered_ahead_log_equals_the_in_process_log(self, monkeypatch, render_poses,
+                                                          overrides):
+        logs, renders, usable = {}, {}, workers.usable_cpus()
+        for cpus in (2, 1):
+            monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+            logs[cpus] = chase_runlog(overrides)
+            renders[cpus] = render_poses()
+        assert multiprocessing.active_children() == []
+        assert logs[2] == logs[1]
+        if not overrides:
+            assert hashlib.sha256(logs[2].encode()).hexdigest() == RUNLOG_SHA256
+        here = os.getpid()
+        assert [pid for pid, _ in renders[1]] == [here] * 200  # 1 s of 5 ms render steps
+        # the renderer moves its predator only on a command the loop sent
+        start = renders[1][0][1]
+        assert {pose for pid, pose in renders[2] if pid != here} - {start}
+        if usable >= 2:
+            # how many images the loop renders itself depends on how fast the
+            # renderer keeps up, which another CPU's load can change
+            assert sum(pid == here for pid, _ in renders[2]) < 100  # most from the ring
+
+    def test_a_run_beside_another_thread_renders_in_process(self, monkeypatch, render_poses):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            log = chase_runlog()
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert hashlib.sha256(log.encode()).hexdigest() == RUNLOG_SHA256
+        assert {pid for pid, _ in render_poses()} == {os.getpid()}
 
 
 class TestWorldClock:

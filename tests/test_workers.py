@@ -3,11 +3,14 @@ import itertools
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import threading
 
 import pytest
 
-from evsteer.workers import WorkerLostError, fork_context, forked, receive, unpack
+from evsteer import workers
+from evsteer.workers import WorkerLostError, fork_context, forked, receive, send, unpack
 
 
 @pytest.fixture
@@ -69,6 +72,31 @@ def test_a_killed_worker_is_lost_naming_the_awaited_job(context):
         "a worker process died before the answer to job 1 came back"
 
 
+def test_a_worker_made_from_its_pipe_answers_what_the_parent_sends(context):
+    def doubled(conn):
+        while True:
+            yield 2 * conn.recv()
+
+    with forked(context, [doubled]) as (conn,):
+        for i in range(3):
+            send(conn, i, f"job {i}")
+            assert unpack(_received(conn, f"job {i}")) == 2 * i
+
+
+def test_sending_to_a_killed_worker_is_a_lost_worker(context):
+    def killed(conn):
+        os.kill(os.getpid(), signal.SIGKILL)
+        yield
+
+    with forked(context, [killed]) as (conn,):
+        with pytest.raises(WorkerLostError):
+            _received(conn, "job 0")  # EOF: the worker is gone
+        with pytest.raises(WorkerLostError) as excinfo:
+            send(conn, 1, "job 1")
+    assert str(excinfo.value) == \
+        "a worker process died before the answer to job 1 came back"
+
+
 @pytest.mark.parametrize("fail", [False, True])
 def test_no_worker_outlives_the_block(context, fail):
     # endless workers, still sending when the block ends
@@ -78,6 +106,31 @@ def test_no_worker_outlives_the_block(context, fail):
             if fail:
                 raise RuntimeError("the parent failed")
     assert multiprocessing.active_children() == []
+
+
+# a parent that forks two workers, each sending answers larger than a pipe
+# holds, prints their pids and is SIGKILLed, so `forked` never ends its block
+ORPHANING_SCRIPT = """
+import itertools, multiprocessing, os, signal
+from evsteer.workers import fork_context, forked
+answers = lambda: (bytes(1 << 20) for _ in itertools.count())
+with forked(fork_context(), [answers(), answers()]):
+    print(*(child.pid for child in multiprocessing.active_children()), flush=True)
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def test_workers_end_when_their_parent_is_killed(context, tmp_path, left_running):
+    # each worker would block in its send for ever if it, or the other
+    # worker, still held the parent's end of its pipe
+    src = os.path.dirname(os.path.dirname(workers.__file__))
+    with open(tmp_path / "pids", "w") as out:
+        done = subprocess.run([sys.executable, "-c", ORPHANING_SCRIPT], stdout=out,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == -signal.SIGKILL
+    pids = [int(pid) for pid in (tmp_path / "pids").read_text().split()]
+    assert len(pids) == 2
+    assert left_running(pids) == []
 
 
 def test_no_fork_context_while_another_thread_runs():
