@@ -171,6 +171,10 @@ def cmd_train(args, cfg):
     for path, ds in ((args.dataset, train), (args.test, test)):
         if ds is not None and not len(ds):
             raise DataError(f"{path}: dataset has no frames to train or test on")
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    trace_path = args.trace or os.path.join(out_dir, "train_trace.csv")
+    for directory in (out_dir, os.path.dirname(os.path.abspath(trace_path))):
+        os.makedirs(directory, exist_ok=True)
     tc = cfg.settings.train
     rng = np.random.default_rng(tc.seed)
     net = runtime_network(rng, dropout_rate=tc.dropout)
@@ -194,10 +198,7 @@ def cmd_train(args, cfg):
             print(f"iter {it}/{tc.iterations} loss {loss:.4f}{last_eval}")
         elif it == 1:
             trace.append(f"{it},{loss:.6f},")
-    out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-    os.makedirs(out_dir, exist_ok=True)
     save_weights(net, args.out)
-    trace_path = args.trace or os.path.join(out_dir, "train_trace.csv")
     with open(trace_path, "w") as fh:
         fh.write("\n".join(trace) + "\n")
     write_manifest(out_dir, "train", [tc.seed], cfg, [args.out, trace_path])
@@ -259,6 +260,9 @@ def _sweep_capacities(net, rec_dir, capacities):
 
 
 def cmd_eval(args, cfg):
+    if args.sweep_capacity and not args.recordings:
+        print("eval: --sweep-capacity needs --recordings", file=sys.stderr)
+        return EXIT_USAGE
     net = load_weights(args.weights)
     lines = []
     outputs = []
@@ -287,13 +291,9 @@ def cmd_eval(args, cfg):
         lines.append(f"== runlog {os.path.basename(args.runlog)} ({which}) ==")
         lines.append(report.text())
     if args.sweep_capacity:
-        caps = [int(v) for v in args.sweep_capacity.split(",")]
-        if not args.recordings:
-            print("eval: --sweep-capacity needs --recordings", file=sys.stderr)
-            return EXIT_USAGE
-        results = _sweep_capacities(net, args.recordings, caps)
+        results = _sweep_capacities(net, args.recordings, args.sweep_capacity)
         lines.append("== DVS capacity sweep (error rate at p=0, test span) ==")
-        for cap in caps:
+        for cap in args.sweep_capacity:
             lines.append(f"capacity {cap}: error {results[cap]:.4f}")
     if not lines:
         print("eval: nothing to evaluate (need --dataset, --runlog, or "
@@ -351,6 +351,9 @@ def cmd_simulate(args, cfg):
 
 
 def cmd_serve(args, cfg):
+    if args.aps and not args.events:
+        print("serve: --aps needs --events", file=sys.stderr)
+        return EXIT_USAGE
     net = load_weights(args.weights)
     run_cfg = cfg.settings.sim
     peer, listen = wire.parse_peer(run_cfg.wire.peer), run_cfg.wire.listen
@@ -483,7 +486,17 @@ def cmd_inspect_weights(args, cfg):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _at_least(low):
+    """An argparse type: an integer no less than low."""
+    def parse(text):
+        with contextlib.suppress(ValueError):
+            if int(text) >= low:
+                return int(text)
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
+    return parse
 
 
 def build_parser():
@@ -518,6 +531,7 @@ def build_parser():
     p.add_argument("--filtered", action="store_true",
                    help="evaluate filtered instead of raw decisions")
     p.add_argument("--sweep-capacity", metavar="N,N",
+                   type=lambda text: [_at_least(1)(v) for v in text.split(",")],
                    help="re-run DVS evaluation at these histogram capacities")
     p.add_argument("--recordings", help="recording directory for the sweep")
     p.add_argument("--out")
@@ -525,7 +539,7 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="closed-loop run with trained weights")
     p.add_argument("--weights", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--duration", dest="sim.duration", type=float)
     p.add_argument("--out", default="simout")
     p.add_argument("--dry-run", action="store_true")
@@ -538,7 +552,7 @@ def build_parser():
     feed.add_argument("--events", help="recording event file to replay")
     feed.add_argument("--sim", action="store_true", help="live simulator feed")
     p.add_argument("--aps", help="recording APS file to interleave")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--duration", dest="sim.duration", type=float)
     p.add_argument("--peer", dest="wire.peer")
     p.add_argument("--listen", dest="wire.listen", type=int)

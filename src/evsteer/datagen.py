@@ -18,8 +18,8 @@ import numpy as np
 from evsteer.behavior import VelocityCmd
 from evsteer.config import DatagenConfig, steps_for_duration
 from evsteer.frames import Recording, aps_resize, concat_events
-from evsteer.runner import WaypointPolicy
-from evsteer.sim import START_MARGIN, RobotState, WorldSim, wall_distance, wrap_angle
+from evsteer.sim import (START_MARGIN, RobotState, WaypointPolicy, WorldSim, wall_distance,
+                         wrap_angle)
 
 
 class ChaseScript:
@@ -36,11 +36,11 @@ class ChaseScript:
     """
 
     PHASES = ("track", "offset", "chase", "spin", "sweep", "lose", "pause")
-    CENTER_HALF = math.radians(13.5)
 
-    def __init__(self, rng, arena, base_speed):
+    def __init__(self, rng, sim_cfg, base_speed):
         self.rng = rng
-        self.arena = arena
+        self.arena = sim_cfg.arena
+        self.fov_deg = sim_cfg.camera.fov_deg
         self.base_speed = base_speed
         self.phase = "track"
         self.until = float(rng.uniform(1.5, 3.0))
@@ -90,9 +90,9 @@ class ChaseScript:
         if self.phase == "chase":
             close_scale = min(max((dist - 0.5) / 1.0, 0.0), 1.0)
             lin = 1.5 * wall_scale * close_scale
-            if abs(bearing) > 0.5 * math.radians(81.0):
+            if abs(bearing) > 0.5 * math.radians(self.fov_deg):
                 return VelocityCmd(0.0, math.copysign(1.5, bearing))
-            if abs(bearing) > self.CENTER_HALF:
+            if abs(bearing) > math.radians(self.fov_deg / 6):  # outside the centre third
                 return VelocityCmd(lin, math.copysign(math.pi / 3.0, bearing))
             return VelocityCmd(lin, 0.0)
         if self.phase == "sweep":
@@ -131,19 +131,19 @@ def generate_recording(cfg: DatagenConfig, seed: int) -> Recording:
     sim_cfg = replace(cfg.sim,
                       light_gain=float(scene_rng.uniform(cfg.light_min, cfg.light_max)))
     predator, prey = _random_start(scene_rng, sim_cfg.arena)
-    world = WorldSim(sim_cfg, world_seed, predator, prey)
-    if sim_cfg.arena.distractors and world.scene.distractors:
-        box = world.scene.distractors[0]
-        box.x = float(scene_rng.uniform(0.7, 1.6))
-        box.y = float(scene_rng.uniform(sim_cfg.arena.depth - 1.6,
-                                        sim_cfg.arena.depth - 0.7))
-
-    script = ChaseScript(np.random.default_rng(script_seed), sim_cfg.arena,
+    # scene_rng draws stay in their pinned order: light, start, box, speeds
+    depth = sim_cfg.arena.depth
+    box = ((float(scene_rng.uniform(0.7, 1.6)), float(scene_rng.uniform(depth - 1.6, depth - 0.7)))
+           if sim_cfg.arena.distractors else None)
+    script = ChaseScript(np.random.default_rng(script_seed), sim_cfg,
                          base_speed=float(scene_rng.uniform(cfg.predator_speed_min,
                                                             cfg.predator_speed_max)))
     prey_policy = WaypointPolicy(np.random.default_rng(prey_seed), sim_cfg.arena,
                                  speed=float(scene_rng.uniform(cfg.prey_speed_min,
                                                                cfg.prey_speed_max)))
+    world = WorldSim(sim_cfg, world_seed, predator, prey, prey_policy)
+    if box is not None:
+        world.scene.distractors[0].x, world.scene.distractors[0].y = box
 
     event_chunks = []
     aps_t, aps_raw = [], []
@@ -151,9 +151,7 @@ def generate_recording(cfg: DatagenConfig, seed: int) -> Recording:
                              else world.ground_truth()]
 
     for batch in world.run(n_steps):
-        t_s = world.t_us / 1e6
-        world.set_commands(script.command(t_s, world.predator, world.prey),
-                           prey_policy.command(world.prey, t_s))
+        world.set_command(script.command(world.t_us / 1e6, world.predator, world.prey))
         if len(batch.events):
             event_chunks.append(batch.events)
         aps_t += batch.aps_t

@@ -1,14 +1,14 @@
 """Closed-loop runner: sensors -> CNN -> decision filter -> behavior -> wheels.
 
 The world owns the clock: `WorldSim.run` advances a fixed 1 ms kinematics
-step and yields a sensor batch on each coarser render step (default 5 ms),
-and the loop sets the robots' commands between batches. A
-`frames.FrameStream` turns each batch into frames in (t, source) order, and
-`decision_step`, the one frame-to-datagram chain that the `serve` file replay
-runs too, gives each frame one decision and one UDP datagram under the 240 Hz
-processing cap; the loop logs both.
+step, drives the prey and yields a sensor batch on each coarser render step
+(default 5 ms). The predator's command, which the loop sets between batches,
+is the world's only input. A `frames.FrameStream` turns each batch into
+frames in (t, source) order, and `decision_step`, the one frame-to-datagram
+chain that the `serve` file replay runs too, gives each frame one decision
+and one UDP datagram under the 240 Hz processing cap; the loop logs both.
 
-A static scene's frames never depend on the robots' commands: its one render
+A static scene's frames never depend on the predator's command: its one render
 happens at the first render step, before any command is set, and its noise
 draws follow the clock alone. So where a second CPU is usable and the noise is
 busy enough to pay for it, `run_closed_loop` forks a producer: the one worker
@@ -25,14 +25,13 @@ A chase's frames depend on the commands, but its renders are pure in a few
 floats, and the predator's command seldom changes between render steps. So
 where a second CPU is usable and the processor keeps stores in order
 (STORES_IN_ORDER), `run_closed_loop` forks a renderer, again on the worker
-loop of `evsteer.workers`. On its own copy of the world and the prey
-policy it runs the clock with the sensors off, guesses the predator's pose
-from the last command it was sent, and renders each step ahead of the loop
-into a slot of a ring of RING_SLOTS images in an anonymous shared mapping.
-It writes a slot's key after its image: the render step and the exact floats
-`render_camera` reads (predator x, y and heading, prey x and y, moving
-distractor x). Last it publishes (epoch << 32) | step in one aligned word,
-the epoch being the number of commands it has applied.
+loop of `evsteer.workers`. On its own copy of the world, which drives its
+prey as this one does, it runs the clock with the sensors off, guesses the
+predator's pose from the last command it was sent, and renders each step
+ahead of the loop into a slot of a ring of RING_SLOTS images in an anonymous
+shared mapping. It writes a slot's key after its image: the render step and
+`WorldSim.render_key()`. Last it publishes (epoch << 32) | step in one
+aligned word, the epoch being the number of commands it has applied.
 - **Exact keys.** The loop uses slot j % RING_SLOTS at render step j only
   where the slot's key equals its own world's, byte for byte; otherwise it
   renders in-process. So the run log is byte-identical whatever the renderer
@@ -82,7 +81,7 @@ import struct
 import numpy as np
 
 from evsteer import workers
-from evsteer.behavior import BehaviorController, Mode, VelocityCmd
+from evsteer.behavior import BehaviorController, Mode
 from evsteer.config import RunnerConfig, steps_for_duration
 from evsteer.decision import DecisionFilter
 # dvs_normalize and aps_normalize are unused here but stay bound: span
@@ -90,7 +89,8 @@ from evsteer.decision import DecisionFilter
 from evsteer.frames import (SENSOR_HEIGHT, SENSOR_WIDTH, SOURCE_NAMES, FrameStream,
                             aps_normalize, aps_resize, dvs_normalize, label_from_target)
 from evsteer.nnet import Decision
-from evsteer.sim import RobotState, WorldSim, kinematics_step, wrap_angle
+from evsteer.sim import (CirclePolicy, RobotState, WaypointPolicy, WorldSim,
+                         kinematics_step)
 from evsteer.wire import SEQ_MOD, DecisionEncoder
 from evsteer.workers import fork_context, forked, receive, send, unpack
 
@@ -108,73 +108,17 @@ RING_SLOTS = 3
 STORES_IN_ORDER = platform.machine() in ("x86_64", "AMD64", "i386", "i686")
 
 
-class CirclePolicy:
-    """Scripted counter-clockwise orbit: P-control onto the tangent of a fixed circle."""
-
-    def __init__(self, center, radius, speed):
-        self.center = center
-        self.radius = radius
-        self.speed = speed
-
-    def command(self, state: RobotState, t_s: float) -> VelocityCmd:
-        cx, cy = self.center
-        pos_ang = math.atan2(state.y - cy, state.x - cx)
-        r_err = math.hypot(state.x - cx, state.y - cy) - self.radius
-        desired = pos_ang + (math.pi / 2.0 + max(-0.8, min(0.8, 0.9 * r_err)))
-        ang = max(-2.0, min(2.0, 2.5 * wrap_angle(desired - state.heading)))
-        return VelocityCmd(self.speed, ang)
-
-
-class WaypointPolicy:
-    """Wall-avoiding wander: waypoints 1 m inside the walls, resampled every 3-6 s."""
-
-    def __init__(self, rng, arena, speed):
-        self.rng = rng
-        self.arena = arena
-        self.speed = speed
-        self.waypoint = self._sample()
-        self.next_resample = float(rng.uniform(3.0, 6.0))
-
-    def _sample(self):
-        return (float(self.rng.uniform(1.0, self.arena.width - 1.0)),
-                float(self.rng.uniform(1.0, self.arena.depth - 1.0)))
-
-    def command(self, state: RobotState, t_s: float) -> VelocityCmd:
-        if t_s >= self.next_resample or \
-                math.hypot(self.waypoint[0] - state.x, self.waypoint[1] - state.y) < 0.3:
-            self.waypoint = self._sample()
-            self.next_resample = t_s + float(self.rng.uniform(3.0, 6.0))
-        err = wrap_angle(math.atan2(self.waypoint[1] - state.y,
-                                    self.waypoint[0] - state.x) - state.heading)
-        ang = max(-1.8, min(1.8, 2.0 * err))
-        lin = self.speed * max(0.15, math.cos(err))
-        return VelocityCmd(lin, ang)
-
-
-class ParkedPolicy:
-    def command(self, state, t_s):
-        return VelocityCmd(0.0, 0.0)
-
-
-def _make_prey_policy(cfg: RunnerConfig, rng, arena):
-    if cfg.sim.static_scene or cfg.prey_policy == "parked":
-        return ParkedPolicy()
-    if cfg.prey_policy == "circle":
-        center = (arena.width / 2.0, arena.depth / 2.0)
-        return CirclePolicy(center, cfg.circle_radius, cfg.prey_speed)
-    return WaypointPolicy(rng, arena, cfg.prey_speed)
-
-
-def _start_states(cfg: RunnerConfig):
-    arena = cfg.sim.arena
+def _start(cfg: RunnerConfig, rng):
+    """The run's predator, prey and prey policy; a static scene parks its prey."""
+    arena, static = cfg.sim.arena, cfg.sim.static_scene
     cxc, cyc = arena.width / 2.0, arena.depth / 2.0
-    if cfg.sim.static_scene:
-        predator = RobotState(x=cxc - 2.0, y=cyc, heading=0.0)
-        prey = RobotState(x=cxc + 1.5, y=cyc, heading=math.pi / 2)
-        return predator, prey
-    prey = RobotState(x=cxc + cfg.circle_radius, y=cyc, heading=math.pi / 2)
-    predator = RobotState(x=cxc - 1.2, y=cyc, heading=0.0)
-    return predator, prey
+    predator = RobotState(x=cxc - (2.0 if static else 1.2), y=cyc, heading=0.0)
+    prey = RobotState(x=cxc + (1.5 if static else cfg.circle_radius), y=cyc, heading=math.pi / 2)
+    if static or cfg.prey_policy == "parked":
+        return predator, prey, None
+    if cfg.prey_policy == "circle":
+        return predator, prey, CirclePolicy((cxc, cyc), cfg.circle_radius, cfg.prey_speed)
+    return predator, prey, WaypointPolicy(rng, arena, cfg.prey_speed)
 
 
 def decision_step(net, cfg: RunnerConfig):
@@ -237,13 +181,6 @@ class _RenderRing:
         self.command = (predator.linear, predator.angular)  # the last one sent
         self.sent = 0
 
-    def _key(self, step):
-        world = self.world
-        predator, prey = world.predator, world.scene.prey
-        moving = world.scene.moving_distractor
-        return self._KEY.pack(step, *predator.pose, prey.x, prey.y,
-                              0.0 if moving is None else moving.x)
-
     def _key_bytes(self, step):
         """Where the key of step's slot lies in the mapping."""
         start = self._KEYS + step % RING_SLOTS * self._KEY.size
@@ -266,7 +203,7 @@ class _RenderRing:
             self.free.release()  # the slot of the last step
         if self.words[0] == (self.sent << 32) | (step - 1):
             self._wait(step)
-        if self.buf[self._key_bytes(step)] == self._key(step):
+        if self.buf[self._key_bytes(step)] == self._KEY.pack(step, *world.render_key()):
             return self.views[step % RING_SLOTS]
         return WorldSim.render(world)
 
@@ -281,7 +218,7 @@ class _RenderRing:
         if self.conn.poll():
             unpack(receive(self.conn, f"the renderer's step at {self.world.t_us} us"))
 
-    def renderer(self, prey_policy, n_steps):
+    def renderer(self, n_steps):
         """The renderer's items, from its end of the pipe: one answer, the
         number of commands it applied, once its clock ends."""
         world, cfg = self.world, self.world.cfg
@@ -307,19 +244,16 @@ class _RenderRing:
                     epoch += 1
                 if step >= self.words[1]:  # the loop has not passed it
                     self.images[step % RING_SLOTS] = WorldSim.render(world)
-                    self.buf[self._key_bytes(step)] = self._key(step)
+                    self.buf[self._key_bytes(step)] = self._KEY.pack(step, *world.render_key())
                     self.words[0] = (epoch << 32) | step
                     self.ready.release()
-                predator = world.predator
-                world.set_commands(VelocityCmd(predator.linear, predator.angular),
-                                   prey_policy.command(world.prey, world.t_us / 1e6))
             yield epoch
 
         return render_ahead
 
 
 @contextlib.contextmanager
-def _frame_steps(world, stream, n_steps, prey_policy):
+def _frame_steps(world, stream, n_steps):
     """Yields the frames of each render step of world.run(n_steps), one list per step.
 
     The frames come from this world's clock, in this process, unless
@@ -329,8 +263,8 @@ def _frame_steps(world, stream, n_steps, prey_policy):
     producer, which runs a copy of this world's clock with its sensors on
     while this world runs the same clock with its sensors off. A chase with
     render steps, on a processor that keeps stores in order, renders
-    through a `_RenderRing` that a forked renderer, driven by a copy of
-    prey_policy, fills ahead.
+    through a `_RenderRing` that a forked renderer, on a copy of this world,
+    fills ahead.
     """
     cfg = world.cfg
     if cfg.static_scene:
@@ -350,7 +284,7 @@ def _frame_steps(world, stream, n_steps, prey_policy):
             yield received(conn)
     else:
         ring = _RenderRing(context, world)
-        with forked(context, [ring.renderer(prey_policy, n_steps)]) as (ring.conn,):
+        with forked(context, [ring.renderer(n_steps)]) as (ring.conn,):
             world.render = ring.image
             yield steps
             ring.check()
@@ -366,18 +300,13 @@ def run_closed_loop(net, cfg: RunnerConfig, seed: int,
     n_steps = steps_for_duration(cfg.duration, cfg.sim.timestep_us)
     seq = np.random.SeedSequence(seed)
     world_seed, prey_seed, behavior_seed = seq.spawn(3)
-    predator, prey = _start_states(cfg)
-    world = WorldSim(cfg.sim, world_seed, predator, prey)
-    prey_policy = _make_prey_policy(cfg, np.random.default_rng(prey_seed),
-                                    cfg.sim.arena)
+    world = WorldSim(cfg.sim, world_seed, *_start(cfg, np.random.default_rng(prey_seed)))
     behavior = BehaviorController(cfg.behavior,
                                   seed=int(behavior_seed.generate_state(1)[0]))
     decide = decision_step(net, cfg)
 
     lines = [RUNLOG_MAGIC, f"# seed {seed}"]
-    predator_cmd = VelocityCmd(0.0, 0.0)
-    with _frame_steps(world, FrameStream(cfg.frames.capacity), n_steps,
-                      prey_policy) as steps:
+    with _frame_steps(world, FrameStream(cfg.frames.capacity), n_steps) as steps:
         for frames_done in steps:
             scan = None
             for t_frame, source, values, _ in frames_done:
@@ -387,12 +316,12 @@ def run_closed_loop(net, cfg: RunnerConfig, seed: int,
                     continue
                 t_dec, raw, filtered, datagram = decided
                 if scan is None:
-                    # the world stands still until the commands below, so one
-                    # ground truth and one laser scan serve every decided frame
+                    # the world stands still until its next render step, so
+                    # one ground truth and one laser scan serve every decided frame
                     target = world.ground_truth()
                     label = label_from_target(target)
                     scan = world.laser()
-                predator_cmd = behavior.step(filtered, scan, now=t_dec / 1e6)
+                world.set_command(behavior.step(filtered, scan, now=t_dec / 1e6))
                 lines.append(f"DEC {t_dec} {SOURCE_NAMES[source]} {raw.name} {filtered.name}")
                 lines.append(f"GT {t_dec} {'N' if target is None else target} {label.name}")
                 lines.append(f"UDP {t_dec} {datagram.seq} {int(datagram.direction)}")
@@ -404,7 +333,6 @@ def run_closed_loop(net, cfg: RunnerConfig, seed: int,
                                  f"{d_min:.3f}")
                     if behavior.mode is Mode.PREY_CAUGHT:
                         lines.append(f"CATCH {t_dec} {world.prey_distance():.3f}")
-            world.set_commands(predator_cmd, prey_policy.command(world.prey, world.t_us / 1e6))
 
     lines.append(f"END {world.t_us}")
     return "\n".join(lines) + "\n"

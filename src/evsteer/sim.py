@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from evsteer.behavior import LaserScan
+from evsteer.behavior import LaserScan, VelocityCmd
 from evsteer.frames import EVENT_DTYPE, SENSOR_HEIGHT, SENSOR_WIDTH, concat_events
 
 ROBOT_RADIUS = 0.375  # half the 0.75 m footprint length
@@ -131,6 +131,49 @@ def kinematics_step(state: RobotState, dt: float, arena: ArenaConfig) -> RobotSt
     y = min(max(y, ROBOT_RADIUS), arena.depth - ROBOT_RADIUS)
     return RobotState(x=x, y=y, heading=heading,
                       linear=state.linear, angular=state.angular)
+
+
+class CirclePolicy:
+    """Scripted counter-clockwise orbit: P-control onto the tangent of a fixed circle."""
+
+    def __init__(self, center, radius, speed):
+        self.center = center
+        self.radius = radius
+        self.speed = speed
+
+    def command(self, state: RobotState, t_s: float) -> VelocityCmd:
+        cx, cy = self.center
+        pos_ang = math.atan2(state.y - cy, state.x - cx)
+        r_err = math.hypot(state.x - cx, state.y - cy) - self.radius
+        desired = pos_ang + (math.pi / 2.0 + max(-0.8, min(0.8, 0.9 * r_err)))
+        ang = max(-2.0, min(2.0, 2.5 * wrap_angle(desired - state.heading)))
+        return VelocityCmd(self.speed, ang)
+
+
+class WaypointPolicy:
+    """Wall-avoiding wander: waypoints 1 m inside the walls, resampled every 3-6 s."""
+
+    def __init__(self, rng, arena, speed):
+        self.rng = rng
+        self.arena = arena
+        self.speed = speed
+        self.waypoint = self._sample()
+        self.next_resample = float(rng.uniform(3.0, 6.0))
+
+    def _sample(self):
+        return (float(self.rng.uniform(1.0, self.arena.width - 1.0)),
+                float(self.rng.uniform(1.0, self.arena.depth - 1.0)))
+
+    def command(self, state: RobotState, t_s: float) -> VelocityCmd:
+        if t_s >= self.next_resample or \
+                math.hypot(self.waypoint[0] - state.x, self.waypoint[1] - state.y) < 0.3:
+            self.waypoint = self._sample()
+            self.next_resample = t_s + float(self.rng.uniform(3.0, 6.0))
+        err = wrap_angle(math.atan2(self.waypoint[1] - state.y,
+                                    self.waypoint[0] - state.x) - state.heading)
+        ang = max(-1.8, min(1.8, 2.0 * err))
+        lin = self.speed * max(0.15, math.cos(err))
+        return VelocityCmd(lin, ang)
 
 
 # ---------------------------------------------------------------------------
@@ -627,15 +670,18 @@ class SensorBatch:
 class WorldSim:
     """Owns robot poses, the camera, noise streams, and sensor schedules.
 
-    `run` is the world's one clock; callers set commands between its batches.
+    `run` is the world's one clock. It drives the prey by prey_policy (None
+    parks it); the predator's command, set between batches by `set_command`,
+    is the world's only input from outside.
     """
 
     def __init__(self, cfg: SimConfig, seed: int, predator: RobotState,
-                 prey: RobotState):
+                 prey: RobotState, prey_policy=None):
         self.cfg = cfg
         self.camera = Camera(cfg.camera)
         self.predator = predator
         self.prey = prey
+        self.prey_policy = prey_policy
         self.scene = default_scene(cfg, prey)
         self.synth = EventSynth(cfg.noise.threshold)
         seq = seed if isinstance(seed, np.random.SeedSequence) \
@@ -657,11 +703,9 @@ class WorldSim:
         grid = self.cfg.timestep_us * self.cfg.render_every
         return max(grid, int(round(t_us / grid)) * grid)
 
-    def set_commands(self, predator_cmd, prey_cmd):
+    def set_command(self, predator_cmd):
         self.predator.linear = predator_cmd.linear
         self.predator.angular = predator_cmd.angular
-        self.prey.linear = prey_cmd.linear
-        self.prey.angular = prey_cmd.angular
 
     def render(self):
         """The camera image at the current poses, the one render of step().
@@ -670,6 +714,13 @@ class WorldSim:
         that a forked renderer made ahead, which returns an equal image.
         """
         return render_camera(self.scene, self.camera, self.predator.pose)
+
+    def render_key(self):
+        """Every value `render` reads that changes during a run: the predator's
+        pose, the prey's x and y and the moving distractor's x (0.0 without
+        one). Two worlds of one config with equal keys render equal images."""
+        prey, moving = self.scene.prey, self.scene.moving_distractor
+        return (*self.predator.pose, prey.x, prey.y, 0.0 if moving is None else moving.x)
 
     def _leak_rate(self, t_s):
         if self.rate_profile is not None:
@@ -688,7 +739,8 @@ class WorldSim:
         With sense=False a render step only moves the scene as step() does
         and yields its render interval: a static scene's sensors, whose output
         no command changes, can then run apart in a copy of this world.
-        A command set between yields acts from the next kinematics step on.
+        A render step applies the prey policy's command before it yields; that
+        and a command set between yields act from the next kinematics step on.
         The run ends at t_us = n_steps * timestep_us, on the render grid or not.
         """
         dt = self.cfg.timestep_us / 1e6
@@ -697,6 +749,9 @@ class WorldSim:
             self.prey = self.scene.prey = kinematics_step(self.prey, dt, self.cfg.arena)
             self.t_us += self.cfg.timestep_us
             if (self.t_us // self.cfg.timestep_us) % self.cfg.render_every == 0:
+                if self.prey_policy is not None:
+                    cmd = self.prey_policy.command(self.prey, self.t_us / 1e6)
+                    self.prey.linear, self.prey.angular = cmd.linear, cmd.angular
                 yield self.step() if sense else self._advance()
 
     def _advance(self):

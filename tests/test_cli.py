@@ -890,6 +890,48 @@ DRY_RUN_SHA256 = "a6ed892089114896c80e101d48e1d8b037822a17876d9bb0047d09576453e9
 MANIFEST_CONFIG_SHA256 = "cf0cf19e9eb54cb4a47369d2f0110a1da7bfe52ad4d4f2726007dbece9ee4f34"
 
 
+class TestArgumentExitCodes:
+    # each usage error comes before the missing dataset would be read
+    @pytest.mark.parametrize("value", ["a,b", "0", "-5", ""])
+    def test_a_bad_sweep_capacity_is_usage_error(self, tmp_path, weights, capsys, value):
+        argv = ["eval", "--weights", weights, "--dataset", str(tmp_path / "missing.ds"),
+                "--recordings", str(tmp_path), f"--sweep-capacity={value}"]
+        assert main(argv) == EXIT_USAGE
+        assert "argument --sweep-capacity" in capsys.readouterr().err
+
+    def test_a_sweep_without_recordings_is_usage_error(self, tmp_path, weights, capsys):
+        argv = ["eval", "--weights", weights, "--dataset", str(tmp_path / "missing.ds"),
+                "--sweep-capacity", "5000"]
+        assert main(argv) == EXIT_USAGE
+        assert "--sweep-capacity needs --recordings" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["simulate"], ["simulate", "--dry-run"],
+                                         ["serve", "--sim", "--listen", "0"]])
+    def test_a_negative_seed_is_usage_error(self, tmp_path, weights, capsys, command):
+        argv = [*command, "--weights", weights, "--seed", "-1", "--duration", "0.1"]
+        if command[0] == "simulate":
+            argv += ["--out", str(tmp_path / "sim")]
+        assert main(argv) == EXIT_USAGE
+        assert "argument --seed: '-1' is not an integer >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
+    def test_serve_aps_without_events_is_usage_error(self, tmp_path, weights, capsys):
+        argv = ["serve", "--weights", weights, "--sim", "--aps", str(tmp_path / "rec.aps"),
+                "--duration", "0.1", "--listen", "0"]
+        assert main(argv) == EXIT_USAGE
+        assert "--aps needs --events" in capsys.readouterr().err
+
+    def test_train_makes_the_trace_directory(self, tmp_path, generated_recordings):
+        _split(tmp_path, generated_recordings)
+        trace = tmp_path / "traces" / "new" / "trace.csv"
+        argv = ["train", "--dataset", str(tmp_path / "train.ds"), "--iterations", "2",
+                "--out", str(tmp_path / "train" / "w.net"), "--trace", str(trace)]
+        assert main(argv) == EXIT_OK
+        assert trace.read_text().startswith("iteration,loss,test_accuracy\n")
+        manifest = json.loads((tmp_path / "train" / "manifest.json").read_text())
+        assert manifest["outputs"] == ["trace.csv", "w.net"]
+
+
 class TestConfigSurface:
     def test_every_key_is_read_by_the_program(self):
         source = "".join(path.read_text() for path in Path(evsteer.__file__).parent.glob("*.py"))

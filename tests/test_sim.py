@@ -10,10 +10,10 @@ import pytest
 from evsteer import workers
 from evsteer.behavior import VelocityCmd
 from evsteer.config import ConfigError, load_config
-from evsteer.datagen import DatagenConfig, generate_recording
+from evsteer.datagen import ChaseScript, DatagenConfig, generate_recording
 from evsteer.nnet import runtime_network
 from evsteer.runner import RunnerConfig, run_closed_loop
-from evsteer.sim import (LASER_ANGLES, ArenaConfig, Camera, CameraConfig,
+from evsteer.sim import (LASER_ANGLES, ArenaConfig, Camera, CameraConfig, CirclePolicy,
                          Distractor, EventSynth, RobotState, Scene, SimConfig,
                          WorldSim, _wall_distances, default_scene, leak_events,
                          render_camera, simulate_laser, wall_distance)
@@ -260,15 +260,17 @@ class TestWorldClock:
         worlds = [WorldSim(SimConfig(arena=ArenaConfig(moving_distractor=True),
                                      scenario=scenario), 0,
                            RobotState(x=3.0, y=3.0, heading=0.0),
-                           RobotState(x=6.0, y=3.0, heading=0.0)) for _ in range(2)]
+                           RobotState(x=6.0, y=3.0, heading=0.0),
+                           CirclePolicy((5.0, 3.0), 1.0, 0.5)) for _ in range(2)]
         sensed, clock = worlds[0].run(23), worlds[1].run(23, sense=False)
         for batch, interval in zip(sensed, clock, strict=True):
             assert interval == (worlds[1].t_us - 5000, worlds[1].t_us)
             assert worlds[0].scene == worlds[1].scene
             assert worlds[0].laser().ranges.tobytes() == worlds[1].laser().ranges.tobytes()
-            worlds[1].set_commands(VelocityCmd(1.0, 0.5), VelocityCmd(0.5, 0.0))
-            worlds[0].set_commands(VelocityCmd(1.0, 0.5), VelocityCmd(0.5, 0.0))
+            worlds[1].set_command(VelocityCmd(1.0, 0.5))
+            worlds[0].set_command(VelocityCmd(1.0, 0.5))
         assert worlds[0].t_us == worlds[1].t_us == 23_000
+        assert worlds[0].prey.y > 3.0  # the policy drove the prey
         moved = worlds[0].scene.moving_distractor.x != 4.0 + 1.6 * math.sin(0.9 * 0.005)
         assert moved == (scenario == "chase")
 
@@ -277,10 +279,52 @@ class TestWorldClock:
         run = world.run(10)
         next(run)
         assert (world.t_us, world.predator.x) == (5000, 3.0)
-        world.set_commands(VelocityCmd(1.0, 0.0), VelocityCmd(0.0, 0.0))
+        world.set_command(VelocityCmd(1.0, 0.0))
         next(run)  # five 1 ms steps at 1 m/s along the x axis
         assert world.predator.x == pytest.approx(3.005)
         assert world.prey.x == 6.0
+
+
+class TestRenderKey:
+    @pytest.mark.parametrize("moving", [False, True])
+    def test_worlds_at_one_key_render_equal_images(self, moving):
+        cfg = SimConfig(arena=ArenaConfig(moving_distractor=moving))
+        # the driven predator ends with the prey and the moving distractor in view
+        driven = WorldSim(cfg, 0, RobotState(x=5.5, y=5.6, heading=-math.pi / 2),
+                          RobotState(x=6.0, y=3.0, heading=0.0),
+                          CirclePolicy((5.0, 3.0), 1.0, 0.5))
+        for _ in driven.run(200):
+            driven.set_command(VelocityCmd(0.3, 0.1))
+        assert driven.ground_truth() is not None
+        # another seed, its clock without sensors, both robots parked from
+        # other start poses: the prey where the driven prey ended, facing away
+        parked = WorldSim(cfg, 1, RobotState(x=2.0, y=5.0, heading=2.0),
+                          RobotState(x=driven.prey.x, y=driven.prey.y, heading=-1.0))
+        for _ in parked.run(200, sense=False):
+            pass
+        assert parked.render_key() != driven.render_key()
+        assert parked.render().tobytes() != driven.render().tobytes()
+        # the predator put at the driven one's pose, as a forked renderer
+        # puts its own on a command
+        parked.predator = RobotState(*driven.predator.pose)
+        assert parked.render_key() == driven.render_key()
+        assert parked.render().tobytes() == driven.render().tobytes()
+        if moving:  # the key's last value is one the render reads
+            parked.scene.moving_distractor.x += 0.05
+            assert parked.render().tobytes() != driven.render().tobytes()
+
+
+class TestChaseScript:
+    @pytest.mark.parametrize("fov, command", [(81.0, (1.5, math.pi / 3)), (60.0, (0.0, 1.5))])
+    def test_the_chase_phase_spins_outside_the_field_of_view(self, fov, command):
+        script = ChaseScript(np.random.default_rng(0),
+                             SimConfig(camera=CameraConfig(fov_deg=fov)), base_speed=1.0)
+        script.phase, script.until = "chase", math.inf
+        bearing = math.radians(35.0)  # outside the centre third, inside 81 but not 60 degrees
+        prey = RobotState(x=3.0 + 3.0 * math.cos(bearing), y=3.0 + 3.0 * math.sin(bearing),
+                          heading=0.0)
+        cmd = script.command(0.0, RobotState(x=3.0, y=3.0, heading=0.0), prey)
+        assert (cmd.linear, cmd.angular) == command
 
 
 class TestRenderOutput:
