@@ -166,6 +166,10 @@ def _dataset_accuracy(net, ds):
 
 
 def cmd_train(args, cfg):
+    for flag, path in (("--out", args.out), ("--trace", args.trace)):
+        if path is not None and os.path.isdir(path):
+            print(f"train: {flag} {path} is a directory", file=sys.stderr)
+            return EXIT_USAGE
     train = load_dataset(args.dataset)
     test = load_dataset(args.test) if args.test else None
     for path, ds in ((args.dataset, train), (args.test, test)):

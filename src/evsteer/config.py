@@ -2,15 +2,16 @@
 
 Lines look like `filter.alpha = 0.25`; `#` starts a comment. Unknown keys are
 rejected. The defaults live on the config dataclass fields under `Settings`,
-and nowhere else: a field whose default is a config dataclass names a
-section, and each plain field under it is the key `<section>.<field>`, so
+and nowhere else: a field whose default is a config dataclass names a section,
+and each plain field under it is the key `<section>.<field>`, so
 `Settings.sim.filter.alpha` is `filter.alpha` and `Settings.sim.duration` is
-`sim.duration`. Text values are coerced to the type of the default.
-`simulate --dry-run` lists every key with its value. Every default that has a
-counterpart in the deployed system it mirrors is that system's value:
-5000-event histograms, alpha 0.25, pi/3 rad/s chase turn, 1.5 rad/s rotate,
-5 s lost timeout, ~15 fps APS, 240 Hz processing cap, 81 degree field of
-view, 9.5 x 6.7 m arena, 1.5 m/s top speed, 0.1 Hz per-pixel leak.
+`sim.duration`. Sections of one name share their keys: gen-data reads the
+closed loop's sim.* and behavior.*. Text values are coerced to the type of the
+default. `simulate --dry-run` lists every key with its value. Every default
+that has a counterpart in the deployed system it mirrors is that system's
+value: 5000-event histograms, alpha 0.25, pi/3 rad/s chase turn, 1.5 rad/s
+rotate, 5 s lost timeout, ~15 fps APS, 240 Hz processing cap, 81 degree field
+of view, 9.5 x 6.7 m arena, 1.5 m/s top speed, 0.1 Hz per-pixel leak.
 """
 
 from __future__ import annotations
@@ -97,9 +98,10 @@ class RunnerConfig:
 
 @dataclass
 class DatagenConfig:
-    """Scripted recordings for `gen-data`."""
+    """Scripted recordings for `gen-data`; its chase phases read behavior.*."""
 
     sim: SimConfig = field(default_factory=SimConfig)
+    behavior: BehaviorConfig = field(default_factory=BehaviorConfig)
     recordings: int = 20  # gen-data: seeds seed_base, seed_base + 1, ...
     seed_base: int = 1000
     duration: float = 8.0  # s per recording

@@ -292,7 +292,7 @@ def assemble_dataset(recordings, capacity=DEFAULT_CAPACITY, aps_target_fraction=
     }
 
     target_aps = int(round(n_dvs * aps_target_fraction / (1.0 - aps_target_fraction)))
-    for i in range(max(0, target_aps - n_aps)):
+    for i in range(max(0, target_aps - n_aps) if aps_items else 0):
         t, source, _, label, x, raw = aps_items[i % len(aps_items)]
         shifted = exposure_augment(raw, SHIFT_GRID[i % len(SHIFT_GRID)])
         train_items.append((t, source, aps_normalize(shifted), label, x, raw))

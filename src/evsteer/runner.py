@@ -51,7 +51,8 @@ aligned word, the epoch being the number of commands it has applied.
   loop gets it as a read-only view.
 A dead renderer raises WorkerLostError, at the latest when the run ends, and
 a renderer whose loop died reads EOF on its pipe, within _POLL_S where it
-waits for a slot, and ends.
+waits for a slot, and ends. A renderer past its last step reads its pipe
+until EOF, so the commands of the loop's last steps meet an open pipe.
 
 The run log is the run's only record: `run_closed_loop` returns its text, and
 every count or score of a run is read back from it. `simulate` writes the log
@@ -220,7 +221,7 @@ class _RenderRing:
 
     def renderer(self, n_steps):
         """The renderer's items, from its end of the pipe: one answer, the
-        number of commands it applied, once its clock ends."""
+        number of commands it applied, once its clock ends; then it reads to EOF."""
         world, cfg = self.world, self.world.cfg
         dt = cfg.timestep_us / 1e6
 
@@ -248,6 +249,9 @@ class _RenderRing:
                     self.words[0] = (epoch << 32) | step
                     self.ready.release()
             yield epoch
+            with contextlib.suppress(EOFError):
+                while True:
+                    conn.recv()
 
         return render_ahead
 

@@ -9,6 +9,7 @@ import signal
 import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from evsteer.evaluation import evaluate_records
 from evsteer.frames import (EVENT_DTYPE, Dataset, Recording, assemble_dataset,
                             load_dataset, save_dataset, save_recording, write_events)
 from evsteer.nnet import Decision, runtime_network, save_weights
-from evsteer.runner import RunnerConfig, decision_step
+from evsteer.runner import STORES_IN_ORDER, RunnerConfig, decision_step
 
 HEADER = "evsteer-net v1\ninput 36 36 1\n"
 
@@ -421,6 +422,36 @@ def test_a_killed_renderer_fails_the_chase(tmp_path, weights):
     assert not (tmp_path / "sim").exists()
 
 
+def test_a_command_after_the_renderer_ended_keeps_the_chase(tmp_path, weights, monkeypatch):
+    # at the last render step the loop waits until the renderer, ahead of
+    # it, has published its final answer, then changes the command, which
+    # it sends down the renderer's pipe
+    image, sends = runner._RenderRing.image, []
+
+    def late(ring):
+        if ring.world.t_us != 1_000_000:
+            return image(ring)
+        time.sleep(0.3)
+        ring.world.predator.angular += 0.1
+        sent = ring.sent
+        got = image(ring)
+        sends.append(ring.sent - sent)
+        return got
+
+    monkeypatch.setattr(runner._RenderRing, "image", late)
+    logs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+        out = tmp_path / f"sim{cpus}"
+        argv = ["simulate", "--weights", weights, "--duration", "1", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        logs[cpus] = (out / "run.log").read_text()
+    assert multiprocessing.active_children() == []
+    if STORES_IN_ORDER:
+        assert sends == [1]  # the forked run sent a command at its last step
+    assert logs[2] == logs[1]
+
+
 # simulate of the chase in a child that prints its renderer's pid and SIGKILLs
 # itself at its 100th render step, so `forked` never ends its block
 KILLED_CHASE_SCRIPT = """
@@ -747,6 +778,16 @@ def _empty_dataset(path):
 
 
 class TestEmptyDataset:
+    def test_gen_data_without_aps_frames_augments_nothing(self, tmp_path, capsys):
+        argv = ["--set", "gen.duration=0.5", "--set", "sim.aps_period_us=100000000",
+                "gen-data", "--recordings", "2", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.endswith("(APS fraction 0.000)\n")
+        report = (tmp_path / "class_report.txt").read_text()
+        assert "\ntrain_aps: 0\ntrain_aps_before_augment: 0\n" in report
+        train = load_dataset(tmp_path / "train.ds")
+        assert len(train) > 0 and train.source_counts() == (0, len(train))
+
     def test_eval_reports_zero_records(self, tmp_path, weights, capsys):
         argv = ["eval", "--weights", weights, "--dataset", _empty_dataset(tmp_path / "e.ds"),
                 "--out", str(tmp_path / "eval")]
@@ -920,6 +961,21 @@ class TestArgumentExitCodes:
                 "--duration", "0.1", "--listen", "0"]
         assert main(argv) == EXIT_USAGE
         assert "--aps needs --events" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_train_into_a_directory_is_usage_error(self, tmp_path, generated_recordings,
+                                                    capsys, flag):
+        _split(tmp_path, generated_recordings)
+        paths = {"--out": str(tmp_path / "train" / "w.net"),
+                 "--trace": str(tmp_path / "trace.csv")}
+        paths[flag] = str(tmp_path)
+        argv = ["train", "--dataset", str(tmp_path / "train.ds"), "--iterations", "1",
+                "--out", paths["--out"], "--trace", paths["--trace"]]
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""  # refused before the first iteration
+        assert f"train: {flag} {tmp_path} is a directory" in err
+        assert not (tmp_path / "train").exists()
 
     def test_train_makes_the_trace_directory(self, tmp_path, generated_recordings):
         _split(tmp_path, generated_recordings)

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from evsteer import workers
-from evsteer.behavior import VelocityCmd
+from evsteer.behavior import BehaviorConfig, BehaviorController, Mode, VelocityCmd
 from evsteer.config import ConfigError, load_config
 from evsteer.datagen import ChaseScript, DatagenConfig, generate_recording
-from evsteer.nnet import runtime_network
+from evsteer.frames import label_from_target
+from evsteer.nnet import Decision, runtime_network
 from evsteer.runner import RunnerConfig, run_closed_loop
 from evsteer.sim import (LASER_ANGLES, ArenaConfig, Camera, CameraConfig, CirclePolicy,
                          Distractor, EventSynth, RobotState, Scene, SimConfig,
@@ -49,6 +50,10 @@ RUNLOG_SHA256 = (
     "efc114a54ef5df5e60b6b8812386cc4eda650c12278ffda98072e0b540c1b9fa")
 RECORDING_SHA256 = (
     "dd38d6c2f37313b291bc344acf7f07734b6c60a5eed70059e7be594f48dff347")
+# 3 s of seed 10: its script chases from 1.54 s on with the closed loop's
+# controller, which slows on the laser and catches the prey at 2.4 s
+CHASE_RECORDING_SHA256 = (
+    "a17dfb5e3f9f8b2954e5bbb210ec484783423a642d105cf57d958de54609b8ad")
 # run log of the overloaded rate_test scene, where one render batch yields
 # several frames, hashed once late frames were dropped before the CNN
 RATE_TEST_RUNLOG_SHA256 = (
@@ -95,8 +100,8 @@ def rate_test_runlog(overrides=()):
     return run_closed_loop(runtime_network(np.random.default_rng(0)), cfg, seed=7)
 
 
-def recording_digest():
-    rec = generate_recording(DatagenConfig(sim=SimConfig(), duration=1.0), seed=5)
+def recording_digest(duration=1.0, seed=5):
+    rec = generate_recording(DatagenConfig(sim=SimConfig(), duration=duration), seed=seed)
     h = hashlib.sha256()
     for arr in (rec.events, rec.aps_t, rec.aps_raw, rec.label_t, rec.label_x):
         h.update(np.ascontiguousarray(arr).tobytes())
@@ -112,6 +117,9 @@ class TestGolden:
 
     def test_generated_recording(self):
         assert recording_digest() == RECORDING_SHA256
+
+    def test_generated_recording_with_a_chase_phase(self):
+        assert recording_digest(duration=3.0, seed=10) == CHASE_RECORDING_SHA256
 
     def test_rate_test_runlog(self):
         log = rate_test_runlog()
@@ -315,16 +323,45 @@ class TestRenderKey:
 
 
 class TestChaseScript:
-    @pytest.mark.parametrize("fov, command", [(81.0, (1.5, math.pi / 3)), (60.0, (0.0, 1.5))])
-    def test_the_chase_phase_spins_outside_the_field_of_view(self, fov, command):
-        script = ChaseScript(np.random.default_rng(0),
-                             SimConfig(camera=CameraConfig(fov_deg=fov)), base_speed=1.0)
+    @pytest.mark.parametrize("prey, policy, seen", [
+        # a prey circling on the left: turns on L, drives on C, then a catch
+        ((5.0, 5.0, 0.0), CirclePolicy((5.0, 4.0), 1.0, 0.5),
+         {(Decision.L, Mode.CHASE), (Decision.C, Mode.CHASE), (Decision.C, Mode.PREY_CAUGHT)}),
+        # a parked prey 0.7 m dead ahead: caught at once, then the pause
+        ((3.7, 3.35, 0.0), None, {(Decision.C, Mode.PREY_CAUGHT)}),
+    ])
+    def test_the_chase_phase_steps_the_behavior_controller(self, prey, policy, seen):
+        world = WorldSim(SimConfig(), 0, RobotState(x=3.0, y=3.35, heading=0.0),
+                         RobotState(*prey), policy)
+        script = ChaseScript(np.random.default_rng(0), world.cfg.arena, 1.0,
+                             BehaviorController(BehaviorConfig(), seed=3))
         script.phase, script.until = "chase", math.inf
-        bearing = math.radians(35.0)  # outside the centre third, inside 81 but not 60 degrees
-        prey = RobotState(x=3.0 + 3.0 * math.cos(bearing), y=3.0 + 3.0 * math.sin(bearing),
-                          heading=0.0)
-        cmd = script.command(0.0, RobotState(x=3.0, y=3.0, heading=0.0), prey)
-        assert (cmd.linear, cmd.angular) == command
+        oracle = BehaviorController(BehaviorConfig(), seed=3)  # its twin, stepped here
+        visited = set()
+        for _ in world.run(2000, sense=False):
+            target = world.ground_truth()
+            label = label_from_target(target)
+            want = oracle.step(label, world.laser(), now=world.t_us / 1e6)
+            got = script.command(world, target)
+            assert got == want
+            assert script.controller.mode is oracle.mode
+            if oracle.mode is Mode.PREY_CAUGHT:
+                assert got == VelocityCmd(0.0, 0.0)
+            visited.add((label, oracle.mode))
+            world.set_command(got)
+        assert seen <= visited
+        if policy is None:
+            assert visited == seen
+
+    def test_gen_data_reads_the_closed_loop_behavior_keys(self):
+        settings = load_config(overrides=["behavior.rotate_angular=1.2"]).settings
+        assert settings.gen.behavior == settings.sim.behavior
+        script = ChaseScript(np.random.default_rng(0), ArenaConfig(), 1.0,
+                             BehaviorController(settings.gen.behavior))
+        script.phase, script.until, script.sweep_sign = "spin", math.inf, -1.0
+        world = WorldSim(SimConfig(), 0, RobotState(x=3.0, y=3.35, heading=0.0),
+                         RobotState(x=6.0, y=3.35, heading=0.0))
+        assert script.command(world, world.ground_truth()) == VelocityCmd(0.0, -1.2)
 
 
 class TestRenderOutput:
