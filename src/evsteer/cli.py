@@ -20,8 +20,9 @@ streams them down a pipe of its own, so EOF on the pipe the parent is
 reading names the one seed a worker's death lost; a worker that dies after
 its last recording came back loses nothing. The pool, the frame producer
 that a static scene's `simulate` forks and the renderer that a chase's forks
-run the one worker loop of `evsteer.workers`, which also decides when a fork
-is safe.
+run the one worker loop of `evsteer.workers`, which streams answers one way,
+to the parent, and also decides when a fork is safe; the renderer reads the
+loop's commands from the image ring the two share.
 """
 
 from __future__ import annotations
@@ -593,7 +594,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, WeightFileError, DataError, FileNotFoundError) as exc:
+    except (FormatError, WeightFileError, DataError, FileNotFoundError,
+            IsADirectoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except KeyboardInterrupt:

@@ -239,7 +239,7 @@ def load_config(path=None, overrides=()) -> Config:
         try:
             with open(path) as fh:
                 lines = fh.readlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         for lineno, line in enumerate(lines, 1):
             line = line.split("#", 1)[0].strip()

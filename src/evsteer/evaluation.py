@@ -29,6 +29,7 @@ from evsteer.nnet import N_CLASSES, Decision
 _REGIONS_AT = {REGION_WIDTH: (Decision.L, Decision.C),
                2 * REGION_WIDTH: (Decision.C, Decision.R)}
 _EDGE_REGION = {0: Decision.L, FRAME_SIZE: Decision.R}
+MARGINS = range(0, 4)  # the p of a report's accuracy rows
 
 
 def correct(decisions, labels, target_x, p: int = 0) -> np.ndarray:
@@ -92,14 +93,14 @@ class Report:
         return "\n".join(rows) + "\n"
 
 
-def evaluate_records(decisions, labels, target_x, source, ps=range(0, 4),
-                     timestamps=None, extra=None) -> Report:
+def evaluate_records(decisions, labels, target_x, source, timestamps=None,
+                     extra=None) -> Report:
     """Report over per-frame columns; with no frames it has no accuracy rows."""
     decisions, labels, target_x, source = (np.asarray(c, dtype=np.int64) for c in
                                            (decisions, labels, target_x, source))
     n = len(decisions)
-    curve = [(int(p), float(np.mean(correct(decisions, labels, target_x, int(p)))))
-             for p in ps] if n else []
+    curve = [(p, float(np.mean(correct(decisions, labels, target_x, p))))
+             for p in MARGINS] if n else []
     ok = correct(decisions, labels, target_x)
     per_source = {}  # raw p=0 error rate per source; None when it is absent
     for src, name in SOURCE_NAMES.items():

@@ -383,6 +383,8 @@ def write_aps(path, aps_t, aps_raw):
 
 def read_aps(path):
     _, recs = _read_counted(path, APS_MAGIC, 1, APS_RECORD)
+    if not np.all(np.isfinite(recs["raw"])):
+        raise FormatError(f"{path}: non-finite APS value")
     return recs["t"].astype(np.uint32), recs["raw"].astype(np.float32)
 
 
@@ -456,6 +458,8 @@ def load_dataset(path) -> Dataset:
         raise FormatError(f"{path}: label byte above 3 or source byte above 1")
     if np.any((tx >= FRAME_SIZE) & (tx != 255)):
         raise FormatError(f"{path}: target byte outside 0..{FRAME_SIZE - 1} and 255")
+    if not np.all(np.isfinite(recs["values"])):
+        raise FormatError(f"{path}: non-finite frame value")
     ds = Dataset(frames=recs["values"].astype(np.float32),
                  labels=recs["label"].copy(),
                  target_x=np.where(tx == 255, -1, tx.astype(np.int16)),

@@ -689,14 +689,14 @@ def save_weights(net: Network, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_values(line, shape, dtype, what):
+def _parse_values(line, shape, what):
     toks = line.split()
     expected = math.prod(shape)
     if len(toks) != expected:
         raise WeightShapeError(f"{what}: expected {expected} values, got {len(toks)}")
     try:
-        with np.errstate(over="ignore"):  # out of dtype range reads as inf
-            vals = np.array([float(t) for t in toks], dtype=dtype)
+        with np.errstate(over="ignore"):  # out of float32 range reads as inf
+            vals = np.array([float(t) for t in toks], dtype=np.float32)
     except ValueError as exc:
         raise MalformedWeightFileError(f"{what}: bad float literal: {exc}") from None
     if not np.all(np.isfinite(vals)):
@@ -712,7 +712,7 @@ def _decl_numbers(decl, cast):
         raise MalformedWeightFileError(f"bad {decl[0]} declaration: {' '.join(decl)}") from None
 
 
-def load_weights(path, dtype=np.float32) -> Network:
+def load_weights(path) -> Network:
     try:
         with open(path) as fh:
             lines = [ln.rstrip("\n") for ln in fh]
@@ -777,9 +777,9 @@ def load_weights(path, dtype=np.float32) -> Network:
 
     def parse_next(shape, fan_in=None, fan_out=None):
         what, line = next(pending)
-        return _parse_values(line, shape, dtype, what)
+        return _parse_values(line, shape, what)
 
-    return Network(layers, input_shape, dtype=dtype, init=parse_next)
+    return Network(layers, input_shape, init=parse_next)
 
 
 def dump_activations(net: Network, frame, directory):

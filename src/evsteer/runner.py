@@ -27,32 +27,34 @@ where a second CPU is usable and the processor keeps stores in order
 (STORES_IN_ORDER), `run_closed_loop` forks a renderer, again on the worker
 loop of `evsteer.workers`. On its own copy of the world, which drives its
 prey as this one does, it runs the clock with the sensors off, guesses the
-predator's pose from the last command it was sent, and renders each step
-ahead of the loop into a slot of a ring of RING_SLOTS images in an anonymous
-shared mapping. It writes a slot's key after its image: the render step and
+predator's pose from the last command it read, and renders each step ahead
+of the loop into a slot of a ring of RING_SLOTS images in an anonymous shared
+mapping. It writes a slot's key after its image: the render step and
 `WorldSim.render_key()`. Last it publishes (epoch << 32) | step in one
-aligned word, the epoch being the number of commands it has applied.
+aligned word, the epoch being the count of the last command it applied.
 - **Exact keys.** The loop uses slot j % RING_SLOTS at render step j only
   where the slot's key equals its own world's, byte for byte; otherwise it
   renders in-process. So the run log is byte-identical whatever the renderer
   does, and a step whose image is ready costs no pipe message and no pickle,
   only a semaphore release.
-- **Commands.** The loop sends (step, pose, command) down the pipe only where
-  the predator's command changed after that step; the renderer then rewinds
-  its predator to that pose and integrates it up to its own step.
+- **Commands.** Where the predator's command changed after step j, the loop
+  writes (j, pose, command) into the mapping's record between two writes of a
+  sequence word, odd while the record is half-written. The renderer skips a
+  record half-written or rewritten while it read; once its step reaches j, it
+  rewinds its predator to that pose and integrates it up to its own step.
 - **Waiting.** The loop waits, on a semaphore, only for the step the renderer
   is rendering now on the current command: the one after its last published
-  step, in the epoch of every command sent. A step the renderer has not
+  step, in the epoch of every command written. A step the renderer has not
   started the loop renders itself, and the renderer skips the steps the
   loop has passed.
 - **Slot lifetime.** The loop gives slot j back through a token semaphore
   when it starts step j + 1, so an image from the ring is only valid within
   its step: `EventSynth.update` and `aps_resize` consume it there, and the
   loop gets it as a read-only view.
-A dead renderer raises WorkerLostError, at the latest when the run ends, and
-a renderer whose loop died reads EOF on its pipe, within _POLL_S where it
-waits for a slot, and ends. A renderer past its last step reads its pipe
-until EOF, so the commands of the loop's last steps meet an open pipe.
+The renderer's pipe carries only its one answer. A dead renderer raises
+WorkerLostError, at the latest when the run ends, and a renderer whose loop
+died finds, within _POLL_S where it waits for a slot, that its parent is no
+longer the loop's process, and ends.
 
 The run log is the run's only record: `run_closed_loop` returns its text, and
 every count or score of a run is read back from it. `simulate` writes the log
@@ -72,10 +74,10 @@ Run logs are line-oriented text, one record per line:
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import math
 import mmap
+import os
 import platform
 import struct
 
@@ -93,7 +95,7 @@ from evsteer.nnet import Decision
 from evsteer.sim import (CirclePolicy, RobotState, WaypointPolicy, WorldSim,
                          kinematics_step)
 from evsteer.wire import SEQ_MOD, DecisionEncoder
-from evsteer.workers import fork_context, forked, receive, send, unpack
+from evsteer.workers import fork_context, forked, receive, unpack
 
 RUNLOG_MAGIC = "# evsteer-runlog v1"
 
@@ -154,12 +156,14 @@ def _sensed_frames(batches, stream):
 
 class _RenderRing:
     """The shared image ring of a chase's forked renderer (see the module
-    docstring). The mapping holds two words, the renderer's last published
-    (epoch << 32) | step and the step the loop is in, then one key per slot
-    at _KEYS, then one image per slot at _IMAGES."""
+    docstring). The mapping holds three words, the renderer's published
+    (epoch << 32) | step, the loop's step and the record's sequence word, then
+    the command record at _RECORD, the slots' keys at _KEYS and images at _IMAGES."""
 
+    _COMMAND = struct.Struct("q5d")  # the step before a command change, pose, command
+    _RECORD = 24
     _KEY = struct.Struct("q6d")
-    _KEYS = 16
+    _KEYS = _RECORD + _COMMAND.size
     _IMAGES = mmap.PAGESIZE
     _STEP = (1 << 32) - 1  # the step bits of a published word
     _POLL_S = 0.1  # how often a waiting process looks whether the other died
@@ -169,17 +173,19 @@ class _RenderRing:
         self.step_us = world.cfg.timestep_us * world.cfg.render_every
         shape = (RING_SLOTS, SENSOR_HEIGHT, SENSOR_WIDTH)
         self.buf = mmap.mmap(-1, self._IMAGES + 4 * math.prod(shape))
-        self.words = memoryview(self.buf)[:self._KEYS].cast("q")
+        self.words = memoryview(self.buf)[:self._RECORD].cast("q")
         self.words[0] = -1  # no step published: the first step renders here
         self.images = np.frombuffer(self.buf, np.float32, offset=self._IMAGES).reshape(shape)
         self.views = self.images.view()
         self.views.flags.writeable = False
         self.free = context.Semaphore(RING_SLOTS)  # slots the loop gave back
         self.ready = context.Semaphore(0)  # one release per published image
+        self.loop = os.getpid()  # the renderer's parent while the loop lives
         self.conn = None  # the loop's end of the renderer's pipe
+        self.answer = None  # the renderer's one answer, once taken: EOF follows it
         predator = world.predator
         self.pose = predator.pose  # the loop's predator at its last render step
-        self.command = (predator.linear, predator.angular)  # the last one sent
+        self.command = (predator.linear, predator.angular)  # the last one written
         self.sent = 0
 
     def _key_bytes(self, step):
@@ -194,10 +200,11 @@ class _RenderRing:
         step = world.t_us // self.step_us
         command = (predator.linear, predator.angular)
         if command != self.command:
-            send(self.conn, (step - 1, *self.pose, *command),
-                 f"the renderer's command at {world.t_us} us")
-            self.command = command
             self.sent += 1
+            self.words[2] = 2 * self.sent - 1  # odd while the record is half-written
+            self.buf[self._RECORD:self._KEYS] = self._COMMAND.pack(step - 1, *self.pose, *command)
+            self.words[2] = 2 * self.sent
+            self.command = command
         self.pose = predator.pose
         self.words[1] = step
         if step > 1:
@@ -216,44 +223,36 @@ class _RenderRing:
 
     def check(self):
         """Raises what ended the renderer, if it ended in an error or died."""
-        if self.conn.poll():
-            unpack(receive(self.conn, f"the renderer's step at {self.world.t_us} us"))
+        if self.answer is None and self.conn.poll():
+            job = f"the renderer's step at {self.world.t_us} us"
+            self.answer = unpack(receive(self.conn, job))
 
     def renderer(self, n_steps):
-        """The renderer's items, from its end of the pipe: one answer, the
-        number of commands it applied, once its clock ends; then it reads to EOF."""
+        """The renderer's items: one answer, the epoch of the last command
+        it applied, once its clock ends."""
         world, cfg = self.world, self.world.cfg
         dt = cfg.timestep_us / 1e6
-
-        def render_ahead(conn):
-            epoch, commands = 0, collections.deque()
-            for _ in world.run(n_steps, sense=False):
-                step = world.t_us // self.step_us
-                # the slot of this step is the renderer's; EOF from recv,
-                # once the loop's process is gone, ends the renderer
-                while not self.free.acquire(timeout=self._POLL_S):
-                    if conn.poll():
-                        commands.append(conn.recv())
-                while conn.poll():
-                    commands.append(conn.recv())
-                while commands and commands[0][0] <= step:
-                    at, *state = commands.popleft()
-                    predator = RobotState(*state)
-                    for _ in range((step - at) * cfg.render_every):
-                        predator = kinematics_step(predator, dt, cfg.arena)
-                    world.predator = predator
-                    epoch += 1
-                if step >= self.words[1]:  # the loop has not passed it
-                    self.images[step % RING_SLOTS] = WorldSim.render(world)
-                    self.buf[self._key_bytes(step)] = self._KEY.pack(step, *world.render_key())
-                    self.words[0] = (epoch << 32) | step
-                    self.ready.release()
-            yield epoch
-            with contextlib.suppress(EOFError):
-                while True:
-                    conn.recv()
-
-        return render_ahead
+        epoch = 0
+        for _ in world.run(n_steps, sense=False):
+            step = world.t_us // self.step_us
+            # the slot of this step is the renderer's; a loop that died gives none back
+            while not self.free.acquire(timeout=self._POLL_S):
+                if os.getppid() != self.loop:
+                    return
+            sequence = self.words[2]
+            at, *state = self._COMMAND.unpack(self.buf[self._RECORD:self._KEYS])
+            # a new record, whole and not rewritten while read, of a step reached
+            if sequence % 2 == 0 and self.words[2] == sequence != 2 * epoch and at <= step:
+                epoch, predator = sequence // 2, RobotState(*state)
+                for _ in range((step - at) * cfg.render_every):
+                    predator = kinematics_step(predator, dt, cfg.arena)
+                world.predator = predator
+            if step >= self.words[1]:  # the loop has not passed it
+                self.images[step % RING_SLOTS] = WorldSim.render(world)
+                self.buf[self._key_bytes(step)] = self._KEY.pack(step, *world.render_key())
+                self.words[0] = (epoch << 32) | step
+                self.ready.release()
+        yield epoch
 
 
 @contextlib.contextmanager

@@ -4,18 +4,16 @@
 
 A worker is forked with an iterator of items, so what it runs is not
 pickled, and streams their answers to the parent over a pipe of its own, in
-order, without being asked. Only the renderer needs to hear from the parent:
-it is forked with a function that takes the worker's end of the pipe and
-returns the items, and reads what the parent `send`s on it. An answer is
-an (ok, value) pair: a false ok carries the exception, which `unpack` raises
-in the parent with its class and message, and the worker computes nothing
-after it. Only the worker holds the other end of its pipe, so EOF on it
-means the worker died, and `receive` and `send` raise WorkerLostError
+order, without being asked; nothing goes the other way. An answer is an
+(ok, value) pair: a false ok carries the exception, which `unpack` raises in
+the parent with its class and message, and the worker computes nothing after
+it. Only the worker holds the other end of its pipe, so EOF on it means the
+worker died or ran out of items, and `receive` raises WorkerLostError
 instead of waiting forever. Only the parent holds the parent's end, so a
-worker whose parent died meets EOF or a broken pipe at its next read or
-send, and ends. No worker outlives the block of `forked`, whether the block
-ends in success or in an exception. Ctrl-C is the parent's to handle: a
-worker ignores SIGINT and is terminated when the block ends.
+worker whose parent died meets a broken pipe at its next send, and ends. No
+worker outlives the block of `forked`, whether the block ends in success or
+in an exception. Ctrl-C is the parent's to handle: a worker ignores SIGINT
+and is terminated when the block ends.
 """
 
 from __future__ import annotations
@@ -68,18 +66,6 @@ def receive(conn, job):
         raise WorkerLostError(job) from None
 
 
-def send(conn, value, job):
-    """Sends value to the worker on conn; WorkerLostError(job) when it died."""
-    try:
-        conn.send(value)
-        return
-    except (BrokenPipeError, ConnectionResetError):
-        pass
-    # raised outside the handler, so that nothing keeps the failed send's
-    # frames, and the pickle buffer exported in them, alive
-    raise WorkerLostError(job)
-
-
 def _serve(conn, items, parent_ends):
     """A worker's body: the answer to each next item down conn, until an item
     raises, the items end or the pipe closes. It first closes its copies of
@@ -88,25 +74,19 @@ def _serve(conn, items, parent_ends):
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for end in parent_ends:
         end.close()
-    if callable(items):
-        items = items(conn)
-    ok = True
     with contextlib.suppress(OSError):
-        while ok:
-            try:
-                value = next(items)
-            except Exception as exc:  # noqa: BLE001 - re-raised in the parent
-                ok, value = False, exc
-            conn.send((ok, value))
+        try:
+            for value in items:
+                conn.send((True, value))
+        except Exception as exc:  # noqa: BLE001 - re-raised in the parent
+            conn.send((False, exc))
 
 
 @contextlib.contextmanager
 def forked(context, streams):
-    """One worker per stream, forked from context, each sending its items'
-    answers down a pipe of its own; yields the parent's ends in order. A
-    stream is an iterator, or a function of the worker's end of the pipe
-    that returns one. Every worker is terminated and joined when the block
-    ends."""
+    """One worker per iterator in streams, forked from context, each sending
+    its items' answers down a pipe of its own; yields the parent's ends in
+    order. Every worker is terminated and joined when the block ends."""
     # a forked worker flushes the stdio buffers it inherits when it exits
     sys.stdout.flush()
     sys.stderr.flush()

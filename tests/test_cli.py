@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -424,8 +425,8 @@ def test_a_killed_renderer_fails_the_chase(tmp_path, weights):
 
 def test_a_command_after_the_renderer_ended_keeps_the_chase(tmp_path, weights, monkeypatch):
     # at the last render step the loop waits until the renderer, ahead of
-    # it, has published its final answer, then changes the command, which
-    # it sends down the renderer's pipe
+    # it, has published its final answer, then changes the command, whose
+    # record it writes into the ring's mapping after the renderer ended
     image, sends = runner._RenderRing.image, []
 
     def late(ring):
@@ -820,6 +821,32 @@ class TestReaderExitCodes:
         assert main(argv) == EXIT_DATA
         assert "outside 240x180" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_a_non_finite_frame_value_is_data_error(self, tmp_path, weights,
+                                                    generated_recordings, capsys, command):
+        _split(tmp_path, generated_recordings)
+        ds = load_dataset(tmp_path / "test.ds")
+        ds.frames[len(ds) // 2, 18, 18] = np.nan
+        save_dataset(tmp_path / "nan.ds", ds)
+        out = str(tmp_path / "train" / "w.net")
+        argv = {"eval": ["eval", "--weights", weights],
+                "train": ["train", "--iterations", "3", "--out", out]}[command]
+        argv += ["--dataset", str(tmp_path / "nan.ds")]
+        assert main(argv) == EXIT_DATA
+        assert "nan.ds: non-finite frame value" in capsys.readouterr().err
+        assert not (tmp_path / "train").exists()
+
+    def test_a_non_finite_aps_value_is_data_error(self, tmp_path, weights,
+                                                  generated_recordings, capsys):
+        rec = generated_recordings[0]
+        aps_raw = rec.aps_raw.copy()
+        aps_raw[1, 18, 18] = np.inf
+        save_recording(tmp_path / "rec", dataclasses.replace(rec, aps_raw=aps_raw))
+        argv = ["serve", "--weights", weights, "--events", str(tmp_path / "rec.events"),
+                "--aps", str(tmp_path / "rec.aps"), "--listen", "0"]
+        assert main(argv) == EXIT_DATA
+        assert "rec.aps: non-finite APS value" in capsys.readouterr().err
+
 
 class TestConfigExitCodes:
     @pytest.mark.parametrize("override", [
@@ -903,6 +930,13 @@ class TestConfigExitCodes:
         assert main(argv) == EXIT_USAGE
         assert "cannot read config" in capsys.readouterr().err
 
+    def test_a_config_file_that_is_not_text_is_usage_error(self, tmp_path, weights, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("# d\u00e9faut\nfilter.alpha = 0.3\n".encode("latin-1"))
+        argv = ["--config", str(path), "simulate", "--weights", weights, "--dry-run"]
+        assert main(argv) == EXIT_USAGE
+        assert "cannot read config" in capsys.readouterr().err
+
     def test_no_numeric_key_takes_a_non_finite_or_negative_value(self):
         numeric = [key for key, default in KEYS.items() if type(default) in (int, float)]
         assert len(numeric) == 45
@@ -976,6 +1010,22 @@ class TestArgumentExitCodes:
         assert out == ""  # refused before the first iteration
         assert f"train: {flag} {tmp_path} is a directory" in err
         assert not (tmp_path / "train").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--weights", "DIR", "--dry-run"],
+        ["eval", "--weights", "W", "--dataset", "DIR"],
+        ["eval", "--weights", "W", "--runlog", "DIR"],
+        ["train", "--dataset", "DIR", "--out", "OUT"],
+        ["serve", "--weights", "W", "--events", "DIR", "--listen", "0"],
+    ], ids=["simulate-weights", "eval-dataset", "eval-runlog", "train-dataset",
+            "serve-events"])
+    def test_an_input_that_is_a_directory_is_data_error(self, tmp_path, weights, capsys,
+                                                         command):
+        out = tmp_path / "train" / "w.net"
+        names = {"DIR": str(tmp_path), "W": weights, "OUT": str(out)}
+        assert main([names.get(arg, arg) for arg in command]) == EXIT_DATA
+        assert f"data error: [Errno 21] Is a directory: '{tmp_path}'" in capsys.readouterr().err
+        assert not out.parent.exists()
 
     def test_train_makes_the_trace_directory(self, tmp_path, generated_recordings):
         _split(tmp_path, generated_recordings)

@@ -104,8 +104,10 @@ class TestAccuracyCurve:
         for _ in range(100):
             x = None if rng.random() < 0.3 else int(rng.integers(36))
             pairs.append((Decision(int(rng.integers(4))), x))
-        curve = report(pairs, ps=range(0, 6)).curve
-        for (_, a0), (_, a1) in zip(curve, curve[1:]):
+        # the report's rows are the first margins of the curve
+        curve = [float(np.mean(correct(*columns(pairs)[:3], p))) for p in range(6)]
+        assert report(pairs).curve == list(enumerate(curve[:4]))
+        for a0, a1 in zip(curve, curve[1:]):
             assert a1 >= a0
 
 

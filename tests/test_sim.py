@@ -1,13 +1,15 @@
 import hashlib
+import itertools
 import math
 import multiprocessing
 import os
 import threading
+import types
 
 import numpy as np
 import pytest
 
-from evsteer import workers
+from evsteer import runner, workers
 from evsteer.behavior import BehaviorConfig, BehaviorController, Mode, VelocityCmd
 from evsteer.config import ConfigError, load_config
 from evsteer.datagen import ChaseScript, DatagenConfig, generate_recording
@@ -227,13 +229,107 @@ class TestRenderAhead:
             assert hashlib.sha256(logs[2].encode()).hexdigest() == RUNLOG_SHA256
         here = os.getpid()
         assert [pid for pid, _ in renders[1]] == [here] * 200  # 1 s of 5 ms render steps
-        # the renderer moves its predator only on a command the loop sent
-        start = renders[1][0][1]
-        assert {pose for pid, pose in renders[2] if pid != here} - {start}
         if usable >= 2:
             # how many images the loop renders itself depends on how fast the
             # renderer keeps up, which another CPU's load can change
             assert sum(pid == here for pid, _ in renders[2]) < 100  # most from the ring
+
+    START = (3.0, 3.35, 0.0)
+
+    @classmethod
+    def _world(cls):
+        """A chase world, its predator at START and its prey parked ahead."""
+        return WorldSim(SimConfig(), 0, RobotState(*cls.START),
+                        RobotState(x=6.0, y=3.35, heading=0.0))
+
+    @staticmethod
+    def _renderer(world, n_steps, at_step):
+        """A chase renderer's ring on world and the answers of its renderer, run
+        in this process; at_step(ring, step) runs at each of its render steps,
+        where it takes the step's slot, before it reads the command record."""
+        ring = runner._RenderRing(multiprocessing.get_context(), world)
+        steps = itertools.count(1)
+        ring.free = types.SimpleNamespace(
+            acquire=lambda timeout: at_step(ring, next(steps)) or True)
+        return ring, list(ring.renderer(n_steps))
+
+    def test_the_renderer_applies_the_last_closed_record_it_has_reached(self):
+        loop, ahead = self._world(), self._world()
+        # the loop's world: a command after step 1 and another after step 6
+        commands, keys, poses = {1: (0.5, 0.4), 6: (0.3, -0.2)}, {}, {}
+        for step, _ in enumerate(loop.run(40, sense=False), 1):
+            keys[step], poses[step] = loop.render_key(), loop.predator.pose
+            if step in commands:
+                loop.set_command(VelocityCmd(*commands[step]))
+        published = {}
+
+        def at_step(ring, step):
+            key = ring._KEY.unpack(ring.buf[ring._key_bytes(step - 1)])
+            published[step - 1] = (ring.words[0] >> 32, key[0], key[1:])
+            # the first command's record, left half-written for a step, and
+            # the second's, written whole but for a step the renderer has not reached
+            if step in (2, 4):
+                at = {2: 1, 4: 6}[step]
+                ring.words[2] += 1
+                ring.buf[ring._RECORD:ring._KEYS] = ring._COMMAND.pack(at, *poses[at],
+                                                                       *commands[at])
+            if step in (3, 4):  # the closing write
+                ring.words[2] += 1
+
+        ring, answers = self._renderer(ahead, 40, at_step)
+        assert answers == [2]
+        # (epoch, step, key) as published at the end of each step
+        assert published[2] == (0, 2, (*self.START, *keys[2][3:])) != (0, 2, keys[2])
+        for step in range(3, 6):  # the predator rewound to step 1 and driven on
+            assert published[step] == (1, step, keys[step])
+        assert published[6] == (2, 6, keys[6])
+        assert ahead.render_key() == loop.render_key()
+
+    def test_a_record_rewritten_while_read_waits_for_the_next_step(self):
+        world, command = self._world(), runner._RenderRing._COMMAND
+        epochs = {}
+
+        def at_step(ring, step):
+            epochs[step - 1] = ring.words[0] >> 32
+            if step == 2:
+                ring.buf[ring._RECORD:ring._KEYS] = command.pack(1, *self.START, 0.5, 0.4)
+                ring.words[2] = 2
+                ring._COMMAND = types.SimpleNamespace(unpack=lambda data: rewrite(ring, data))
+
+        def rewrite(ring, data):
+            # the loop writes its next record while the renderer reads this one
+            del ring._COMMAND
+            ring.words[2] = 3
+            ring.buf[ring._RECORD:ring._KEYS] = command.pack(1, *self.START, 0.3, -0.2)
+            ring.words[2] = 4
+            return command.unpack(data)
+
+        _, answers = self._renderer(world, 20, at_step)
+        assert answers == [2]
+        assert (epochs[2], epochs[3]) == (0, 2)  # skipped, then the next record applied
+        assert (world.predator.linear, world.predator.angular) == (0.3, -0.2)
+
+    def test_a_renderer_that_answered_and_ended_passes_later_checks(self):
+        context = workers.fork_context()
+        if context is None:
+            pytest.skip("no fork start method")
+        ring = runner._RenderRing(context, self._world())
+        # three render steps, one per slot, so the renderer never waits
+        with workers.forked(context, [ring.renderer(15)]) as (ring.conn,):
+            assert ring.conn.poll(60)
+            ring.check()  # takes the answer
+            assert ring.conn.poll(60)  # EOF: the renderer ended
+            ring.check()
+        assert ring.answer == 0
+
+    def test_a_renderer_whose_loop_is_gone_ends_waiting_for_a_slot(self):
+        world = self._world()
+        ring = runner._RenderRing(multiprocessing.get_context(), world)
+        for _ in range(runner.RING_SLOTS):
+            ring.free.acquire()  # every slot is the loop's
+        # the ring was made here, so this process's parent is not the loop
+        assert list(ring.renderer(40)) == []
+        assert (world.t_us, ring.words[0]) == (5000, -1)
 
     def test_a_run_beside_another_thread_renders_in_process(self, monkeypatch, render_poses):
         monkeypatch.setattr(workers, "usable_cpus", lambda: 2)

@@ -10,7 +10,7 @@ import threading
 import pytest
 
 from evsteer import workers
-from evsteer.workers import WorkerLostError, fork_context, forked, receive, send, unpack
+from evsteer.workers import WorkerLostError, fork_context, forked, receive, unpack
 
 
 @pytest.fixture
@@ -68,31 +68,6 @@ def test_a_killed_worker_is_lost_naming_the_awaited_job(context):
         assert unpack(_received(conn, "job 0")) == 0
         with pytest.raises(WorkerLostError) as excinfo:
             _received(conn, "job 1")
-    assert str(excinfo.value) == \
-        "a worker process died before the answer to job 1 came back"
-
-
-def test_a_worker_made_from_its_pipe_answers_what_the_parent_sends(context):
-    def doubled(conn):
-        while True:
-            yield 2 * conn.recv()
-
-    with forked(context, [doubled]) as (conn,):
-        for i in range(3):
-            send(conn, i, f"job {i}")
-            assert unpack(_received(conn, f"job {i}")) == 2 * i
-
-
-def test_sending_to_a_killed_worker_is_a_lost_worker(context):
-    def killed(conn):
-        os.kill(os.getpid(), signal.SIGKILL)
-        yield
-
-    with forked(context, [killed]) as (conn,):
-        with pytest.raises(WorkerLostError):
-            _received(conn, "job 0")  # EOF: the worker is gone
-        with pytest.raises(WorkerLostError) as excinfo:
-            send(conn, 1, "job 1")
     assert str(excinfo.value) == \
         "a worker process died before the answer to job 1 came back"
 
