@@ -23,6 +23,10 @@ that a static scene's `simulate` forks and the renderer that a chase's forks
 run the one worker loop of `evsteer.workers`, which streams answers one way,
 to the parent, and also decides when a fork is safe; the renderer reads the
 loop's commands from the image ring the two share.
+
+serve runs in one thread and sends each decision as it is made, so
+`serve --sim` forks as `simulate` does and sends the run log's UDP lines, in
+order.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ import contextlib
 import json
 import os
 import sys
-import threading
 
 import numpy as np
 
@@ -61,6 +64,27 @@ _SOURCE_IDS = {name: src for src, name in frames.SOURCE_NAMES.items()}
 
 class DataError(Exception):
     pass
+
+
+class UsageError(Exception):
+    """The arguments ask for what the command cannot do; main exits 1 with the message."""
+
+
+def refuse_directories(command, paths, flag="--out"):
+    """Raises UsageError where one of paths, files that command writes as
+    flag says, is a directory. Every command that writes files calls it
+    before any work, so no run is lost to its last write."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise UsageError(f"{command}: {flag} {path} is a directory")
+
+
+def out_files(command, out_dir, *names):
+    """The paths of names in out_dir, once refuse_directories passes them
+    and the manifest.json that command writes next to them."""
+    paths = [os.path.join(out_dir, name) for name in names]
+    refuse_directories(command, paths + [os.path.join(out_dir, "manifest.json")])
+    return paths
 
 
 def write_manifest(out_dir, command, seeds, cfg, outputs):
@@ -116,9 +140,12 @@ def _ordered_map(fn, jobs):
 
 def cmd_gen_data(args, cfg):
     gen, frames_cfg = cfg.settings.gen, cfg.settings.sim.frames
+    outputs = out_files("gen-data", args.out, "train.ds", "test.ds", "class_report.txt",
+                        *(f"rec{i:03d}{ext}" for i in range(gen.recordings)
+                          for ext in (".events", ".aps", ".labels")))
+    train_path, test_path, report_path = outputs[:3]
     os.makedirs(args.out, exist_ok=True)
     seed_base = gen.seed_base
-    outputs = []
     recordings = []
     try:
         # generate_recording is looked up per call, so a wrapper installed
@@ -128,7 +155,6 @@ def cmd_gen_data(args, cfg):
             for i, rec in enumerate(recs):
                 prefix = os.path.join(args.out, f"rec{i:03d}")
                 save_recording(prefix, rec)
-                outputs += [prefix + ext for ext in (".events", ".aps", ".labels")]
                 recordings.append(rec)
                 print(f"rec{i:03d}: seed {seed_base + i}, {len(rec.events)} events, "
                       f"{len(rec.aps_t)} APS frames")
@@ -139,15 +165,11 @@ def cmd_gen_data(args, cfg):
     train, test, report = assemble_dataset(
         recordings, capacity=frames_cfg.capacity,
         aps_target_fraction=frames_cfg.aps_target_fraction)
-    train_path = os.path.join(args.out, "train.ds")
-    test_path = os.path.join(args.out, "test.ds")
     save_dataset(train_path, train)
     save_dataset(test_path, test)
-    report_path = os.path.join(args.out, "class_report.txt")
     with open(report_path, "w") as fh:
         for key in sorted(report):
             fh.write(f"{key}: {report[key]}\n")
-    outputs += [train_path, test_path, report_path]
     write_manifest(args.out, "gen-data", list(range(seed_base, seed_base + gen.recordings)),
                    cfg, outputs)
     print(f"train {len(train)} frames / test {len(test)} frames "
@@ -167,17 +189,15 @@ def _dataset_accuracy(net, ds):
 
 
 def cmd_train(args, cfg):
-    for flag, path in (("--out", args.out), ("--trace", args.trace)):
-        if path is not None and os.path.isdir(path):
-            print(f"train: {flag} {path} is a directory", file=sys.stderr)
-            return EXIT_USAGE
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    trace_path = args.trace or os.path.join(out_dir, "train_trace.csv")
+    refuse_directories("train", [args.out, os.path.join(out_dir, "manifest.json")])
+    refuse_directories("train", [trace_path], "--trace")
     train = load_dataset(args.dataset)
     test = load_dataset(args.test) if args.test else None
     for path, ds in ((args.dataset, train), (args.test, test)):
         if ds is not None and not len(ds):
             raise DataError(f"{path}: dataset has no frames to train or test on")
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    trace_path = args.trace or os.path.join(out_dir, "train_trace.csv")
     for directory in (out_dir, os.path.dirname(os.path.abspath(trace_path))):
         os.makedirs(directory, exist_ok=True)
     tc = cfg.settings.train
@@ -266,12 +286,13 @@ def _sweep_capacities(net, rec_dir, capacities):
 
 def cmd_eval(args, cfg):
     if args.sweep_capacity and not args.recordings:
-        print("eval: --sweep-capacity needs --recordings", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("eval: --sweep-capacity needs --recordings")
+    out_dir = args.out
+    if out_dir:
+        names = ["report.txt"] + (["curve.csv"] if args.dataset else [])
+        outputs = out_files("eval", out_dir, *names)
     net = load_weights(args.weights)
     lines = []
-    outputs = []
-    out_dir = args.out
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     if args.dataset:
@@ -281,10 +302,8 @@ def cmd_eval(args, cfg):
         lines.append(f"== dataset {os.path.basename(args.dataset)} ==")
         lines.append(report.text())
         if out_dir:
-            path = os.path.join(out_dir, "curve.csv")
-            with open(path, "w") as fh:
+            with open(outputs[1], "w") as fh:
                 fh.write(report.curve_csv())
-            outputs.append(path)
     if args.runlog:
         try:
             with open(args.runlog) as fh:
@@ -301,16 +320,13 @@ def cmd_eval(args, cfg):
         for cap in args.sweep_capacity:
             lines.append(f"capacity {cap}: error {results[cap]:.4f}")
     if not lines:
-        print("eval: nothing to evaluate (need --dataset, --runlog, or "
-              "--sweep-capacity)", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("eval: nothing to evaluate (need --dataset, --runlog, or "
+                         "--sweep-capacity)")
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if out_dir:
-        path = os.path.join(out_dir, "report.txt")
-        with open(path, "w") as fh:
+        with open(outputs[0], "w") as fh:
             fh.write(text)
-        outputs.append(path)
         write_manifest(out_dir, "eval", [], cfg, outputs)
     return EXIT_OK
 
@@ -330,23 +346,17 @@ def cmd_simulate(args, cfg):
               f"{op_count(net)} ops/pass")
         print(cfg.dump(), end="")
         return EXIT_OK
+    outputs = out_files("simulate", args.out, "run.log", "report.txt", "curve.csv")
     net = load_weights(args.weights)
     log = run_closed_loop(net, run_cfg, args.seed)
-    os.makedirs(args.out, exist_ok=True)
-    log_path = os.path.join(args.out, "run.log")
-    with open(log_path, "w") as fh:
-        fh.write(log)
     report = runlog_report(log)
-    report_path = os.path.join(args.out, "report.txt")
-    with open(report_path, "w") as fh:
-        fh.write(report.text())
-    curve_path = os.path.join(args.out, "curve.csv")
-    with open(curve_path, "w") as fh:
-        fh.write(report.curve_csv())
-    write_manifest(args.out, "simulate", [args.seed], cfg,
-                   [log_path, report_path, curve_path])
+    os.makedirs(args.out, exist_ok=True)
+    for path, text in zip(outputs, (log, report.text(), report.curve_csv())):
+        with open(path, "w") as fh:
+            fh.write(text)
+    write_manifest(args.out, "simulate", [args.seed], cfg, outputs)
     print(report.text(), end="")
-    print(f"log -> {log_path}")
+    print(f"log -> {outputs[0]}")
     return EXIT_OK
 
 
@@ -357,8 +367,7 @@ def cmd_simulate(args, cfg):
 
 def cmd_serve(args, cfg):
     if args.aps and not args.events:
-        print("serve: --aps needs --events", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("serve: --aps needs --events")
     net = load_weights(args.weights)
     run_cfg = cfg.settings.sim
     peer, listen = wire.parse_peer(run_cfg.wire.peer), run_cfg.wire.listen
@@ -370,67 +379,37 @@ def cmd_serve(args, cfg):
 
     sent_stats = wire.LinkStats()
     feedback = wire.LinkStats()
-    stop = threading.Event()
 
-    def receive_loop():
-        while not stop.is_set():
-            data, _ = endpoint.recv(timeout=0.1)
-            if data is None:
-                continue
+    def send(t_dec, datagram):
+        """Each decision's one send, as it is made; then the feedback that
+        has arrived, read without waiting."""
+        sent_stats.update(datagram.seq, t_dec)
+        endpoint.send(datagram.encode())
+        while (data := endpoint.recv(timeout=0.0)[0]) is not None:
             try:
-                fb = wire.decode_feedback(data)
+                feedback.update(wire.decode_feedback(data).seq)
             except wire.ProtocolError:
                 feedback.malformed += 1  # counted, stream continues
-                continue
-            feedback.update(fb.seq)
 
-    rx_thread = threading.Thread(target=receive_loop, daemon=True)
-    rx_thread.start()
-
-    decisions = 0
-    mailbox = wire.Mailbox()
     try:
         if args.sim:
-            # live feed: the decision producer hands datagrams to the sender
-            # thread through the latest-value mailbox, never blocking on it
-            tx_thread = threading.Thread(target=wire.sender_loop,
-                                         args=(mailbox, endpoint), daemon=True)
-            tx_thread.start()
-
-            def on_datagram(t_dec, datagram):
-                nonlocal decisions
-                decisions += 1
-                sent_stats.update(datagram.seq, t_dec)
-                mailbox.put(datagram)
-
-            run_closed_loop(net, run_cfg, args.seed, on_datagram=on_datagram)
-            mailbox.close()
-            tx_thread.join(timeout=5.0)
+            run_closed_loop(net, run_cfg, args.seed, on_datagram=send)
         else:
-            # file replay is an offline pump: send synchronously so every
-            # decision yields exactly one datagram, and a late frame none.
-            # With no behaviour controller it gates in decision_step's
-            # default, Mode.CHASE.
+            # with no behaviour controller the replay gates in
+            # decision_step's default, Mode.CHASE; a late frame sends nothing
             decide = decision_step(net, run_cfg)
             events = frames.read_events(args.events)
             aps_t, aps_raw = frames.read_aps(args.aps) if args.aps else ((), ())
             stream = FrameStream(run_cfg.frames.capacity)
             for t, _, values, _ in stream.push(events, aps_t, aps_raw):
                 decided = decide(t, values)
-                if decided is None:
-                    continue
-                t_dec, _, _, datagram = decided
-                decisions += 1
-                sent_stats.update(datagram.seq, t_dec)
-                endpoint.send(datagram.encode())
+                if decided is not None:
+                    send(decided[0], decided[3])
     except KeyboardInterrupt:
         print("interrupted, dumping stats", file=sys.stderr)
     finally:
-        mailbox.close()
-        stop.set()
-        rx_thread.join(timeout=2.0)
         endpoint.close()
-    print(f"decisions {decisions}, datagrams sent {endpoint.sent}, "
+    print(f"decisions {sent_stats.received}, datagrams sent {endpoint.sent}, "
           f"send errors {endpoint.send_errors}")
     print("decision intervals (sender side):")
     print(sent_stats.histogram_dump(), end="")
@@ -444,28 +423,25 @@ def cmd_serve(args, cfg):
 
 
 def cmd_saliency(args, cfg):
-    net = load_weights(args.weights)
     try:
         target = Decision.from_name(args.klass)
     except ValueError as exc:
-        print(f"saliency: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"saliency: {exc}") from None
+    outputs = out_files("saliency", args.out, f"saliency_{target.name}.pgm",
+                        f"overlay_{target.name}.pgm")
+    net = load_weights(args.weights)
     ds = load_dataset(args.dataset)
     if not 0 <= args.index < len(ds):
-        print(f"saliency: index {args.index} outside dataset", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"saliency: index {args.index} outside dataset")
     frame = ds.frames[args.index]
     sal = net.guided_backprop(frame, target)
     os.makedirs(args.out, exist_ok=True)
-    map_path = os.path.join(args.out, f"saliency_{target.name}.pgm")
-    overlay_path = os.path.join(args.out, f"overlay_{target.name}.pgm")
-    write_pgm(map_path, sal)
-    write_pgm(overlay_path, frame * (0.25 + 0.75 * sal))
-    outputs = [map_path, overlay_path]
+    write_pgm(outputs[0], sal)
+    write_pgm(outputs[1], frame * (0.25 + 0.75 * sal))
     if args.dump_activations:
         outputs += dump_activations(net, frame, os.path.join(args.out, "activations"))
     write_manifest(args.out, "saliency", [args.index], cfg, outputs)
-    print(f"saliency -> {map_path}")
+    print(f"saliency -> {outputs[0]}")
     return EXIT_OK
 
 
@@ -594,8 +570,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     except (FormatError, WeightFileError, DataError, FileNotFoundError,
-            IsADirectoryError) as exc:
+            IsADirectoryError, NotADirectoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except KeyboardInterrupt:

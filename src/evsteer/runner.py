@@ -298,7 +298,7 @@ def run_closed_loop(net, cfg: RunnerConfig, seed: int,
     """Run one seeded episode and return its log text. Pure in (net, cfg, seed).
 
     on_datagram, when given, is called as on_datagram(t_us, DecisionDatagram)
-    for every decision; the serve command uses it to feed the live sender.
+    in this thread after each UDP line; `serve --sim` sends the datagram.
     """
     n_steps = steps_for_duration(cfg.duration, cfg.sim.timestep_us)
     seq = np.random.SeedSequence(seed)

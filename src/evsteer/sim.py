@@ -772,7 +772,6 @@ class WorldSim:
         if self.cfg.static_scene:
             if self._static_image is None:
                 self._static_image = self.render()
-                self.synth.update(self._static_image, t0, t1)
             image = self._static_image
         else:
             image = self.render()

@@ -4,15 +4,15 @@ Decisions travel as 2-byte datagrams: a wrapping 0-255 sequence number
 followed by the direction byte (L=0, C=1, R=2, N=3). Behavior feedback uses
 the same layout with a mode byte (Chase=0, Wander=1, Rotate=2, PreyCaught=3).
 There is no acknowledgment or retransmission; the receiver only detects gaps.
-The decision producer hands datagrams to the sender through a single-slot
-latest-value mailbox, so a stalled transport sees fresh decisions overwritten
-rather than queued.
+The sender's socket is non-blocking, so a send never stalls the decision
+loop: a datagram the kernel will not take at once is dropped and counted,
+never queued or retried.
 """
 
 from __future__ import annotations
 
+import select
 import socket
-import threading
 from dataclasses import dataclass, field
 
 from evsteer.behavior import Mode
@@ -27,15 +27,28 @@ class ProtocolError(ValueError):
     """Datagram bytes violate the wire layout."""
 
 
+def _encode(seq: int, value: int) -> bytes:
+    if not 0 <= seq < SEQ_MOD:
+        raise ProtocolError(f"sequence {seq} out of range")
+    return bytes([seq, int(value)])
+
+
+def _decode(data: bytes, kind: str, byte_name: str, enum):
+    """The (seq, enum member) of a 2-byte datagram."""
+    if len(data) != DATAGRAM_SIZE:
+        raise ProtocolError(f"{kind} datagram must be 2 bytes, got {len(data)}")
+    if data[1] >= len(enum):
+        raise ProtocolError(f"invalid {byte_name} byte {data[1]}")
+    return data[0], enum(data[1])
+
+
 @dataclass(frozen=True)
 class DecisionDatagram:
     seq: int
     direction: Decision
 
     def encode(self) -> bytes:
-        if not 0 <= self.seq < SEQ_MOD:
-            raise ProtocolError(f"sequence {self.seq} out of range")
-        return bytes([self.seq, int(self.direction)])
+        return _encode(self.seq, self.direction)
 
 
 @dataclass(frozen=True)
@@ -44,25 +57,15 @@ class FeedbackDatagram:
     mode: Mode
 
     def encode(self) -> bytes:
-        if not 0 <= self.seq < SEQ_MOD:
-            raise ProtocolError(f"sequence {self.seq} out of range")
-        return bytes([self.seq, int(self.mode)])
+        return _encode(self.seq, self.mode)
 
 
 def decode_decision(data: bytes) -> DecisionDatagram:
-    if len(data) != DATAGRAM_SIZE:
-        raise ProtocolError(f"decision datagram must be 2 bytes, got {len(data)}")
-    if data[1] > 3:
-        raise ProtocolError(f"invalid direction byte {data[1]}")
-    return DecisionDatagram(seq=data[0], direction=Decision(data[1]))
+    return DecisionDatagram(*_decode(data, "decision", "direction", Decision))
 
 
 def decode_feedback(data: bytes) -> FeedbackDatagram:
-    if len(data) != DATAGRAM_SIZE:
-        raise ProtocolError(f"feedback datagram must be 2 bytes, got {len(data)}")
-    if data[1] > 3:
-        raise ProtocolError(f"invalid mode byte {data[1]}")
-    return FeedbackDatagram(seq=data[0], mode=Mode(data[1]))
+    return FeedbackDatagram(*_decode(data, "feedback", "mode", Mode))
 
 
 @dataclass
@@ -141,56 +144,13 @@ class DecisionEncoder:
         return t_us, DecisionDatagram(seq=seq, direction=decision)
 
 
-class Mailbox:
-    """Single-slot latest-value handoff; put overwrites, take blocks.
-
-    Its drop policy is the encoder's: what would only arrive late is
-    dropped, not queued. A value the sender has not taken yet is
-    overwritten by the next, as a late frame gets no decision.
-    """
-
-    def __init__(self):
-        self._cond = threading.Condition()
-        self._value = None
-        self._has_value = False
-        self._closed = False
-        self.overwritten = 0
-
-    def put(self, value):
-        with self._cond:
-            if self._has_value:
-                self.overwritten += 1
-            self._value = value
-            self._has_value = True
-            self._cond.notify()
-
-    def take(self, timeout=None):
-        """Returns the freshest value, or None on timeout/close."""
-        with self._cond:
-            if not self._has_value and not self._closed:
-                self._cond.wait(timeout)
-            if not self._has_value:
-                return None
-            self._has_value = False
-            value, self._value = self._value, None
-            return value
-
-    def close(self):
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-
-    @property
-    def closed(self):
-        return self._closed
-
-
 class UdpEndpoint:
-    """Thin socket wrapper: fire-and-forget send plus a feedback listener."""
+    """Thin non-blocking socket wrapper: fire-and-forget send plus a feedback listener."""
 
     def __init__(self, peer=None, listen_port=None):
         self.peer = peer
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self.sock.setblocking(False)
         if listen_port is not None:
             try:
                 self.sock.bind(("0.0.0.0", listen_port))
@@ -207,33 +167,24 @@ class UdpEndpoint:
     def send(self, payload: bytes):
         try:
             self.sock.sendto(payload, self.peer)
-        except OSError:
+        except OSError:  # a full send buffer included: dropped, never waited for
             self.send_errors += 1  # reported, never retried
             return False
         self.sent += 1
         return True
 
     def recv(self, timeout=0.2):
-        self.sock.settimeout(timeout)
+        """(data, sender) of the next datagram to arrive within timeout
+        seconds, or (None, None); timeout 0.0 only takes what has arrived."""
         try:
-            data, addr = self.sock.recvfrom(64)
-            return data, addr
-        except (socket.timeout, OSError):
-            return None, None
+            if select.select([self.sock], [], [], timeout)[0]:
+                return self.sock.recvfrom(64)
+        except OSError:
+            pass
+        return None, None
 
     def close(self):
         self.sock.close()
-
-
-def sender_loop(mailbox: Mailbox, endpoint: UdpEndpoint):
-    """Drain the mailbox into the socket until the mailbox closes."""
-    while True:
-        item = mailbox.take(timeout=0.1)
-        if item is None:
-            if mailbox.closed:
-                return
-            continue
-        endpoint.send(item.encode())
 
 
 def parse_peer(text: str):

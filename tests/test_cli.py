@@ -10,6 +10,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -550,6 +551,38 @@ class TestServeReplay:
         assert [wire.decode_decision(p).seq for p in sent] == [0, 1, 2, 3]
         assert len(list(net.decisions)) == 8  # a late frame never reaches the CNN
 
+    def test_feedback_valid_and_malformed_reaches_the_feedback_line(self, tmp_path,
+                                                                     monkeypatch, capsys):
+        # the robot answers the first decision with three feedback datagrams,
+        # one sequence number skipped, and two malformed ones
+        events = np.zeros(5000 * len(REAPPEARANCE), dtype=EVENT_DTYPE)
+        events["t"] = np.arange(len(events))
+        write_events(tmp_path / "rec.events", events)
+        monkeypatch.setattr("evsteer.cli.load_weights", lambda path: ScriptedNet(REAPPEARANCE))
+        feedback = [wire.FeedbackDatagram(0, Mode.CHASE).encode(), bytes([1, 9]),
+                    wire.FeedbackDatagram(1, Mode.ROTATE).encode(), b"\x02",
+                    wire.FeedbackDatagram(3, Mode.WANDER).encode()]
+        robot = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sent = []
+
+        def send(endpoint, payload):
+            if not sent:
+                for data in feedback:
+                    robot.sendto(data, ("127.0.0.1", endpoint.port))
+            sent.append(payload)
+            return True
+
+        monkeypatch.setattr(wire.UdpEndpoint, "send", send)
+        argv = ["serve", "--weights", "unused", "--events", str(tmp_path / "rec.events"),
+                "--listen", "0"]
+        try:
+            assert main(argv) == EXIT_OK
+        finally:
+            robot.close()
+        assert len(sent) == len(REAPPEARANCE)
+        assert capsys.readouterr().out.endswith(
+            "feedback: received=3 gap_events=1 lost=1 out_of_order=0 malformed=2\n")
+
     def test_the_same_script_while_rotating_discards_the_reappearance(self):
         cfg = RunnerConfig(filter=FilterConfig(alpha=1.0))
         decide = decision_step(ScriptedNet(REAPPEARANCE), cfg)
@@ -1011,6 +1044,28 @@ class TestArgumentExitCodes:
         assert f"train: {flag} {tmp_path} is a directory" in err
         assert not (tmp_path / "train").exists()
 
+    @pytest.mark.parametrize("command, name", [
+        (["gen-data", "--recordings", "1"], "train.ds"),
+        (["simulate", "--weights", "MISSING"], "run.log"),
+        (["eval", "--weights", "MISSING", "--dataset", "MISSING"], "curve.csv"),
+        (["saliency", "--weights", "MISSING", "--dataset", "MISSING", "--class", "C"],
+         "overlay_C.pgm"),
+    ], ids=["gen-data", "simulate", "eval", "saliency"])
+    def test_an_output_file_that_is_a_directory_is_usage_error(self, tmp_path, capsys,
+                                                                command, name):
+        # refused before any work: the missing inputs are never read
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        argv = [arg.replace("MISSING", str(tmp_path / "missing")) for arg in command]
+        assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"{command[0]}: --out {out / name} is a directory\n")
+        assert os.listdir(out) == [name]
+
+    def test_a_file_passed_as_a_directory_is_data_error(self, weights, capsys):
+        argv = ["eval", "--weights", weights, "--recordings", weights, "--sweep-capacity", "5000"]
+        assert main(argv) == EXIT_DATA
+        assert f"data error: [Errno 20] Not a directory: '{weights}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [
         ["simulate", "--weights", "DIR", "--dry-run"],
         ["eval", "--weights", "W", "--dataset", "DIR"],
@@ -1240,14 +1295,65 @@ class TestRunlogFuzz:
             assert buf.getvalue().startswith("== runlog run.log (raw) ==\nrecords: ")
 
 
+def _udp_lines(log):
+    """The (seq, direction) of each UDP line of a run log, in order."""
+    return [(seq, direction) for _, seq, direction in runner.parse_runlog(log)["UDP"]]
+
+
 class TestServeSim:
+    @pytest.fixture
+    def serve_sim(self, monkeypatch, capsys):
+        """serve_sim(sets, argv, send_s=0.0) runs `serve --sim --listen 0`
+        with the --set pairs sets and argv as if two CPUs were usable, each
+        sendto taking send_s seconds; returns (stdout, the run's log, the
+        (seq, direction) of each payload sendto got, the number of workers
+        forked). It sends from the one thread there is, and no worker
+        outlives it."""
+        def run(sets, argv, send_s=0.0):
+            monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+            sent, logs, forks, threads = [], [], [], set()
+
+            def sendto(sock, payload, peer):
+                threads.add(threading.active_count())
+                time.sleep(send_s)
+                sent.append(tuple(payload))
+                return len(payload)
+
+            # under the endpoint, so its own send runs and counts what it sends
+            monkeypatch.setattr(socket.socket, "sendto", sendto)
+            real_loop, real_forked = cli.run_closed_loop, runner.forked
+            monkeypatch.setattr(cli, "run_closed_loop",
+                                lambda *args, **kw: logs.append(real_loop(*args, **kw)))
+            monkeypatch.setattr(runner, "forked",
+                                lambda *args: forks.append(args) or real_forked(*args))
+            assert main([*sets, "serve", "--sim", "--listen", "0", *argv]) == EXIT_OK
+            assert threads == {1} and multiprocessing.active_children() == []
+            return capsys.readouterr().out, logs[0], sent, len(forks)
+
+        return run
+
+    @pytest.mark.parametrize("send_s", [0.0, 0.02], ids=["sendto", "slow-sendto"])
+    @pytest.mark.parametrize("sets, duration", [([], "1"), (FLOOD, "0.3")],
+                             ids=["chase", "flood"])
+    def test_the_datagrams_sent_are_the_run_logs_udp_lines(self, weights, serve_sim,
+                                                            sets, duration, send_s):
+        # each decision is sent as it is made, however long a send takes
+        out, log, sent, forks = serve_sim(
+            sets, ["--weights", weights, "--seed", "3", "--duration", duration], send_s)
+        udp = _udp_lines(log)
+        assert len(udp) > 0 and sent == udp
+        assert out.startswith(f"decisions {len(udp)}, datagrams sent {len(udp)}, "
+                              f"send errors 0\n")
+        # a producer or a renderer, as simulate forks
+        assert forks == (1 if sets or STORES_IN_ORDER else 0)
+
     def test_live_feed_sends_the_decisions_of_the_same_run(self, tmp_path, weights,
                                                            capsys):
         argv = ["simulate", "--weights", weights, "--seed", "3", "--duration", "1",
                 "--out", str(tmp_path / "sim")]
         assert main(argv) == EXIT_OK
-        n_dec = (tmp_path / "sim" / "run.log").read_text().count("\nDEC ")
-        assert n_dec > 0
+        udp = _udp_lines((tmp_path / "sim" / "run.log").read_text())
+        assert len(udp) > 0
         capsys.readouterr()
         peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         peer.bind(("127.0.0.1", 0))
@@ -1256,40 +1362,26 @@ class TestServeSim:
                     "--listen", "0", "--peer", f"127.0.0.1:{peer.getsockname()[1]}"]
             assert main(argv) == EXIT_OK
             out = capsys.readouterr().out
-            counts = re.match(r"decisions (\d+), datagrams sent (\d+), send errors (\d+)\n",
-                              out)
-            assert counts and (int(counts[1]), int(counts[3])) == (n_dec, 0)
-            # the latest-value mailbox may skip decisions, never reorder them
+            assert out.startswith(f"decisions {len(udp)}, datagrams sent {len(udp)}, "
+                                  f"send errors 0\n")
             peer.settimeout(2.0)
-            received = [wire.decode_decision(peer.recv(16)) for _ in range(int(counts[2]))]
+            received = [wire.decode_decision(peer.recv(16)) for _ in udp]
         finally:
             peer.close()
-        seqs = [d.seq for d in received]
-        assert 0 < len(seqs) <= n_dec and seqs == sorted(set(seqs))
+        assert [(d.seq, int(d.direction)) for d in received] == udp
 
-    def test_a_live_static_scene_runs_in_process_with_the_simulated_decisions(
-            self, tmp_path, weights, monkeypatch, capsys):
-        # serve --sim runs threads, so its closed loop forks no producer
+    def test_a_live_static_scene_forks_its_producer_with_the_simulated_decisions(
+            self, tmp_path, weights, monkeypatch, capsys, serve_sim):
         monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
         argv = [*FLOOD, "simulate", "--weights", weights, "--seed", "3", "--duration",
                 "0.3", "--out", str(tmp_path / "sim")]
         assert main(argv) == EXIT_OK
-        n_dec = (tmp_path / "sim" / "run.log").read_text().count("\nDEC ")
-        assert n_dec > 0
+        udp = _udp_lines((tmp_path / "sim" / "run.log").read_text())
+        assert len(udp) > 0
         capsys.readouterr()
-        forked = []
-        monkeypatch.setattr(runner, "forked", lambda *args: forked.append(args))
-        peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        peer.bind(("127.0.0.1", 0))
-        try:
-            argv = [*FLOOD, "serve", "--weights", weights, "--sim", "--seed", "3",
-                    "--duration", "0.3", "--listen", "0",
-                    "--peer", f"127.0.0.1:{peer.getsockname()[1]}"]
-            assert main(argv) == EXIT_OK
-        finally:
-            peer.close()
-        assert capsys.readouterr().out.startswith(f"decisions {n_dec}, datagrams sent ")
-        assert forked == []
+        _, _, sent, forks = serve_sim(FLOOD, ["--weights", weights, "--seed", "3",
+                                              "--duration", "0.3"])
+        assert (forks, sent) == (1, udp)
 
 
 class TestSuccessAndRuntimeExitCodes:

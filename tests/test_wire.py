@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +7,8 @@ from evsteer import wire
 from evsteer.behavior import Mode
 from evsteer.nnet import Decision
 from evsteer.wire import (DecisionDatagram, DecisionEncoder, FeedbackDatagram,
-                          LinkStats, Mailbox, ProtocolError, UdpEndpoint,
-                          decode_decision, decode_feedback, sender_loop)
+                          LinkStats, ProtocolError, UdpEndpoint, decode_decision,
+                          decode_feedback)
 
 
 def track_gaps(seqs, times_us=None) -> LinkStats:
@@ -153,43 +151,6 @@ class TestGapTracking:
             prev = cur
 
 
-class TestMailbox:
-    def test_put_overwrites_never_queues(self):
-        box = Mailbox()
-        box.put(1)
-        box.put(2)
-        box.put(3)
-        assert box.take(timeout=0.01) == 3
-        assert box.take(timeout=0.01) is None
-        assert box.overwritten == 2
-
-    def test_take_blocks_until_put(self):
-        box = Mailbox()
-        got = []
-
-        def consumer():
-            got.append(box.take(timeout=2.0))
-
-        th = threading.Thread(target=consumer)
-        th.start()
-        box.put("fresh")
-        th.join(timeout=2.0)
-        assert got == ["fresh"]
-
-    def test_close_unblocks(self):
-        box = Mailbox()
-        got = []
-
-        def consumer():
-            got.append(box.take(timeout=5.0))
-
-        th = threading.Thread(target=consumer)
-        th.start()
-        box.close()
-        th.join(timeout=2.0)
-        assert got == [None]
-
-
 class TestUdp:
     def test_datagrams_cross_localhost(self):
         rx = UdpEndpoint(listen_port=0)
@@ -213,23 +174,25 @@ class TestUdp:
         tx.close()
         rx.close()
 
-    def test_sender_loop_drains_mailbox(self):
+    def test_a_send_never_waits_and_a_refused_datagram_is_a_send_error(self, monkeypatch):
+        tx = UdpEndpoint(peer=("127.0.0.1", 9))
+        assert tx.sock.getblocking() is False
+
+        def full(self, payload, peer):
+            raise BlockingIOError("the send buffer is full")
+
+        monkeypatch.setattr(wire.socket.socket, "sendto", full)
+        assert not tx.send(b"\x00\x01")
+        assert (tx.sent, tx.send_errors) == (0, 1)
+        tx.close()
+
+    def test_recv_with_no_timeout_takes_only_what_has_arrived(self):
         rx = UdpEndpoint(listen_port=0)
         tx = UdpEndpoint(peer=("127.0.0.1", rx.port))
-        box = Mailbox()
-        th = threading.Thread(target=sender_loop, args=(box, tx))
-        th.start()
-        received = []
-        for i in range(5):
-            box.put(DecisionDatagram(i, Decision.C))
-            data, _ = rx.recv(timeout=2.0)
-            if data:
-                received.append(decode_decision(data).seq)
-        box.close()
-        th.join(timeout=2.0)
-        assert not th.is_alive()  # the loop returns once the mailbox closes
-        assert received == [0, 1, 2, 3, 4]
-        assert tx.sent == 5
+        assert rx.recv(timeout=0.0) == (None, None)
+        tx.send(b"\x05\x02")
+        assert rx.recv(timeout=2.0)[0] == b"\x05\x02"  # waits for it
+        assert rx.recv(timeout=0.0) == (None, None)
         tx.close()
         rx.close()
 
