@@ -285,6 +285,9 @@ def _sweep_capacities(net, rec_dir, capacities):
 
 
 def cmd_eval(args, cfg):
+    if not (args.dataset or args.runlog or args.sweep_capacity):
+        raise UsageError("eval: nothing to evaluate (need --dataset, --runlog, or "
+                         "--sweep-capacity)")
     if args.sweep_capacity and not args.recordings:
         raise UsageError("eval: --sweep-capacity needs --recordings")
     out_dir = args.out
@@ -319,9 +322,6 @@ def cmd_eval(args, cfg):
         lines.append("== DVS capacity sweep (error rate at p=0, test span) ==")
         for cap in args.sweep_capacity:
             lines.append(f"capacity {cap}: error {results[cap]:.4f}")
-    if not lines:
-        raise UsageError("eval: nothing to evaluate (need --dataset, --runlog, or "
-                         "--sweep-capacity)")
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if out_dir:
@@ -429,6 +429,9 @@ def cmd_saliency(args, cfg):
         raise UsageError(f"saliency: {exc}") from None
     outputs = out_files("saliency", args.out, f"saliency_{target.name}.pgm",
                         f"overlay_{target.name}.pgm")
+    activations = os.path.join(args.out, "activations")
+    if args.dump_activations and os.path.lexists(activations) and not os.path.isdir(activations):
+        raise UsageError(f"saliency: --dump-activations {activations} is not a directory")
     net = load_weights(args.weights)
     ds = load_dataset(args.dataset)
     if not 0 <= args.index < len(ds):
@@ -439,7 +442,7 @@ def cmd_saliency(args, cfg):
     write_pgm(outputs[0], sal)
     write_pgm(outputs[1], frame * (0.25 + 0.75 * sal))
     if args.dump_activations:
-        outputs += dump_activations(net, frame, os.path.join(args.out, "activations"))
+        outputs += dump_activations(net, frame, activations)
     write_manifest(args.out, "saliency", [args.index], cfg, outputs)
     print(f"saliency -> {outputs[0]}")
     return EXIT_OK

@@ -14,6 +14,7 @@ on-disk formats for events, labels, raw APS frames, and assembled datasets.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,7 @@ _BIN_ROW = (np.arange(SENSOR_HEIGHT) * FRAME_SIZE // SENSOR_HEIGHT) * FRAME_SIZE
 _BIN_COL = np.arange(SENSOR_WIDTH) * FRAME_SIZE // SENSOR_WIDTH
 # gray step of an event, indexed by its u1 polarity: +1/200 for ON (> 0)
 _STEP = np.where(np.arange(256) > 0, 1.0, -1.0) / GRAY_LEVELS
+_ADD_BLOCK = 1 << 16  # events indexed at once by DvsAccumulator.add_batch
 
 
 class DvsAccumulator:
@@ -84,18 +86,21 @@ class DvsAccumulator:
         Returns a list of (emission timestamp, raw histogram) in time order.
         """
         out = []
-        pos = 0
-        n = len(events)
-        bins = _BIN_ROW.take(events["y"]) + _BIN_COL.take(events["x"])
-        steps = _STEP.take(events["polarity"])
-        while pos < n:
-            take = min(self.capacity - self.events_in, n - pos)
-            np.add.at(self.values.reshape(-1), bins[pos:pos + take], steps[pos:pos + take])
-            self.events_in += take
-            pos += take
-            if self.events_in == self.capacity:
-                out.append((int(events["t"][pos - 1]), self.values.copy()))
-                self.reset()
+        # a long batch, a whole recording, is indexed a block at a time, so
+        # its bins and steps never hold 16 bytes per event at once
+        for lo in range(0, len(events), _ADD_BLOCK):
+            block = events[lo:lo + _ADD_BLOCK]
+            bins = _BIN_ROW.take(block["y"]) + _BIN_COL.take(block["x"])
+            steps = _STEP.take(block["polarity"])
+            pos, n = 0, len(block)
+            while pos < n:
+                take = min(self.capacity - self.events_in, n - pos)
+                np.add.at(self.values.reshape(-1), bins[pos:pos + take], steps[pos:pos + take])
+                self.events_in += take
+                pos += take
+                if self.events_in == self.capacity:
+                    out.append((int(block["t"][pos - 1]), self.values.copy()))
+                    self.reset()
         return out
 
 
@@ -332,10 +337,10 @@ def concat_events(chunks):
 
 
 def write_events(path, events):
-    arr = np.asarray(events, dtype=EVENT_DTYPE)
+    arr = np.ascontiguousarray(events, dtype=EVENT_DTYPE)
     with open(path, "wb") as fh:
         fh.write(EVENT_MAGIC)
-        fh.write(arr.tobytes())
+        fh.write(arr)
 
 
 def read_events(path):
@@ -343,11 +348,12 @@ def read_events(path):
         magic = fh.read(16)
         if magic != EVENT_MAGIC:
             raise FormatError(f"{path}: bad event file magic")
-        body = fh.read()
-    if len(body) % EVENT_DTYPE.itemsize != 0:
-        raise FormatError(f"{path}: truncated event record")
-    events = np.frombuffer(body, dtype=EVENT_DTYPE)
-    if len(events) and np.any(np.diff(events["t"].astype(np.int64)) < 0):
+        if (os.fstat(fh.fileno()).st_size - len(magic)) % EVENT_DTYPE.itemsize != 0:
+            raise FormatError(f"{path}: truncated event record")
+        # straight into the array: fh.read() would hold the body twice
+        events = np.fromfile(fh, dtype=EVENT_DTYPE)
+    t = events["t"]
+    if np.any(t[1:] < t[:-1]):
         raise FormatError(f"{path}: timestamps decrease")
     if np.any(events["x"] >= SENSOR_WIDTH) or np.any(events["y"] >= SENSOR_HEIGHT):
         raise FormatError(f"{path}: event address outside {SENSOR_WIDTH}x{SENSOR_HEIGHT}")

@@ -1,15 +1,16 @@
 """Dense tensor kernel and the runtime CNN.
 
-Everything here is hand-rolled on top of numpy arrays: valid convolutions via
-im2col, non-overlapping 2x2 max pooling, ReLU activations,
+Everything here is hand-rolled on top of numpy arrays: valid convolutions as
+banded products, non-overlapping 2x2 max pooling, ReLU activations,
 fully-connected layers, inverted dropout, softmax loss with analytic backprop,
 Adam updates, guided backpropagation saliency, and a line-oriented text
 weight format.
 
 Array layout is channels-last: feature maps are (height, width, maps) and a
 batch axis is prepended internally, so a batched activation is (n, h, w, c)
-and a flat one is (n, d). Inference never mutates a network; per-call state
-lives on a tape, so a loaded network can be shared read-only across threads.
+and a flat one is (n, d). Inference never changes a network's parameters;
+per-call state lives on a tape, and the one thing a layer keeps, a Conv's
+band, is replaced whole, so a loaded network can be shared across threads.
 
 Inference (`predict`, `forward`, `forward_batch`, `input_gradient`,
 `guided_backprop`) allocates its arrays afresh on every call, since its
@@ -17,7 +18,7 @@ results escape to the caller; `predict_batch` bounds them by scoring
 PREDICT_CHUNK frames per forward pass, so past one chunk its logits can
 differ from a single pass in the last bits. Training reuses them: the
 training run owns a `Workspace` and passes it to every `loss_and_backward`
-call, which takes each per-step activation, im2col matrix and backward
+call, which takes each per-step activation, window copy and backward
 temporary from it instead of from the allocator. Nothing drawn from the
 workspace escapes a step (the returned gradients are fresh arrays), so a
 step never page-faults fresh memory in. A workspace serves one step at a time, and a network runs
@@ -27,15 +28,16 @@ Every layer computes `forward(x, tape)` one way; a tape, passed only when
 something will run backward, records and never changes what a layer
 computes. It holds each activation once, and a layer's `backward` rebuilds
 what it needs from the layer's input and output: the ReLU gate and the
-dense flattening from x. Three layers cache more: Conv its im2col matrix and
-MaxPool its gathered window phases, since gathering them again would cost as
-much as their forward pass, and Dropout its random mask. MaxPool's backward
-overwrites its phases with the routed gradient.
+dense flattening from x. Three layers cache more: Conv its window rows and
+band and MaxPool its gathered window phases, since gathering them again
+would cost as much as their forward pass, and Dropout its random mask.
+MaxPool's backward overwrites its phases with the routed gradient.
 
 Conv and MaxPool work on long contiguous rows rather than loops over the
-few channels of a channels-last map: im2col gathers the patch matrix, and
-MaxPool its four window phases, with one `take` each through a flat index
-cached per input extent, so training and inference run the same kernels.
+few channels of a channels-last map: Conv copies each output row's input
+window into one row, and MaxPool gathers its four window phases with one
+`take` through a flat index cached per input extent, so training and
+inference run the same kernels.
 Every `take` here passes out= and mode="wrap": with out= the default
 mode="raise" buffers its output, and every index is in range, so "wrap"
 reads what "clip" would, and it measures faster.
@@ -104,21 +106,6 @@ def _glorot_init(rng, dtype):
 
 
 @functools.lru_cache(maxsize=32)
-def _patch_index(h, w, c, k):
-    """Flat offsets into an (h, w, c) map of every k x k patch.
-
-    Row i * (w - k + 1) + j is output position (i, j); column (ch, di, dj),
-    in C order, reads input (i + di, j + dj, ch). Every network with this
-    input extent shares the array, so nothing may write to it. It is left
-    writeable because `take` copies a read-only index on every call.
-    """
-    hh, ww = h - k + 1, w - k + 1
-    base = (np.arange(hh)[:, None] * w + np.arange(ww)).reshape(-1, 1) * c
-    window = (np.arange(k)[:, None] * w + np.arange(k)).reshape(-1) * c
-    return base + (np.arange(c)[:, None] + window).reshape(-1)
-
-
-@functools.lru_cache(maxsize=32)
 def _phase_index(h, w, c):
     """Flat offsets of the 2x2 window phases of an (h, w, c) map, and back.
 
@@ -127,7 +114,9 @@ def _phase_index(h, w, c):
     (2i + di, 2j + dj, ch); one last entry reads offset 0 and makes room
     for a zero slot at 4 * m. Entry p of the inverse is where the gather
     put input p, or that zero slot for a floored last row or column.
-    Shared and never written, like `_patch_index`.
+    Every network with this input extent shares the arrays, so nothing may
+    write to them. They are left writeable because `take` copies a
+    read-only index on every call.
     """
     h2, w2 = h // 2, w // 2
     row = (2 * np.arange(h2)[:, None] + np.arange(2)) * w  # (i, di)
@@ -207,7 +196,34 @@ class Layer:
 
 
 class Conv(Layer):
-    """Valid (unpadded) stride-1 convolution with one bias per output map."""
+    """Valid (unpadded) stride-1 convolution with one bias per output map,
+    computed as one banded product.
+
+    Output row i reads input rows i..i+k-1, which lie next to each other in
+    a channels-last (h, w, c) map. forward copies each output row's window,
+    its k * w * c values in (row, col, map) order, into one row of `rows`,
+    (n * h', k * w * c), and multiplies that by the band, (k * w * c,
+    w' * maps), whose entry at row (a, col, ch) and column (j, map) is
+    kernels[map, ch, a, col - j] where 0 <= col - j < k and 0 elsewhere. The
+    product's rows are the output rows in channels-last order. Each input
+    value is copied k times, where an im2col matrix holds k * k copies.
+
+    backward multiplies the same two matrices the other way: rows.T @ dy is
+    the band's gradient, whose k diagonals sum to the kernels' gradient, and
+    dy @ band.T holds the gradient of every window, which k strided adds put
+    back into dx.
+
+    The band is built from the kernels on first use and kept with a copy of
+    their bytes, so inference reuses it and an in-place update (training
+    changes the kernels in place) rebuilds it on the next call.
+
+    Forward adds each output's products in (row, col, map) order, with the
+    band's zeros between them, so a one-map input gives bit for bit the
+    output of an im2col product, whose columns run (row, col). With several
+    maps an im2col product sums map by map instead, and the two differ in
+    the last bits: by up to 6e-7 on runtime conv1 outputs of magnitude up
+    to 1.1.
+    """
 
     kind = "conv"
 
@@ -218,6 +234,7 @@ class Conv(Layer):
         self.kernel_size = kernel_size
         self.kernels = None  # (out_maps, in_maps, k, k), set by build
         self.bias = None  # (out_maps,)
+        self._band = None  # (kernel bytes, band), set by _band_for
 
     def build(self, in_shape, init):
         h, w, c = in_shape
@@ -237,53 +254,73 @@ class Conv(Layer):
         h, w, m = out_shape
         return h * w * m * 2 * self.kernels.shape[1] * self.kernel_size ** 2
 
+    def _diagonals(self, band, w):
+        """(k, k, c, w', maps) view of a (k * w * c, w' * maps) band or band
+        gradient: entry [a, b, ch, j, map] is row (a, j + b, ch), column (j, map)."""
+        m, c, k, _ = self.kernels.shape
+        row = (w - k + 1) * m * band.itemsize  # the stride of a band row
+        return np.ndarray((k, k, c, w - k + 1, m), band.dtype, band, 0,
+                          (w * c * row, c * row, row, c * row + m * band.itemsize,
+                           band.itemsize))
+
+    def _band_for(self, w):
+        """The band for the layer's inputs, w wide, rebuilt when the kernels
+        changed. A new band replaces the old one whole, so threads that
+        share a network read one band or the other, never a half-built one.
+        """
+        key, cached = self.kernels.tobytes(), self._band
+        if cached is None or cached[0] != key:
+            m, c, k, _ = self.kernels.shape
+            band = np.zeros((k * w * c, (w - k + 1) * m), self.kernels.dtype)
+            self._diagonals(band, w)[...] = self.kernels.transpose(2, 3, 1, 0)[:, :, :, None]
+            self._band = cached = (key, band)
+        return cached[1]
+
     def forward(self, x, tape):
         workspace = _workspace(tape)
         n, h, w, c = x.shape
-        k = self.kernel_size
+        k, m = self.kernel_size, self.n_maps
         hh, ww = h - k + 1, w - k + 1
-        index = _patch_index(h, w, c, k)
-        # contiguous (n, h'*w', c*k*k) im2col matrix
-        cols = x.reshape(n, h * w * c).take(
-            index, axis=1, mode="wrap",
-            out=_out(workspace, self, "cols", (n,) + index.shape, x.dtype))
-        y = np.matmul(cols, self.kernels.reshape(self.n_maps, -1).T,
-                      out=_out(workspace, self, "y", (n, hh * ww, self.n_maps), x.dtype))
+        # the k-row window of output row i starts at input row i; the strides
+        # come from the shape, since numpy may give a length-1 axis any stride
+        x = np.ascontiguousarray(x)
+        s = x.itemsize
+        windows = np.ndarray((n, hh, k * w * c), x.dtype, x, 0, (h * w * c * s, w * c * s, s))
+        rows = _out(workspace, self, "rows", (n * hh, k * w * c), x.dtype)
+        if rows is None:
+            rows = np.empty((n * hh, k * w * c), x.dtype)
+        np.copyto(rows.reshape(windows.shape), windows)
+        band = self._band_for(w)
+        y = np.matmul(rows, band, out=_out(workspace, self, "y", (n * hh, ww * m), x.dtype))
         # the bias add, r output positions per row: the same adds as a
         # broadcast over (n, h'*w', maps), on rows r times as long
         r = math.gcd(hh * ww, 16)
-        wide = y.reshape(-1, r * self.n_maps)
-        wide += self.bias.take(_tile_index(r, self.n_maps))
+        wide = y.reshape(-1, r * m)
+        wide += self.bias.take(_tile_index(r, m))
         if tape is not None:
-            tape.caches[self] = cols
-        return y.reshape(n, hh, ww, self.n_maps)
+            tape.caches[self] = (rows, band)
+        return y.reshape(n, hh, ww, m)
 
-    def backward(self, dy, x, y, cols, grads, need_dx=True, workspace=None):
+    def backward(self, dy, x, y, cache, grads, need_dx=True, workspace=None):
+        rows, band = cache
         n, hh, ww, m = dy.shape
-        dy_flat = dy.reshape(n * hh * ww, m)
-        grads[0][...] = (dy_flat.T @ cols.reshape(n * hh * ww, -1)).reshape(self.kernels.shape)
+        w, c, k = x.shape[2], x.shape[3], self.kernel_size
+        dy_rows = dy.reshape(n * hh, ww * m)
+        dband = np.matmul(rows.T, dy_rows,
+                          out=_out(workspace, self, "dband", band.shape, dy.dtype))
+        grads[0][...] = self._diagonals(dband, w).sum(axis=3).transpose(3, 2, 0, 1)
         # einsum sums each column in row order, as sum(axis=0) does, in one
         # pass over the rows; a one-map column is contiguous, and there sum
         # adds pairwise, so einsum would differ
+        dy_flat = dy.reshape(-1, m)
         grads[1][...] = np.einsum("ij->j", dy_flat) if m > 1 else dy_flat.sum(axis=0)
         if not need_dx:
             return None
-        # col2im one kernel offset at a time: dy_flat @ W[:, :, i, j] is the
-        # (i, j) column block of dy_flat @ W.reshape(m, -1), and gemm's sums
-        # do not depend on the column count, so every dx element adds the
-        # same products in the same (i, j) order. A one-map input pads its
-        # offsets to two columns, since numpy sends a one-column product to
-        # gemv, whose sums differ. (One output position goes to gemv either
-        # way, and there the last bits may differ.)
-        c, k = x.shape[3], self.kernel_size
-        w_offsets = np.zeros((k, k, m, 2 if c == 1 < k else c), self.kernels.dtype)
-        w_offsets[..., :c] = self.kernels.transpose(2, 3, 0, 1)
+        dwin = np.matmul(dy_rows, band.T, out=_out(workspace, self, "dwin", rows.shape, dy.dtype))
+        dwin = dwin.reshape(n, hh, k, w, c)
         dx = _full(workspace, self, "dx", x.shape, x.dtype, 0)
-        part = _out(workspace, self, "dx_part", (n * hh * ww, w_offsets.shape[3]), dy.dtype)
-        for i in range(k):
-            for j in range(k):
-                part = np.matmul(dy_flat, w_offsets[i, j], out=part)
-                dx[:, i:i + hh, j:j + ww, :] += part[:, :c].reshape(n, hh, ww, c)
+        for a in range(k):
+            dx[:, a:a + hh] += dwin[:, :, a]
         return dx
 
 

@@ -1,13 +1,11 @@
 """Independent brute-force reference implementations used only by tests.
 
 These deliberately avoid the vectorized code paths in evsteer.nnet and
-evsteer.frames: the convolution is a plain nested loop over output positions,
+evsteer.frames: the convolution and its gradients loop over output positions,
 pooling walks 2x2 windows one by one, the low-pass replay keeps scalar state,
 and the DVS histogram takes one event at a time. Keep them slow and obvious.
-Two references are vectorized: argmax_pool finds each pooling window's first
-maximum by argmax where evsteer.nnet tests x == y phase by phase, and
-strided_col2im adds one big patch-gradient matrix back where evsteer.nnet
-adds one kernel offset's product at a time.
+One reference is vectorized: argmax_pool finds each pooling window's first
+maximum by argmax where evsteer.nnet tests x == y phase by phase.
 
 The last three keep earlier, plainer formulations of fast paths whose output
 must not change by a bit: std_clip_dvs_normalize (np.std and np.clip),
@@ -71,22 +69,23 @@ def argmax_pool(x, dy):
     return y, dx
 
 
-def strided_col2im(dy, kernels, x_shape):
-    """Valid-convolution input gradient through the full patch-gradient matrix.
-
-    dy: (n, h', w', o); kernels: (o, c, k, k). One (n*h'*w', o) @ (o, c*k*k)
-    product, viewed as (n, h', w', c, k, k), adds its k*k strided slices
-    into a zero dx in row-major (i, j) order. Conv.backward must equal it
-    bit for bit.
-    """
-    n, hh, ww, o = dy.shape
-    c, k = x_shape[3], kernels.shape[2]
-    dcols = (dy.reshape(-1, o) @ kernels.reshape(o, -1)).reshape(n, hh, ww, c, k, k)
-    dx = np.zeros(x_shape, dtype=dy.dtype)
-    for i in range(k):
-        for j in range(k):
-            dx[:, i:i + hh, j:j + ww, :] += dcols[:, :, :, :, i, j]
-    return dx
+def naive_conv_backward(x, kernels, dy):
+    """Gradients of a valid stride-1 convolution in float64, one output
+    position at a time. x: (n, h, w, c); kernels: (o, c, k, k); dy:
+    (n, h', w', o). Returns (dx, d kernels, d bias)."""
+    x, kernels, dy = (np.asarray(a, dtype=np.float64) for a in (x, kernels, dy))
+    n, hh, ww, _ = dy.shape
+    k = kernels.shape[2]
+    dx = np.zeros(x.shape)
+    dkernels = np.zeros(kernels.shape)
+    for b in range(n):
+        for i in range(hh):
+            for j in range(ww):
+                g = dy[b, i, j]
+                window = x[b, i:i + k, j:j + k, :].transpose(2, 0, 1)  # (c, k, k)
+                dkernels += g[:, None, None, None] * window
+                dx[b, i:i + k, j:j + k, :] += np.tensordot(g, kernels, 1).transpose(1, 2, 0)
+    return dx, dkernels, dy.sum(axis=(0, 1, 2))
 
 
 def naive_dense(x, weights, bias):

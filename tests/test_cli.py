@@ -610,14 +610,15 @@ class TestServeReplay:
 # generated_recordings fixture, and of `saliency --index 0 --class C
 # --dump-activations` on it with the seed-0 runtime network (numpy 2.4,
 # x86-64): the weights, the trace, both PGMs read in name order and every
-# activation file read in name order, hashed while training pooled by argmax.
+# activation file read in name order, hashed once convolutions became banded
+# products.
 TRAIN_SALIENCY_SHA256 = {
-    "train/w.net": "ea95c984239168f6ba1907d1631a8ae817055bfd766379e4dc3cbf94601435d3",
+    "train/w.net": "f66d9ac2d0f5d382a0b436f9a949686246fe4a05d9db4cf9a498e04dd827ec5b",
     "train/train_trace.csv":
-        "5da382907f0ac88156de3e10f53f251ed377fcf7ef5364c37aee198679bb56b1",
+        "2a0f6da58b52540c7792ceb4e47eb103b02877c74406fd3eb9d453d5133bd452",
     "saliency/*.pgm": "de6881fc963a731046405c975a9ddff4942c6864c7580cb4bf8341b7da49f02a",
     "saliency/activations/*.txt":
-        "26fb2144ae1f7505ce300ebb9ada821812ae7a093ac64b619fc20610258823b2",
+        "96fb7fe8dcef719a18149c715003e57e650dad766220887fa67ab72c81083c87",
 }
 
 
@@ -712,18 +713,18 @@ class TestCapacitySweep:
 # and of `train --test test.ds --iterations 40 --seed 0`'s trace, on the splits
 # assembled from the generated_recordings fixture (numpy 2.4, x86-64), and the
 # repr of the assembly's class mixes; hashed while evaluation scored per-frame
-# records.
+# records, and the trace once convolutions became banded products.
 EVAL_SHA256 = {
     "eval/report.txt": "bc3be790b7b8ea68525649282f1645c45992edc254579d3f34a2cf64a246868f",
     "eval/curve.csv": "ec21a5b4b673ada4ce34e41ffb46c656ae3556419236925e21d1b64a3e738bdb",
     "train/train_trace.csv":
-        "d63437aa772136d149a6e26b8dd66f5264ddb76b7bd9a5eacc370da0e73e4d2c",
+        "be5aa3338f2be526c1fd76b544b34f07c729c39c7569fd456aa0dd9750d34835",
 }
 CLASS_MIX_REPR = ("({'L': 0.0, 'C': 1.0, 'R': 0.0, 'N': 0.0}, "
                   "{'L': 0.0, 'C': 1.0, 'R': 0.0, 'N': 0.0})")
 # the same trace on the splits of _ramped_recording seeds 0 and 1, whose
 # test split holds L, R and N frames, hashed the same way
-RAMPED_TRACE_SHA256 = "8b44bef20ba88c77cb67320671783ddb226cec31d4640d91e55d9553fc78c9e7"
+RAMPED_TRACE_SHA256 = "bc2f7f54125a11e5804b176ce4387e0803afb15550041a45593eab9fb416f5c1"
 # and the same eval on that test split, hashed before predict_batch scored
 # its frames in fixed chunks
 RAMPED_EVAL_SHA256 = {
@@ -783,11 +784,11 @@ class TestEvalGolden:
 # sha256 of `train --iterations 40 --seed 0` (batch 64, dropout 0.25) on the
 # train.ds assembled from _ramped_recording seeds 0 and 1, whose training
 # split holds L, C and R frames (numpy 2.4, x86-64): the weights and the
-# trace, hashed before training reused its per-step buffers.
+# trace, hashed once convolutions became banded products.
 RAMPED_TRAIN_SHA256 = {
-    "train/w.net": "2c5515b1ea57da8e077da66283794ff067e01e75db8212629eb69492f041087e",
+    "train/w.net": "570481ec9e6e7b5454c308b825a6c007e4fda3c8756a10e883fc45ab7724f01c",
     "train/train_trace.csv":
-        "374e88e02306b3c53d5ed6e1a3ec9abddb68fa7d45ba0cff65c4dda9d1e4345b",
+        "8e47e31ad8f0da5c1e6de1c6eed4e7e78ce7bb1823c5d6ff15fd0a2dd21b4136",
 }
 
 
@@ -1060,6 +1061,25 @@ class TestArgumentExitCodes:
         assert main([*argv, "--out", str(out)]) == EXIT_USAGE
         assert capsys.readouterr() == ("", f"{command[0]}: --out {out / name} is a directory\n")
         assert os.listdir(out) == [name]
+
+    def test_eval_with_nothing_to_evaluate_is_usage_error(self, tmp_path, capsys):
+        # refused before the missing weights are read
+        assert main(["eval", "--weights", str(tmp_path / "missing.net")]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "eval: nothing to evaluate (need --dataset, "
+                                           "--runlog, or --sweep-capacity)\n")
+
+    def test_saliency_activations_into_a_file_is_usage_error(self, tmp_path, weights,
+                                                              generated_recordings, capsys):
+        _split(tmp_path, generated_recordings)
+        activations = tmp_path / "out" / "activations"
+        activations.parent.mkdir()
+        activations.write_text("")
+        argv = ["saliency", "--weights", weights, "--dataset", str(tmp_path / "train.ds"),
+                "--class", "C", "--out", str(activations.parent), "--dump-activations"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", f"saliency: --dump-activations {activations} is not a directory\n")
+        assert os.listdir(activations.parent) == ["activations"]  # no PGM written
 
     def test_a_file_passed_as_a_directory_is_data_error(self, weights, capsys):
         argv = ["eval", "--weights", weights, "--recordings", weights, "--sweep-capacity", "5000"]

@@ -107,6 +107,19 @@ class TestAccumulator:
         for ha, hb in zip(got_a + [acc_a.values], got_b + [acc_b.values]):
             assert ha.tobytes() == hb.tobytes()
 
+    def test_batch_past_one_block_matches_small_pushes_bitwise(self, rng):
+        # a long batch is indexed a block at a time; the adds stay in order
+        n = frames._ADD_BLOCK + 12_345
+        ev = make_events(np.arange(n), rng.integers(0, 240, n),
+                         rng.integers(0, 180, n), rng.integers(0, 2, n))
+        acc_a, acc_b = DvsAccumulator(), DvsAccumulator()
+        got_a = acc_a.add_batch(ev)
+        got_b = [out for k in range(0, n, 7_777) for out in acc_b.add_batch(ev[k:k + 7_777])]
+        assert [t for t, _ in got_a] == [t for t, _ in got_b] == list(range(4999, n, 5000))
+        for (_, ha), (_, hb) in zip(got_a, got_b):
+            assert ha.tobytes() == hb.tobytes()
+        assert acc_a.values.tobytes() == acc_b.values.tobytes()
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 3))
     def test_deviation_sum_counts_polarity_balance(self, seed, n_frames):
@@ -395,6 +408,27 @@ class TestFileFormats:
         write_events(path, ev)
         back = read_events(path)
         np.testing.assert_array_equal(ev, back)
+
+    def test_strided_events_and_no_events_round_trip(self, rng, tmp_path):
+        n = 1000
+        ev = make_events(np.arange(n), rng.integers(0, 240, n),
+                         rng.integers(0, 180, n), rng.integers(0, 2, n))
+        path = tmp_path / "r.events"
+        for written in (ev[::3], ev[:0]):
+            write_events(path, written)
+            assert path.stat().st_size == 16 + 9 * len(written)
+            np.testing.assert_array_equal(read_events(path), written)
+
+    def test_decreasing_timestamps_rejected(self, tmp_path):
+        path = tmp_path / "r.events"
+        # equal stamps are in order; a stamp below its predecessor is not,
+        # also across the top of the u32 range
+        write_events(path, make_events([0, 5, 5, 2 ** 32 - 1], [0] * 4, [0] * 4, [1] * 4))
+        assert len(read_events(path)) == 4
+        for ts in ([5, 3], [2 ** 32 - 1, 0]):
+            write_events(path, make_events(ts, [0, 0], [0, 0], [1, 0]))
+            with pytest.raises(FormatError, match="timestamps decrease"):
+                read_events(path)
 
     def test_truncated_event_file(self, tmp_path):
         path = tmp_path / "r.events"

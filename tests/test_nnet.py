@@ -17,7 +17,7 @@ from evsteer.nnet import (PREDICT_CHUNK, WEIGHT_MAGIC, AdamState, Conv, Decision
                           decision_from_logits, load_weights, op_count,
                           param_count, runtime_network, save_weights, softmax)
 
-from oracles import argmax_pool, naive_forward, strided_col2im
+from oracles import argmax_pool, naive_conv, naive_conv_backward, naive_forward
 
 LN4 = math.log(4.0)
 
@@ -192,7 +192,8 @@ class TestRowKernels:
         x = rng.normal(size=(3,) + in_hw + (3,)).astype(np.float32)
         tape = Tape()
         y = conv.forward(x, tape)
-        want = tape.caches[conv] @ conv.kernels.reshape(4, -1).T
+        rows, band = tape.caches[conv]
+        want = (rows @ band).reshape(y.shape)
         want += conv.bias
         assert y.tobytes() == want.tobytes()
 
@@ -224,7 +225,8 @@ class TestRowKernels:
 
 
 class TestReadOnlyInference:
-    """Inference never mutates a network, so threads may share a loaded one."""
+    """Inference changes no parameter and adds no attribute, so threads may
+    share a loaded network."""
 
     @staticmethod
     def _state(net):
@@ -428,11 +430,11 @@ def train_step(net, batch, workspace=None):
 
 # sha256 of the loss repr and every gradient's bytes from loss_and_backward
 # (train=True, dropout rng seed 1) of the seed-0 runtime network on
-# dvs_like_batch(n, seed=n) (numpy 2.4, x86-64), hashed before training
-# reused its per-step buffers.
+# dvs_like_batch(n, seed=n) (numpy 2.4, x86-64), hashed once convolutions
+# became banded products.
 GRADIENT_SHA256 = {
-    64: "f802c43fa02d41a52e60c44a45ff1a8e59952d048180162a501e5d116622928d",
-    17: "08d860b4310c62856917f89c19fbbddc20edf9b95015ffcbb66f901a9bbf679b",
+    64: "855aacf89998bf40d51660581164d7c99ac5b53a8fa30f9f1025b45710faa5fb",
+    17: "f3b6b287ebae78f6442660728cd77143a5cc98acd3852034573bfe0638405857",
 }
 
 
@@ -486,26 +488,87 @@ class TestTrainingWorkspace:
             assert got.tobytes() == want.tobytes()
 
 
-COL2IM_CASES = [((64, 16, 16, 4), 5), ((3, 36, 36, 1), 5), ((2, 13, 11, 3), 3)]
+# c = 3 with k = 3, and a 1x1 output, whose one-row products go to gemv
+COL2IM_CASES = [((64, 16, 16, 4), 5), ((3, 36, 36, 1), 5), ((2, 13, 11, 3), 3),
+                ((2, 5, 5, 3), 5)]
+
+
+def _conv_case(shape, k):
+    rng = np.random.default_rng(11)
+    conv = Conv(4, k)
+    conv.build(shape[1:], lambda s, fan_in=None, fan_out=None:
+               rng.normal(size=s).astype(np.float32))
+    x = rng.normal(size=shape).astype(np.float32)
+    hh, ww = shape[1] - k + 1, shape[2] - k + 1
+    dy = rng.normal(size=(shape[0], hh, ww, 4)).astype(np.float32)
+    return conv, x, dy
+
+
+def _assert_close(got, want):
+    # float32 sums of up to c*k*k*maps products against float64 ones
+    np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
 
 
 class TestCol2im:
+    """The band product and its k strided adds against float64 loops."""
+
     @pytest.mark.parametrize("shape,k", COL2IM_CASES, ids=lambda v: str(v))
     @pytest.mark.parametrize("pooled", [False, True], ids=["fresh", "workspace"])
     def test_conv_input_gradient_is_the_strided_add(self, shape, k, pooled):
-        rng = np.random.default_rng(11)
-        conv = Conv(4, k)
-        conv.build(shape[1:], lambda s, fan_in=None, fan_out=None:
-                   rng.normal(size=s).astype(np.float32))
-        x = rng.normal(size=shape).astype(np.float32)
+        conv, x, dy = _conv_case(shape, k)
+        want, _, _ = naive_conv_backward(x, conv.kernels, dy)
         workspace = Workspace() if pooled else None
         for _ in range(2 if pooled else 1):  # the second pass reuses dirty arrays
             tape = Tape(workspace=workspace)
             y = conv.forward(x, tape)
-            dy = rng.normal(size=y.shape).astype(np.float32)
             grads = [np.zeros_like(p) for p in conv.params()]
             dx = conv.backward(dy, x, y, tape.caches[conv], grads, workspace=workspace)
-            assert dx.tobytes() == strided_col2im(dy, conv.kernels, x.shape).tobytes()
+            _assert_close(dx, want)
+
+    @pytest.mark.parametrize("shape,k", COL2IM_CASES, ids=lambda v: str(v))
+    def test_forward_and_parameter_gradients_match_loop_oracles(self, shape, k):
+        conv, x, dy = _conv_case(shape, k)
+        tape = Tape()
+        y = conv.forward(x, tape)
+        _assert_close(y, np.stack([naive_conv(frame, conv.kernels, conv.bias) for frame in x]))
+        grads = [np.zeros_like(p) for p in conv.params()]
+        assert conv.backward(dy, x, y, tape.caches[conv], grads, need_dx=False) is None
+        _, dkernels, dbias = naive_conv_backward(x, conv.kernels, dy)
+        _assert_close(grads[0], dkernels)
+        _assert_close(grads[1], dbias)
+
+
+class TestBandConv:
+    @pytest.mark.parametrize("n", [1, 64])
+    def test_a_one_map_input_is_the_im2col_product_bit_for_bit(self, n):
+        # conv0 of the runtime network: this keeps the run-log goldens
+        conv = runtime_network(np.random.default_rng(n)).layers[0]
+        x = np.random.default_rng(7).random((n, 36, 36, 1), dtype=np.float32)
+        cols = np.lib.stride_tricks.sliding_window_view(x[..., 0], (5, 5), axis=(1, 2))
+        want = np.matmul(cols.reshape(n, 32 * 32, 25), conv.kernels.reshape(4, 25).T)
+        want += conv.bias
+        assert conv.forward(x, None).tobytes() == want.tobytes()
+
+    def test_a_stride_0_axis_reads_as_a_contiguous_copy(self, rng):
+        net = runtime_network(rng)
+        frames = rng.random((3, 36, 36)).astype(np.float32)
+        # numpy gives a new axis stride 0: _check_input's x[None] and [..., None]
+        for x in (net._check_input(frames[0]), frames[..., None]):
+            assert x.strides[3] == 0
+            assert net.forward_batch(x).tobytes() == net.forward_batch(x.copy()).tobytes()
+
+    def test_predict_after_adam_step_is_the_saved_networks(self, tmp_path):
+        net = runtime_network(np.random.default_rng(0))
+        x, labels = dvs_like_batch(64, seed=3)
+        net.forward_batch(x)  # builds the bands from the first kernels
+        state = AdamState.for_params(net.parameters())
+        for _ in range(2):
+            _, grads = train_step(net, (x, labels))
+            adam_step(net.parameters(), grads, state)
+        save_weights(net, tmp_path / "w.net")
+        loaded = load_weights(tmp_path / "w.net")
+        assert net.forward_batch(x).tobytes() == loaded.forward_batch(x).tobytes()
+        assert [net.predict(f) for f in x] == [loaded.predict(f) for f in x]
 
 
 class TestAdam:
