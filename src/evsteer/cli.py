@@ -27,6 +27,9 @@ loop's commands from the image ring the two share.
 serve runs in one thread and sends each decision as it is made, so
 `serve --sim` forks as `simulate` does and sends the run log's UDP lines, in
 order.
+
+BLAS runs on one thread: importing evsteer sets OPENBLAS_NUM_THREADS=1 over
+any value the environment gave it, so no command's output depends on it.
 """
 
 from __future__ import annotations

@@ -11,6 +11,8 @@ batch axis is prepended internally, so a batched activation is (n, h, w, c)
 and a flat one is (n, d). Inference never changes a network's parameters;
 per-call state lives on a tape, and the one thing a layer keeps, a Conv's
 band, is replaced whole, so a loaded network can be shared across threads.
+evsteer itself starts no thread; the promise stays for callers that import
+it as a library, since all it costs is that one whole replacement.
 
 Inference (`predict`, `forward`, `forward_batch`, `input_gradient`,
 `guided_backprop`) allocates its arrays afresh on every call, since its
@@ -219,10 +221,12 @@ class Conv(Layer):
 
     Forward adds each output's products in (row, col, map) order, with the
     band's zeros between them, so a one-map input gives bit for bit the
-    output of an im2col product, whose columns run (row, col). With several
-    maps an im2col product sums map by map instead, and the two differ in
-    the last bits: by up to 6e-7 on runtime conv1 outputs of magnitude up
-    to 1.1.
+    output of an im2col product, whose columns run (row, col), on
+    OpenBLAS's SkylakeX, Sandybridge and Nehalem kernels. Haswell's sgemm
+    blocks the two products differently, and there they differ in the last
+    bits. With several maps an im2col product sums map by map instead, and
+    the two differ in the last bits on every kernel: by up to 6e-7 on
+    runtime conv1 outputs of magnitude up to 1.1.
     """
 
     kind = "conv"

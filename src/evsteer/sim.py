@@ -697,6 +697,7 @@ class WorldSim:
         self._held = False  # a static scene holds still from its first render step on
         self.rate_profile = RateProfile(cfg.rate_profile) if cfg.rate_profile else None
         self._static_image = None
+        self._scan = (None, None)  # (render key, scan), set by laser
 
     def _quantize_aps(self, t_us):
         # captures land on the render grid but keep the long-run average rate
@@ -804,7 +805,15 @@ class WorldSim:
         return SensorBatch(events, aps_t, aps)
 
     def laser(self) -> LaserScan:
-        return simulate_laser(self.scene, self.predator.pose)
+        """The laser scan at the current poses. render_key() holds every value
+        a scan reads that changes during a run, so the scan is kept with its
+        key and handed out again, read-only, until the key changes."""
+        key = self.render_key()
+        if self._scan[0] != key:
+            scan = simulate_laser(self.scene, self.predator.pose)
+            scan.ranges.flags.writeable = False
+            self._scan = (key, scan)
+        return self._scan[1]
 
     def ground_truth(self):
         return prey_target_column(self.scene, self.camera, self.predator.pose)

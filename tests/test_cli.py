@@ -639,7 +639,8 @@ class TestTrainSaliencyGolden:
 
 
 class TestBlasThreads:
-    """Outputs do not depend on how many threads BLAS runs."""
+    """evsteer runs BLAS on one thread, so its outputs do not depend on how
+    many threads the environment asks for."""
 
     SCRIPT = """
 import sys
@@ -651,9 +652,40 @@ sys.exit(main(["train", "--dataset", dataset, "--iterations", "12", "--seed", "0
                   "--out", out + "/sim"]))
 """
 
-    def test_train_and_simulate_outputs_equal_at_1_and_2_threads(
-            self, tmp_path, weights, generated_recordings):
-        train, _, _ = assemble_dataset(generated_recordings)
+    # prints the thread count and kernel of numpy's bundled OpenBLAS, found
+    # among the libraries this process has mapped, after importing evsteer
+    PROBE = """
+import ctypes, os, sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+import evsteer
+maps = "/proc/self/maps"
+paths = sorted({line.split()[-1] for line in open(maps) if "libscipy_openblas64_" in line}
+               if os.path.exists(maps) else ())
+if not paths:
+    sys.exit("absent")
+lib = ctypes.CDLL(paths[0])
+threads, core = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_get_corename64_
+threads.argtypes, threads.restype = [], ctypes.c_int
+core.argtypes, core.restype = [], ctypes.c_char_p
+print(threads(), core().decode())
+"""
+
+    def _probe(self, order, **env):
+        done = subprocess.run([sys.executable, "-c", self.PROBE, order], capture_output=True,
+                              text=True, env=_child_env(**env), timeout=60)
+        if done.stderr.strip() == "absent":
+            pytest.skip("numpy has no bundled OpenBLAS (scipy-openblas) to ask")
+        assert done.returncode == EXIT_OK, done.stderr
+        threads, core = done.stdout.split()
+        return int(threads), core
+
+    @pytest.mark.parametrize("order", ["evsteer-first", "numpy-first"])
+    def test_blas_runs_one_thread_whatever_the_environment_asks(self, order):
+        assert self._probe(order, OPENBLAS_NUM_THREADS="2")[0] == 1
+
+    def _outputs_at_1_and_2_threads(self, tmp_path, weights, recordings, **env):
+        train, _, _ = assemble_dataset(recordings)
         save_dataset(tmp_path / "train.ds", train)
         outputs = []
         for threads in ("1", "2"):
@@ -661,11 +693,25 @@ sys.exit(main(["train", "--dataset", dataset, "--iterations", "12", "--seed", "0
             done = subprocess.run(
                 [sys.executable, "-c", self.SCRIPT, str(tmp_path / "train.ds"), weights,
                  str(out)], capture_output=True, text=True,
-                env=_child_env(OPENBLAS_NUM_THREADS=threads), timeout=120)
+                env=_child_env(OPENBLAS_NUM_THREADS=threads, **env), timeout=120)
             assert done.returncode == EXIT_OK, done.stderr
             outputs.append([(out / name).read_bytes() for name in
                             ("train/w.net", "train/train_trace.csv", "sim/run.log")])
-        assert outputs[0] == outputs[1]
+        return outputs
+
+    def test_train_and_simulate_outputs_equal_at_1_and_2_threads(
+            self, tmp_path, weights, generated_recordings):
+        one, two = self._outputs_at_1_and_2_threads(tmp_path, weights, generated_recordings)
+        assert one == two
+
+    def test_outputs_equal_at_1_and_2_threads_on_the_haswell_kernel(
+            self, tmp_path, weights, generated_recordings):
+        # Haswell's sgemm gives other bits on two threads than on one
+        if self._probe("evsteer-first", OPENBLAS_CORETYPE="Haswell")[1] != "Haswell":
+            pytest.skip("OpenBLAS does not run its Haswell kernel on this CPU")
+        one, two = self._outputs_at_1_and_2_threads(
+            tmp_path, weights, generated_recordings, OPENBLAS_CORETYPE="Haswell")
+        assert one == two
 
 
 def _ramped_recording(seed, duration_us=2_000_000, n_events=300_000):

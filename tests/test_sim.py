@@ -9,7 +9,7 @@ import types
 import numpy as np
 import pytest
 
-from evsteer import runner, workers
+from evsteer import runner, sim, workers
 from evsteer.behavior import BehaviorConfig, BehaviorController, Mode, VelocityCmd
 from evsteer.config import ConfigError, load_config
 from evsteer.datagen import ChaseScript, DatagenConfig, generate_recording
@@ -134,6 +134,37 @@ class TestGolden:
         monkeypatch.setattr(WorldSim, "laser", lambda self: calls.append(1) or laser(self))
         rate_test_runlog()
         assert 0 < len(calls) <= 100  # 0.5 s of 5 ms render steps
+
+    def test_a_scan_is_cast_again_only_when_the_render_key_moves(self, monkeypatch):
+        class ChaseThenHold:
+            """C for ten frames, then N: the predator chases a little and then
+            holds still, waiting out the lost timeout."""
+            frames = 0
+
+            def predict(self, values):
+                self.frames += 1
+                return Decision.C if self.frames <= 10 else Decision.N
+
+        cfg = load_config(overrides=["sim.scenario=rate_test", "sim.rate_profile=1:2000000",
+                                     "sim.duration=0.5"]).settings.sim
+        casts, keys = [], []
+        cast, laser = sim.simulate_laser, WorldSim.laser
+        with monkeypatch.context() as patch:
+            patch.setattr(WorldSim, "laser", lambda self: cast(self.scene, self.predator.pose))
+            cast_every_time = run_closed_loop(ChaseThenHold(), cfg, seed=7)
+        monkeypatch.setattr(sim, "simulate_laser",
+                            lambda scene, pose: casts.append(pose) or cast(scene, pose))
+
+        def spy(self):
+            keys.append(self.render_key())
+            scan = laser(self)
+            assert not scan.ranges.flags.writeable
+            return scan
+
+        monkeypatch.setattr(WorldSim, "laser", spy)
+        assert run_closed_loop(ChaseThenHold(), cfg, seed=7) == cast_every_time
+        moves = sum(key != before for before, key in zip([None] + keys, keys))
+        assert len(casts) == moves < len(keys) // 5
 
     def test_every_decision_lags_its_frame_by_at_most_one_interval(self, monkeypatch):
         # the flood makes about 400 frames per second against the 240 Hz cap
