@@ -2,10 +2,11 @@
 
 Subcommands: gen-data, train, eval, simulate, serve, saliency,
 inspect-weights. Exit codes: 0 success, 1 usage or config problem, 2 data
-error (unreadable or malformed files), 3 runtime error. Every
-artifact-producing command writes a manifest.json next to its outputs with
-the seed, the full config snapshot, and the produced paths; outputs contain
-no wall-clock timestamps, so reruns with the same seed are byte-identical.
+error (unreadable or malformed files, or a network whose input is not the
+36x36x1 frame), 3 runtime error. Every artifact-producing command writes a
+manifest.json next to its outputs with the seed, the full config snapshot,
+and the produced paths; outputs contain no wall-clock timestamps, so reruns
+with the same seed are byte-identical.
 
 Every setting has one home, its config key. A flag that names one, such as
 `simulate --duration`, spells `--set sim.duration=...` and wins over --config
@@ -63,6 +64,7 @@ EXIT_DATA = 2
 EXIT_RUNTIME = 3
 
 _SOURCE_IDS = {name: src for src, name in frames.SOURCE_NAMES.items()}
+_FRAME_SHAPE = (frames.FRAME_SIZE, frames.FRAME_SIZE, 1)
 
 
 class DataError(Exception):
@@ -75,11 +77,17 @@ class UsageError(Exception):
 
 def refuse_directories(command, paths, flag="--out"):
     """Raises UsageError where one of paths, files that command writes as
-    flag says, is a directory. Every command that writes files calls it
-    before any work, so no run is lost to its last write."""
+    flag says, is a directory or lies under a file. Every command that
+    writes files calls it before any work, so no run is lost to its last
+    write."""
     for path in paths:
         if os.path.isdir(path):
             raise UsageError(f"{command}: {flag} {path} is a directory")
+        parent = os.path.dirname(os.path.abspath(path))
+        while not os.path.lexists(parent):
+            parent = os.path.dirname(parent)
+        if not os.path.isdir(parent):
+            raise UsageError(f"{command}: {flag} {path}: {parent} is not a directory")
 
 
 def out_files(command, out_dir, *names):
@@ -88,6 +96,15 @@ def out_files(command, out_dir, *names):
     paths = [os.path.join(out_dir, name) for name in names]
     refuse_directories(command, paths + [os.path.join(out_dir, "manifest.json")])
     return paths
+
+
+def load_network(path):
+    """load_weights, refusing a network that does not take the frames' extent."""
+    net = load_weights(path)
+    if net.input_shape != _FRAME_SHAPE:
+        raise DataError(f"{path}: network input {net.input_shape} is not the frame "
+                        f"extent {_FRAME_SHAPE}")
+    return net
 
 
 def write_manifest(out_dir, command, seeds, cfg, outputs):
@@ -297,7 +314,7 @@ def cmd_eval(args, cfg):
     if out_dir:
         names = ["report.txt"] + (["curve.csv"] if args.dataset else [])
         outputs = out_files("eval", out_dir, *names)
-    net = load_weights(args.weights)
+    net = load_network(args.weights)
     lines = []
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -344,13 +361,13 @@ def cmd_simulate(args, cfg):
     # a dry run refuses the run lengths the run would
     steps_for_duration(run_cfg.duration, run_cfg.sim.timestep_us)
     if args.dry_run:
-        net = load_weights(args.weights)
+        net = load_network(args.weights)
         print(f"network ok: input {net.input_shape}, {param_count(net)} parameters, "
               f"{op_count(net)} ops/pass")
         print(cfg.dump(), end="")
         return EXIT_OK
     outputs = out_files("simulate", args.out, "run.log", "report.txt", "curve.csv")
-    net = load_weights(args.weights)
+    net = load_network(args.weights)
     log = run_closed_loop(net, run_cfg, args.seed)
     report = runlog_report(log)
     os.makedirs(args.out, exist_ok=True)
@@ -371,7 +388,7 @@ def cmd_simulate(args, cfg):
 def cmd_serve(args, cfg):
     if args.aps and not args.events:
         raise UsageError("serve: --aps needs --events")
-    net = load_weights(args.weights)
+    net = load_network(args.weights)
     run_cfg = cfg.settings.sim
     peer, listen = wire.parse_peer(run_cfg.wire.peer), run_cfg.wire.listen
     try:
@@ -435,7 +452,7 @@ def cmd_saliency(args, cfg):
     activations = os.path.join(args.out, "activations")
     if args.dump_activations and os.path.lexists(activations) and not os.path.isdir(activations):
         raise UsageError(f"saliency: --dump-activations {activations} is not a directory")
-    net = load_weights(args.weights)
+    net = load_network(args.weights)
     ds = load_dataset(args.dataset)
     if not 0 <= args.index < len(ds):
         raise UsageError(f"saliency: index {args.index} outside dataset")

@@ -23,17 +23,23 @@ training run owns a `Workspace` and passes it to every `loss_and_backward`
 call, which takes each per-step activation, window copy and backward
 temporary from it instead of from the allocator. Nothing drawn from the
 workspace escapes a step (the returned gradients are fresh arrays), so a
-step never page-faults fresh memory in. A workspace serves one step at a time, and a network runs
-one training step at a time: the step updates its parameters in place.
+step never page-faults fresh memory in. A workspace serves one step at a
+time, and a network runs one training step at a time: the step updates its
+parameters in place.
 
-Every layer computes `forward(x, tape)` one way; a tape, passed only when
-something will run backward, records and never changes what a layer
-computes. It holds each activation once, and a layer's `backward` rebuilds
-what it needs from the layer's input and output: the ReLU gate and the
-dense flattening from x. Three layers cache more: Conv its window rows and
-band and MaxPool its gathered window phases, since gathering them again
-would cost as much as their forward pass, and Dropout its random mask.
-MaxPool's backward overwrites its phases with the routed gradient.
+Each layer kind is one class, and every layer has one protocol: `build`
+returns the output extent and draws the parameters that `params` lists,
+`args` the numbers after the kind on its weight-file line, `forward(x,
+tape)` computes one way, and `backward(dy, x, y, tape, grads, need_dx)`
+fills grads and returns dx (None may stand for it without need_dx). The
+weight file goes through `args` and `params` and one table of kinds. A tape,
+passed to forward only when something will run backward, records and never
+changes what a layer computes. It holds each activation once, and a backward
+rebuilds what it needs from the layer's input and output: the ReLU gate and
+the dense flattening from x. Three layers cache more on the tape: Conv its
+window rows and band and MaxPool its gathered window phases, since gathering
+them again would cost as much as their forward pass, and Dropout its random
+mask. MaxPool's backward overwrites its phases with the routed gradient.
 
 Conv and MaxPool work on long contiguous rows rather than loops over the
 few channels of a channels-last map: Conv copies each output row's input
@@ -157,35 +163,37 @@ class Workspace:
         return arr
 
 
-def _workspace(tape):
-    return None if tape is None else tape.workspace
-
-
-def _out(workspace, layer, role, shape, dtype):
+def _out(tape, layer, role, shape, dtype):
     """The `out=` array of a layer's op: pooled, or None to let it allocate."""
-    return None if workspace is None else workspace.array((layer, role), shape, dtype)
+    if tape is None or tape.workspace is None:
+        return None
+    return tape.workspace.array((layer, role), shape, dtype)
 
 
-def _full(workspace, layer, role, shape, dtype, value):
-    if workspace is None:
+def _full(tape, layer, role, shape, dtype, value):
+    arr = _out(tape, layer, role, shape, dtype)
+    if arr is None:
         return np.full(shape, value, dtype)
-    arr = workspace.array((layer, role), shape, dtype)
     arr.fill(value)
     return arr
 
 
 class Layer:
-    """Defaults for a layer that keeps its input extent and has no
-    parameters and no multiplies or adds.
+    """Defaults for a layer that keeps its input extent, takes no numbers
+    and has no parameters and no multiplies or adds.
 
-    Every op that makes a per-step array writes into `_out(workspace, ...)`,
-    so a training step draws it from the workspace and any other call
+    Every op that makes a per-step array writes into `_out(tape, ...)`, so
+    a training step draws it from the tape's workspace and any other call
     allocates it as numpy would.
     """
 
     def build(self, in_shape, init):
         """Output extent for in_shape; draws parameters from init."""
         return in_shape
+
+    def args(self):
+        """The numbers after the kind on the layer's weight-file line."""
+        return []
 
     def params(self):
         return []
@@ -210,10 +218,11 @@ class Conv(Layer):
     product's rows are the output rows in channels-last order. Each input
     value is copied k times, where an im2col matrix holds k * k copies.
 
-    backward multiplies the same two matrices the other way: rows.T @ dy is
-    the band's gradient, whose k diagonals sum to the kernels' gradient, and
-    dy @ band.T holds the gradient of every window, which k strided adds put
-    back into dx.
+    backward reads rows and band from the tape's cache entry and multiplies
+    them the other way: rows.T @ dy is the band's gradient, whose k
+    diagonals sum to the kernels' gradient, and dy @ band.T holds the
+    gradient of every window, which k strided adds put back into dx. Without
+    need_dx it stops after the parameter gradients and returns None.
 
     The band is built from the kernels on first use and kept with a copy of
     their bytes, so inference reuses it and an in-place update (training
@@ -249,6 +258,9 @@ class Conv(Layer):
         self.bias = init((self.n_maps,))
         return (h - k + 1, w - k + 1, self.n_maps)
 
+    def args(self):
+        return [self.n_maps, self.kernel_size]
+
     def params(self):
         return [self.kernels, self.bias]
 
@@ -281,7 +293,6 @@ class Conv(Layer):
         return cached[1]
 
     def forward(self, x, tape):
-        workspace = _workspace(tape)
         n, h, w, c = x.shape
         k, m = self.kernel_size, self.n_maps
         hh, ww = h - k + 1, w - k + 1
@@ -290,12 +301,12 @@ class Conv(Layer):
         x = np.ascontiguousarray(x)
         s = x.itemsize
         windows = np.ndarray((n, hh, k * w * c), x.dtype, x, 0, (h * w * c * s, w * c * s, s))
-        rows = _out(workspace, self, "rows", (n * hh, k * w * c), x.dtype)
+        rows = _out(tape, self, "rows", (n * hh, k * w * c), x.dtype)
         if rows is None:
             rows = np.empty((n * hh, k * w * c), x.dtype)
         np.copyto(rows.reshape(windows.shape), windows)
         band = self._band_for(w)
-        y = np.matmul(rows, band, out=_out(workspace, self, "y", (n * hh, ww * m), x.dtype))
+        y = np.matmul(rows, band, out=_out(tape, self, "y", (n * hh, ww * m), x.dtype))
         # the bias add, r output positions per row: the same adds as a
         # broadcast over (n, h'*w', maps), on rows r times as long
         r = math.gcd(hh * ww, 16)
@@ -305,13 +316,12 @@ class Conv(Layer):
             tape.caches[self] = (rows, band)
         return y.reshape(n, hh, ww, m)
 
-    def backward(self, dy, x, y, cache, grads, need_dx=True, workspace=None):
-        rows, band = cache
+    def backward(self, dy, x, y, tape, grads, need_dx):
+        rows, band = tape.caches[self]
         n, hh, ww, m = dy.shape
         w, c, k = x.shape[2], x.shape[3], self.kernel_size
         dy_rows = dy.reshape(n * hh, ww * m)
-        dband = np.matmul(rows.T, dy_rows,
-                          out=_out(workspace, self, "dband", band.shape, dy.dtype))
+        dband = np.matmul(rows.T, dy_rows, out=_out(tape, self, "dband", band.shape, dy.dtype))
         grads[0][...] = self._diagonals(dband, w).sum(axis=3).transpose(3, 2, 0, 1)
         # einsum sums each column in row order, as sum(axis=0) does, in one
         # pass over the rows; a one-map column is contiguous, and there sum
@@ -320,9 +330,9 @@ class Conv(Layer):
         grads[1][...] = np.einsum("ij->j", dy_flat) if m > 1 else dy_flat.sum(axis=0)
         if not need_dx:
             return None
-        dwin = np.matmul(dy_rows, band.T, out=_out(workspace, self, "dwin", rows.shape, dy.dtype))
+        dwin = np.matmul(dy_rows, band.T, out=_out(tape, self, "dwin", rows.shape, dy.dtype))
         dwin = dwin.reshape(n, hh, k, w, c)
-        dx = _full(workspace, self, "dx", x.shape, x.dtype, 0)
+        dx = _full(tape, self, "dx", x.shape, x.dtype, 0)
         for a in range(k):
             dx[:, a:a + hh] += dwin[:, :, a]
         return dx
@@ -337,7 +347,10 @@ class MaxPool(Layer):
     backward sends a window's gradient to its first maximum in that
     row-major order, found as the first phase where x == y, so ties go to
     the earlier element and -0.0 and 0.0 compare equal; every other input
-    gets +0.0. Comparisons only: no multiplies or adds to count.
+    gets +0.0. It writes the routed gradient over the phases of the tape's
+    cache entry, or over phases gathered afresh where the tape holds none,
+    and scatters them back into dx. Comparisons only: no multiplies or adds
+    to count.
     """
 
     kind = "maxpool"
@@ -346,45 +359,43 @@ class MaxPool(Layer):
         h, w, c = in_shape
         return (h // 2, w // 2, c)
 
-    def _phases(self, x, workspace):
+    def _phases(self, x, tape):
         """(n, 4 * m + 1) rows: phase k of output q at k * m + q, and a last
         column left for backward's zero slot."""
         n, h, w, c = x.shape
         gather, _ = _phase_index(h, w, c)
         return x.reshape(n, h * w * c).take(
             gather, axis=1, mode="wrap",
-            out=_out(workspace, self, "phases", (n, len(gather)), x.dtype))
+            out=_out(tape, self, "phases", (n, len(gather)), x.dtype))
 
     def forward(self, x, tape):
-        workspace = _workspace(tape)
         n, h2, w2, c = x.shape[0], x.shape[1] // 2, x.shape[2] // 2, x.shape[3]
         m = h2 * w2 * c
-        phases = self._phases(x, workspace)
+        phases = self._phases(x, tape)
         window = phases[:, :4 * m].reshape(n, 4, m)
         # max(max(max(00, 10), 01), 11) in place: np.maximum keeps its second
         # argument on a tie, so both this and max(max(00, 10), max(01, 11))
         # pick the last tied element in the order 00, 10, 01, 11
         y = np.maximum(window[:, 0], window[:, 2],
-                       out=_out(workspace, self, "y", (n, m), x.dtype))
+                       out=_out(tape, self, "y", (n, m), x.dtype))
         np.maximum(y, window[:, 1], out=y)
         np.maximum(y, window[:, 3], out=y)
         if tape is not None:
             tape.caches[self] = phases
         return y.reshape(n, h2, w2, c)
 
-    def backward(self, dy, x, y, phases, grads, workspace=None):
-        """dx, writing the routed gradient over the phases (the tape's, or
-        gathered afresh without one) before scattering it back."""
+    def backward(self, dy, x, y, tape, grads, need_dx):
         n, h, w, c = x.shape
         m = math.prod(y.shape[1:])
+        phases = tape.caches.get(self)
         if phases is None:
-            phases = self._phases(x, workspace)
+            phases = self._phases(x, tape)
         bits = np.dtype(f"u{x.itemsize}")
         window = phases[:, :4 * m].reshape(n, 4, m)
         routed = phases.view(bits)
         y, dy = y.reshape(n, m), dy.reshape(n, m).view(bits)
-        unrouted = _full(workspace, self, "unrouted", (n, m), bool, True)
-        first = _out(workspace, self, "first", (n, m), bool)
+        unrouted = _full(tape, self, "unrouted", (n, m), bool, True)
+        first = _out(tape, self, "first", (n, m), bool)
         for k in range(4):
             first = np.equal(window[:, k], y, out=first)
             first &= unrouted
@@ -396,7 +407,7 @@ class MaxPool(Layer):
         routed[:, 4 * m] = 0  # the zero slot: +0.0 for floored rows and columns
         _, inverse = _phase_index(h, w, c)
         dx = phases.take(inverse, axis=1, mode="wrap",
-                         out=_out(workspace, self, "dx", (n, len(inverse)), x.dtype))
+                         out=_out(tape, self, "dx", (n, len(inverse)), x.dtype))
         return dx.reshape(x.shape)
 
 
@@ -404,12 +415,12 @@ class Relu(Layer):
     kind = "relu"
 
     def forward(self, x, tape):
-        return np.maximum(x, 0, out=_out(_workspace(tape), self, "y", x.shape, x.dtype))
+        return np.maximum(x, 0, out=_out(tape, self, "y", x.shape, x.dtype))
 
-    def backward(self, dy, x, y, cache, grads, guided=False, workspace=None):
+    def backward(self, dy, x, y, tape, grads, need_dx):
         # gates dy in place: the network hands each layer a dy no one else holds
-        gate = np.greater(x, 0, out=_out(workspace, self, "gate", x.shape, bool))
-        if guided:
+        gate = np.greater(x, 0, out=_out(tape, self, "gate", x.shape, bool))
+        if tape.guided:
             gate &= dy > 0
         return np.multiply(dy, gate, out=dy)
 
@@ -430,6 +441,9 @@ class Dense(Layer):
         self.bias = init((self.n_units,))
         return (self.n_units,)
 
+    def args(self):
+        return [self.n_units]
+
     def params(self):
         return [self.weights, self.bias]
 
@@ -439,15 +453,15 @@ class Dense(Layer):
     def forward(self, x, tape):
         n, d = len(x), self.weights.shape[1]
         y = np.matmul(x.reshape(n, d), self.weights.T,
-                      out=_out(_workspace(tape), self, "y", (n, self.n_units), x.dtype))
+                      out=_out(tape, self, "y", (n, self.n_units), x.dtype))
         y += self.bias
         return y
 
-    def backward(self, dy, x, y, cache, grads, workspace=None):
+    def backward(self, dy, x, y, tape, grads, need_dx):
         n, d = len(x), self.weights.shape[1]
         grads[0][...] = dy.T @ x.reshape(n, d)
         grads[1][...] = dy.sum(axis=0)
-        dx = np.matmul(dy, self.weights, out=_out(workspace, self, "dx", (n, d), dy.dtype))
+        dx = np.matmul(dy, self.weights, out=_out(tape, self, "dx", (n, d), dy.dtype))
         return dx.reshape(x.shape)
 
 
@@ -461,6 +475,9 @@ class Dropout(Layer):
             raise ValueError("dropout rate must be in [0, 1)")
         self.rate = rate
 
+    def args(self):
+        return [self.rate]
+
     def forward(self, x, tape):
         if tape is None or not tape.train or self.rate == 0.0:
             return x
@@ -471,25 +488,31 @@ class Dropout(Layer):
         tape.caches[self] = mask
         return x * mask
 
-    def backward(self, dy, x, y, mask, grads, workspace=None):
+    def backward(self, dy, x, y, tape, grads, need_dx):
+        mask = tape.caches.get(self)
         return dy if mask is None else dy * mask
 
 
 @dataclass
 class Tape:
-    """Record of one forward pass for backward.
+    """Record of one forward pass, and all that a backward reads besides
+    dy, its layer's input and output and its gradient slots.
 
     acts holds each activation once: acts[0] is the batch input and
     acts[i + 1] the output of layer i. caches maps a layer to what its
     backward cannot rebuild from its input and output; only Conv, MaxPool
     and Dropout write there, and MaxPool's backward consumes its entry.
     A train tape makes dropout draw its mask from rng.
-    A tape with a workspace makes the layers draw their arrays from it.
+    A tape with a workspace makes the layers draw their arrays from it,
+    forward and backward. guided makes ReLU's backward pass only positive
+    gradients, and input_grad makes the first layer's backward return dx.
     """
 
     train: bool = False
     rng: object = None
     workspace: Workspace | None = None
+    guided: bool = False
+    input_grad: bool = False
     acts: list = field(default_factory=list)
     caches: dict = field(default_factory=dict)
 
@@ -519,19 +542,19 @@ class Network:
                 f"network must end in exactly {N_CLASSES} logits, got {shape}")
 
     def parameters(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
+        return [p for layer in self.layers for p in layer.params()]
 
     def _check_input(self, x):
+        """x as a batch: an (n, h, w, c) batch or one (h, w[, c]) frame."""
         x = np.asarray(x, dtype=self.dtype)
         if x.shape == self.input_shape[:2]:
             x = x[..., None]
-        if x.shape != self.input_shape:
+        if x.shape == self.input_shape:
+            return x[None]
+        if x.shape[1:] != self.input_shape:
             raise ShapeMismatchError(
                 f"frame shape {x.shape} does not match input {self.input_shape}")
-        return x[None]
+        return x
 
     def _forward_batch(self, x, tape=None):
         if tape is not None:
@@ -561,7 +584,7 @@ class Network:
 
     def forward_batch(self, x):
         """Inference logits for a (n, h, w, c) batch; no tape, no dropout."""
-        return self._forward_batch(np.asarray(x, dtype=self.dtype))
+        return self._forward_batch(self._check_input(x))
 
     def predict_batch(self, x):
         """Argmax decisions of a (n, h, w, c) batch, PREDICT_CHUNK frames per pass.
@@ -573,22 +596,15 @@ class Network:
             np.argmax(_finite(self.forward_batch(x[i:i + PREDICT_CHUNK])), axis=1)
             for i in range(0, max(len(x), 1), PREDICT_CHUNK)])
 
-    def _backward_batch(self, dy, tape, guided=False, need_input_grad=False):
+    def _backward_batch(self, dy, tape):
         grads = [np.zeros_like(p) for p in self.parameters()]
         slot = len(grads)
         for idx in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[idx]
             n_params = len(layer.params())
             slot -= n_params
-            args = (dy, tape.acts[idx], tape.acts[idx + 1], tape.caches.get(layer),
-                    grads[slot:slot + n_params])
-            if isinstance(layer, Relu):
-                dy = layer.backward(*args, guided=guided, workspace=tape.workspace)
-            elif isinstance(layer, Conv):
-                dy = layer.backward(*args, need_dx=idx > 0 or need_input_grad,
-                                    workspace=tape.workspace)
-            else:
-                dy = layer.backward(*args, workspace=tape.workspace)
+            dy = layer.backward(dy, tape.acts[idx], tape.acts[idx + 1], tape,
+                                grads[slot:slot + n_params], idx > 0 or tape.input_grad)
         return dy, grads
 
     def loss_and_backward(self, frames, labels, train=True, rng=None, workspace=None):
@@ -599,9 +615,7 @@ class Network:
         a fresh one unless the training run passes its own; the returned
         gradients are fresh arrays.
         """
-        x = np.asarray(frames, dtype=self.dtype)
-        if x.ndim <= 3:
-            x = self._check_input(x)
+        x = self._check_input(frames)
         labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
         tape = Tape(train=train, rng=rng,
                     workspace=Workspace() if workspace is None else workspace)
@@ -617,11 +631,11 @@ class Network:
 
     def input_gradient(self, frame, target: Decision, guided=False):
         """d(target logit)/d(input); guided gates ReLUs on positive gradients."""
-        tape = Tape()
+        tape = Tape(guided=guided, input_grad=True)
         logits = self._forward_batch(self._check_input(frame), tape)
         dy = np.zeros_like(logits)
         dy[0, int(target)] = 1.0
-        dx, _ = self._backward_batch(dy, tape, guided=guided, need_input_grad=True)
+        dx, _ = self._backward_batch(dy, tape)
         return dx[0]
 
     def guided_backprop(self, frame, target: Decision):
@@ -697,40 +711,23 @@ def param_count(net: Network) -> int:
 
 def op_count(net: Network) -> int:
     """Forward-pass multiplies plus adds, counting each as one operation."""
-    total = 0
-    for layer, out_shape in zip(net.layers, net.layer_shapes[1:]):
-        total += layer.op_count(out_shape)
-    return total
+    return sum(layer.op_count(shape) for layer, shape in zip(net.layers, net.layer_shapes[1:]))
 
 
 WEIGHT_MAGIC = "evsteer-net v1"
-
-
-def _fmt_values(arr):
-    return " ".join(repr(float(v)) for v in np.asarray(arr).reshape(-1))
 
 
 def save_weights(net: Network, path):
     """Text weight file; conv kernels serialize in (out-map, in-map, row, col) order."""
     lines = [WEIGHT_MAGIC, "input " + " ".join(str(v) for v in net.input_shape)]
     for layer in net.layers:
-        if isinstance(layer, Conv):
-            lines.append(f"conv {layer.n_maps} {layer.kernel_size}")
-            lines.append(_fmt_values(layer.kernels))
-            lines.append(_fmt_values(layer.bias))
-        elif isinstance(layer, Dense):
-            lines.append(f"dense {layer.n_units}")
-            lines.append(_fmt_values(layer.weights))
-            lines.append(_fmt_values(layer.bias))
-        elif isinstance(layer, Dropout):
-            lines.append(f"dropout {repr(layer.rate)}")
-        else:
-            lines.append(layer.kind)
+        lines.append(" ".join(str(v) for v in [layer.kind, *layer.args()]))
+        lines += [" ".join(repr(float(v)) for v in p.reshape(-1)) for p in layer.params()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_values(line, shape, what):
+def _parse_values(what, line, shape):
     toks = line.split()
     expected = math.prod(shape)
     if len(toks) != expected:
@@ -745,21 +742,41 @@ def _parse_values(line, shape, what):
     return vals.reshape(shape)
 
 
-def _decl_numbers(decl, cast):
-    """Numeric fields of a layer declaration line; a bad number is malformed."""
+# kind -> (class, the types of the numbers after the kind, the error for a
+# number the class refuses)
+_LAYER_KINDS = {
+    "conv": (Conv, (int, int), WeightShapeError),
+    "maxpool": (MaxPool, (), WeightShapeError),
+    "relu": (Relu, (), WeightShapeError),
+    "dense": (Dense, (int,), WeightShapeError),
+    "dropout": (Dropout, (float,), MalformedWeightFileError),
+}
+
+
+def _layer(decl):
+    """The layer a declaration line declares."""
+    kind, *fields = decl.split()
+    if kind not in _LAYER_KINDS:
+        raise UnsupportedLayerError(f"unknown layer kind {kind!r}")
+    cls, types, refused = _LAYER_KINDS[kind]
+    if len(fields) != len(types):
+        raise MalformedWeightFileError(f"{kind} takes {len(types)} numbers: {decl}")
     try:
-        return [cast(v) for v in decl[1:]]
+        numbers = [cast(v) for cast, v in zip(types, fields)]
     except ValueError:
-        raise MalformedWeightFileError(f"bad {decl[0]} declaration: {' '.join(decl)}") from None
+        raise MalformedWeightFileError(f"bad {kind} declaration: {decl}") from None
+    try:
+        return cls(*numbers)
+    except ValueError as exc:
+        raise refused(f"{decl}: {exc}") from None
 
 
 def load_weights(path) -> Network:
     try:
         with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
+            lines = [ln for ln in fh if ln.strip()]
     except UnicodeDecodeError:
         raise MalformedWeightFileError("weight file is not text") from None
-    lines = [ln for ln in lines if ln.strip()]
     if not lines or lines[0].strip() != WEIGHT_MAGIC:
         raise MalformedWeightFileError("missing or wrong header line")
     if len(lines) < 2 or not lines[1].startswith("input "):
@@ -770,57 +787,22 @@ def load_weights(path) -> Network:
         raise MalformedWeightFileError("bad input declaration") from None
     if len(input_shape) != 3 or any(v < 1 for v in input_shape):
         raise WeightShapeError(f"bad input extent {input_shape}")
-
-    pos = 2
-
-    def next_line(what):
-        nonlocal pos
-        if pos >= len(lines):
-            raise MalformedWeightFileError(f"file truncated: expected {what}")
-        line = lines[pos]
-        pos += 1
-        return line
-
+    body = iter(lines[2:])
     layers = []
     values = []  # (declaration, value line) per parameter array, in file order
-    while pos < len(lines):
-        decl = next_line("layer").split()
-        kind = decl[0]
-        if kind == "conv":
-            if len(decl) != 3:
-                raise MalformedWeightFileError("conv declaration needs maps and kernel size")
-            n_maps, k = _decl_numbers(decl, int)
-            try:
-                layer = Conv(n_maps, k)
-            except ValueError as exc:
-                raise WeightShapeError(f"conv {n_maps} {k}: {exc}") from None
-        elif kind == "dense":
-            if len(decl) != 2:
-                raise MalformedWeightFileError("dense declaration needs unit count")
-            layer = Dense(*_decl_numbers(decl, int))
-        elif kind in ("maxpool", "relu"):
-            layer = {"maxpool": MaxPool, "relu": Relu}[kind]()
-        elif kind == "dropout":
-            if len(decl) != 2:
-                raise MalformedWeightFileError("dropout declaration needs a rate")
-            try:
-                layer = Dropout(*_decl_numbers(decl, float))
-            except ValueError as exc:
-                raise MalformedWeightFileError(str(exc)) from None
-        else:
-            raise UnsupportedLayerError(f"unknown layer kind {kind!r}")
-        layers.append(layer)
-        # one value line per parameter array; params() lists them unbuilt, as None
-        values += [(" ".join(decl), next_line(f"{kind} values")) for _ in layer.params()]
+    for line in body:
+        decl = line.strip()
+        layers.append(_layer(decl))
+        # one value line per parameter array; params() lists them unbuilt, as
+        # None. The first line missing ends the file, so it ends the list too.
+        values += [(decl, next(body, None)) for _ in layers[-1].params()]
+    if values and values[-1][1] is None:
+        raise MalformedWeightFileError(f"file truncated: expected {values[-1][0]} values")
     if not layers:
         raise WeightShapeError(f"network must end in {N_CLASSES} logits, got {input_shape}")
-    pending = iter(values)
-
-    def parse_next(shape, fan_in=None, fan_out=None):
-        what, line = next(pending)
-        return _parse_values(line, shape, what)
-
-    return Network(layers, input_shape, init=parse_next)
+    pending = iter(values)  # handed out in the order Network asks for them
+    return Network(layers, input_shape,
+                   init=lambda shape, *fans: _parse_values(*next(pending), shape))
 
 
 def dump_activations(net: Network, frame, directory):

@@ -29,7 +29,7 @@ from evsteer.decision import FilterConfig
 from evsteer.evaluation import evaluate_records
 from evsteer.frames import (EVENT_DTYPE, Dataset, Recording, assemble_dataset,
                             load_dataset, save_dataset, save_recording, write_events)
-from evsteer.nnet import Decision, runtime_network, save_weights
+from evsteer.nnet import Decision, Dense, Network, runtime_network, save_weights
 from evsteer.runner import STORES_IN_ORDER, RunnerConfig, decision_step
 
 HEADER = "evsteer-net v1\ninput 36 36 1\n"
@@ -57,6 +57,32 @@ class TestWeightFileExitCodes:
         argv = ["simulate", "--weights", str(path), "--dry-run"]
         assert main(argv) == EXIT_DATA
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--dry-run"], ["simulate", "--duration", "0.1", "--out", "OUT"],
+        ["serve", "--sim", "--duration", "0.1", "--listen", "0"],
+        ["saliency", "--dataset", "DATASET", "--class", "C", "--out", "OUT"],
+        ["eval", "--dataset", "DATASET", "--out", "OUT"],
+    ], ids=["dry-run", "simulate", "serve", "saliency", "eval"])
+    def test_weights_for_another_input_extent_are_data_error(self, tmp_path, capsys,
+                                                               command):
+        save_weights(Network([Dense(4)], input_shape=(2, 2, 1)), tmp_path / "small.net")
+        save_dataset(tmp_path / "d.ds", Dataset(
+            frames=np.zeros((3, 36, 36), np.float32), labels=np.zeros(3, np.uint8),
+            target_x=np.zeros(3, np.int16), source=np.ones(3, np.uint8)))
+        argv = [arg.replace("OUT", str(tmp_path / "out"))
+                .replace("DATASET", str(tmp_path / "d.ds")) for arg in command]
+        assert main([argv[0], "--weights", str(tmp_path / "small.net"), *argv[1:]]) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""  # refused before any work
+        assert err == (f"data error: {tmp_path / 'small.net'}: network input (2, 2, 1) "
+                       "is not the frame extent (36, 36, 1)\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_inspect_weights_describes_any_input_extent(self, tmp_path, capsys):
+        save_weights(Network([Dense(4)], input_shape=(2, 2, 1)), tmp_path / "small.net")
+        assert main(["inspect-weights", "--weights", str(tmp_path / "small.net")]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("input: 2x2x1\n")
 
     @pytest.mark.parametrize("command", ["inspect-weights", "simulate"])
     @pytest.mark.parametrize("bad", ["binary", "nan"])
@@ -506,6 +532,8 @@ SERVE_DATAGRAMS_SHA256 = (
 
 class ScriptedNet:
     """Stand-in network whose decisions follow a script, whatever the frame."""
+
+    input_shape = (36, 36, 1)
 
     def __init__(self, script):
         self.decisions = iter(script)
@@ -1107,6 +1135,26 @@ class TestArgumentExitCodes:
         assert main([*argv, "--out", str(out)]) == EXIT_USAGE
         assert capsys.readouterr() == ("", f"{command[0]}: --out {out / name} is a directory\n")
         assert os.listdir(out) == [name]
+
+    @pytest.mark.parametrize("command, name", [
+        (["gen-data", "--recordings", "1"], "train.ds"),
+        (["simulate", "--weights", "MISSING"], "run.log"),
+        (["eval", "--weights", "MISSING", "--dataset", "MISSING"], "report.txt"),
+        (["saliency", "--weights", "MISSING", "--dataset", "MISSING", "--class", "C"],
+         "saliency_C.pgm"),
+        (["train", "--dataset", "MISSING"], "w.net"),
+    ], ids=["gen-data", "simulate", "eval", "saliency", "train"])
+    def test_an_output_directory_that_is_a_file_is_usage_error(self, tmp_path, capsys,
+                                                                 command, name):
+        # refused before any work: the missing inputs are never read
+        out = tmp_path / "out"
+        out.write_text("a file\n")
+        argv = [arg.replace("MISSING", str(tmp_path / "missing")) for arg in command]
+        flag_value = out / name if command[0] == "train" else out
+        assert main([*argv, "--out", str(flag_value)]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", f"{command[0]}: --out {out / name}: {out} is not a directory\n")
+        assert out.read_text() == "a file\n"
 
     def test_eval_with_nothing_to_evaluate_is_usage_error(self, tmp_path, capsys):
         # refused before the missing weights are read

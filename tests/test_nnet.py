@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+from pathlib import Path
 import threading
 import tracemalloc
 from collections import Counter
@@ -76,6 +77,16 @@ class TestForward:
         with pytest.raises(nnet.ShapeMismatchError):
             net.forward(np.zeros((40, 36)))
 
+    @pytest.mark.parametrize("shape", [(2, 35, 36, 1), (2, 36, 36, 2), (2, 36, 36),
+                                       (36, 36, 1, 1)])
+    @pytest.mark.parametrize("call", ["forward_batch", "predict_batch", "loss_and_backward"])
+    def test_batch_shape_mismatch_raises(self, rng, call, shape):
+        net = runtime_network(rng)
+        x = np.zeros(shape, np.float32)
+        args = (x, [0] * len(x)) if call == "loss_and_backward" else (x,)
+        with pytest.raises(nnet.ShapeMismatchError, match=r"does not match input \(36, 36, 1\)"):
+            getattr(net, call)(*args)
+
     def test_inference_is_deterministic_with_dropout_layer(self, rng):
         net = runtime_network(rng, dropout_rate=0.3)
         x = rng.random((36, 36)).astype(np.float32)
@@ -119,7 +130,7 @@ class TestTapeFreeInference:
         assert y.shape[1:3] == (x.shape[1] // 2, x.shape[2] // 2)
         # == semantics: a tie between -0.0 and 0.0 may keep either zero
         np.testing.assert_array_equal(y, want_y)
-        assert pool.backward(dy, x, y, None, []).tobytes() == want_dx.tobytes()
+        assert pool.backward(dy, x, y, Tape(), [], True).tobytes() == want_dx.tobytes()
 
     def test_predict_is_the_forward_decision(self, rng):
         net = runtime_network(rng)
@@ -178,9 +189,9 @@ class TestRowKernels:
             tape = Tape(workspace=workspace)
             y = pool.forward(x, tape)
             assert y.tobytes() == want_y.tobytes()
-            dx = pool.backward(dy, x, y, tape.caches[pool], [], workspace=workspace)
+            dx = pool.backward(dy, x, y, tape, [], True)
             assert dx.tobytes() == want_dx.tobytes()
-        assert pool.backward(dy, x, y, None, []).tobytes() == want_dx.tobytes()
+        assert pool.backward(dy, x, y, Tape(), [], True).tobytes() == want_dx.tobytes()
 
     @pytest.mark.parametrize("in_hw", [(17, 15), (16, 16), (36, 36), (14, 10), (5, 5)])
     def test_wide_bias_add_equals_the_broadcast_add(self, in_hw):
@@ -220,7 +231,7 @@ class TestRowKernels:
         y = conv.forward(x, tape)
         dy = rng.normal(size=y.shape).astype(np.float32)
         grads = [np.zeros_like(p) for p in conv.params()]
-        conv.backward(dy, x, y, tape.caches[conv], grads, need_dx=False)
+        conv.backward(dy, x, y, tape, grads, False)
         assert grads[1].tobytes() == dy.reshape(-1, maps).sum(axis=0).tobytes()
 
 
@@ -392,7 +403,7 @@ class TestGradients:
         x = rng.random((3, 8, 8, 2))
         y = pool.forward(x, None)
         dy = rng.random(y.shape)
-        dx = pool.backward(dy, x, y, None, [])
+        dx = pool.backward(dy, x, y, Tape(), [], True)
         assert np.count_nonzero(dx) <= dy.size
         assert dx.sum() == pytest.approx(dy.sum(), rel=1e-12)
 
@@ -522,7 +533,7 @@ class TestCol2im:
             tape = Tape(workspace=workspace)
             y = conv.forward(x, tape)
             grads = [np.zeros_like(p) for p in conv.params()]
-            dx = conv.backward(dy, x, y, tape.caches[conv], grads, workspace=workspace)
+            dx = conv.backward(dy, x, y, tape, grads, True)
             _assert_close(dx, want)
 
     @pytest.mark.parametrize("shape,k", COL2IM_CASES, ids=lambda v: str(v))
@@ -532,7 +543,7 @@ class TestCol2im:
         y = conv.forward(x, tape)
         _assert_close(y, np.stack([naive_conv(frame, conv.kernels, conv.bias) for frame in x]))
         grads = [np.zeros_like(p) for p in conv.params()]
-        assert conv.backward(dy, x, y, tape.caches[conv], grads, need_dx=False) is None
+        assert conv.backward(dy, x, y, tape, grads, False) is None
         _, dkernels, dbias = naive_conv_backward(x, conv.kernels, dy)
         _assert_close(grads[0], dkernels)
         _assert_close(grads[1], dbias)
@@ -732,6 +743,30 @@ class TestWeightFiles:
         path.write_text(f"evsteer-net v1\ninput 36 36 1\n{decl}\n")
         with pytest.raises(nnet.MalformedWeightFileError):
             load_weights(path)
+
+    @pytest.mark.parametrize("decl", ["relu 5", "maxpool 2", "dense 4 4", "conv 4 5 5",
+                                      "dropout 0.1 0.2", "dropout 1.5"])
+    def test_numbers_the_kind_does_not_take_are_malformed(self, tmp_path, decl):
+        path = tmp_path / "w.net"
+        path.write_text(f"evsteer-net v1\ninput 36 36 1\n{decl}\n")
+        with pytest.raises(nnet.MalformedWeightFileError):
+            load_weights(path)
+
+    def test_bench_weights_are_written_back_byte_for_byte(self, tmp_path):
+        source = Path(__file__).parents[1] / "bench" / "weights" / "bench.net"
+        save_weights(load_weights(source), tmp_path / "w.net")
+        assert (tmp_path / "w.net").read_bytes() == source.read_bytes()
+
+    def test_every_layer_kind_round_trips_byte_for_byte(self, tmp_path):
+        net = Network([Conv(3, 3), Relu(), MaxPool(), Dense(7), Relu(), Dropout(0.1),
+                       Dense(4)], input_shape=(9, 7, 2), rng=np.random.default_rng(4))
+        save_weights(net, tmp_path / "a.net")
+        save_weights(load_weights(tmp_path / "a.net"), tmp_path / "b.net")
+        text = (tmp_path / "a.net").read_text()
+        assert (tmp_path / "b.net").read_text() == text
+        assert [line for line in text.splitlines() if line[0].isalpha()] == [
+            WEIGHT_MAGIC, "input 9 7 2", "conv 3 3", "relu", "maxpool", "dense 7", "relu",
+            "dropout 0.1", "dense 4"]
 
     def test_even_kernel_is_shape_error(self, tmp_path):
         path = tmp_path / "w.net"
