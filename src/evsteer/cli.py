@@ -14,16 +14,19 @@ and --set, so a manifest's config block holds the settings that ran: given
 back as --config with the same seed, it reruns the run.
 
 gen-data generates its recordings with up to one worker process per usable
-CPU. Each recording is a pure function of (gen config, seed), and the command
-takes them back in seed order, so its stdout and output files equal those of
-a serial run. Worker k of n makes the fixed slice of seeds k, k + n, ... and
-streams them down a pipe of its own, so EOF on the pipe the parent is
-reading names the one seed a worker's death lost; a worker that dies after
-its last recording came back loses nothing. The pool, the frame producer
-that a static scene's `simulate` forks and the renderer that a chase's forks
-run the one worker loop of `evsteer.workers`, which streams answers one way,
-to the parent, and also decides when a fork is safe; the renderer reads the
-loop's commands from the image ring the two share.
+CPU. Each recording is a pure function of (gen config, seed). A worker writes
+each recording it makes to its files and sends back only its event and APS
+frame counts, which the command prints in seed order, so its stdout and
+output files equal those of a serial run. Worker k of n makes the fixed
+slice of seeds k, k + n, ... and streams the counts down a pipe of its own,
+so EOF on the pipe the parent is reading names the one seed a worker's death
+lost; a worker that dies after its last counts came back loses nothing. The
+datasets are then assembled from the files, read back one recording at a
+time, as `eval --sweep-capacity` reads its recordings. The pool, the frame
+producer that a static scene's `simulate` forks and the renderer that a
+chase's forks run the one worker loop of `evsteer.workers`, which streams
+answers one way, to the parent, and also decides when a fork is safe; the
+renderer reads the loop's commands from the image ring the two share.
 
 serve runs in one thread and sends each decision as it is made, so
 `serve --sim` forks as `simulate` does and sends the run log's UDP lines, in
@@ -49,7 +52,7 @@ from evsteer import evaluation, frames, wire, workers
 from evsteer.datagen import generate_recording
 # dvs_normalize and aps_normalize are unused here but stay bound: span
 # tracers that wrap them by their importers' names look them up on this module.
-from evsteer.frames import (FormatError, FrameStream, aps_normalize,
+from evsteer.frames import (FormatError, FrameStream, NoFramesError, aps_normalize,
                             assemble_dataset, dvs_normalize, load_dataset,
                             load_recording, save_dataset, save_recording)
 from evsteer.nnet import (AdamState, Decision, WeightFileError, Workspace,
@@ -144,9 +147,11 @@ def _ordered_map(fn, jobs):
     starts no thread before it), it is the builtin map in this process.
     Otherwise worker k of n is forked once with the fixed slice jobs[k::n]
     and streams its results in slice order, so the parent sends no jobs and
-    reads job i from worker i % n. A job's exception is raised in its turn,
-    as map would, and its worker computes nothing after it; a dead worker's
-    WorkerLostError names the job the parent was waiting for.
+    reads job i from worker i % n. Each result is pickled down a pipe, so
+    gen-data's jobs write their recordings to files and return only counts.
+    A job's exception is raised in its turn, as map would, and its worker
+    computes nothing after it; a dead worker's WorkerLostError names the job
+    the parent was waiting for.
     """
     n_workers = min(len(jobs), workers.usable_cpus())
     context = fork_context() if n_workers > 1 else None
@@ -166,25 +171,31 @@ def cmd_gen_data(args, cfg):
     train_path, test_path, report_path = outputs[:3]
     os.makedirs(args.out, exist_ok=True)
     seed_base = gen.seed_base
-    recordings = []
+    prefixes = [os.path.join(args.out, f"rec{i:03d}") for i in range(gen.recordings)]
+    def record(i):
+        # both are looked up per call, so a wrapper installed on this module
+        # runs in the workers too
+        rec = generate_recording(gen, seed_base + i)
+        save_recording(prefixes[i], rec)
+        return len(rec.events), len(rec.aps_t)
+
     try:
-        # generate_recording is looked up per call, so a wrapper installed
-        # on this module runs in the workers too
-        jobs = [(gen, seed_base + i) for i in range(gen.recordings)]
-        with _ordered_map(lambda job: generate_recording(*job), jobs) as recs:
-            for i, rec in enumerate(recs):
-                prefix = os.path.join(args.out, f"rec{i:03d}")
-                save_recording(prefix, rec)
-                recordings.append(rec)
-                print(f"rec{i:03d}: seed {seed_base + i}, {len(rec.events)} events, "
-                      f"{len(rec.aps_t)} APS frames")
+        with _ordered_map(record, range(gen.recordings)) as counts:
+            for i, (n_events, n_aps) in enumerate(counts):
+                print(f"rec{i:03d}: seed {seed_base + i}, {n_events} events, {n_aps} APS frames")
     except WorkerLostError as exc:
         print(f"gen-data: a worker process died before the recording of seed "
               f"{seed_base + exc.args[0]} came back", file=sys.stderr)
         return EXIT_RUNTIME
-    train, test, report = assemble_dataset(
-        recordings, capacity=frames_cfg.capacity,
-        aps_target_fraction=frames_cfg.aps_target_fraction)
+    try:
+        train, test, report = assemble_dataset(
+            map(load_recording, prefixes), capacity=frames_cfg.capacity,
+            aps_target_fraction=frames_cfg.aps_target_fraction)
+    except NoFramesError as exc:
+        i, capacity = exc.args
+        raise UsageError(f"gen-data: rec{i:03d} (seed {seed_base + i}) gives no frame at "
+                         f"capacity {capacity}: gen.duration {gen.duration} s is too "
+                         "short") from None
     save_dataset(train_path, train)
     save_dataset(test_path, test)
     with open(report_path, "w") as fh:
@@ -290,11 +301,15 @@ def _sweep_capacities(net, rec_dir, capacities):
     prefixes = sorted(p[:-7] for p in os.listdir(rec_dir) if p.endswith(".events"))
     if not prefixes:
         raise DataError(f"no .events recordings in {rec_dir}")
-    recordings = [load_recording(os.path.join(rec_dir, p)) for p in prefixes]
     results = {}
     for cap in capacities:
-        # only the test split is read, so skip augmenting the training split
-        _, test, _ = assemble_dataset(recordings, capacity=cap, aps_target_fraction=0.0)
+        recordings = (load_recording(os.path.join(rec_dir, p)) for p in prefixes)
+        try:
+            # only the test split is read, so skip augmenting the training split
+            _, test, _ = assemble_dataset(recordings, capacity=cap, aps_target_fraction=0.0)
+        except NoFramesError as exc:
+            raise DataError(f"{os.path.join(rec_dir, prefixes[exc.args[0]])}: recording "
+                            f"gives no frame at capacity {cap}") from None
         dvs = test.source == frames.SOURCE_DVS
         if not dvs.any():
             raise DataError(f"no DVS test frames at capacity {cap}")
@@ -310,11 +325,15 @@ def cmd_eval(args, cfg):
                          "--sweep-capacity)")
     if args.sweep_capacity and not args.recordings:
         raise UsageError("eval: --sweep-capacity needs --recordings")
+    runs_network = args.dataset or args.sweep_capacity
+    if runs_network and not args.weights:
+        raise UsageError("eval: --dataset and --sweep-capacity need --weights")
     out_dir = args.out
     if out_dir:
         names = ["report.txt"] + (["curve.csv"] if args.dataset else [])
         outputs = out_files("eval", out_dir, *names)
-    net = load_network(args.weights)
+    # a run log is scored without the network, so only these read the weights
+    net = load_network(args.weights) if runs_network else None
     lines = []
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -529,7 +548,7 @@ def build_parser():
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate weights on datasets or run logs")
-    p.add_argument("--weights", required=True)
+    p.add_argument("--weights", help="network for --dataset and --sweep-capacity")
     p.add_argument("--dataset")
     p.add_argument("--runlog")
     p.add_argument("--filtered", action="store_true",

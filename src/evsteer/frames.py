@@ -53,6 +53,13 @@ class FormatError(Exception):
     """A data file does not match its documented binary or text layout."""
 
 
+class NoFramesError(ValueError):
+    """Recording `args[0]` of an assembly gives no frame at capacity `args[1]`."""
+
+    def __str__(self):
+        return f"recording {self.args[0]} gives no frame at capacity {self.args[1]}"
+
+
 # Flat histogram bin of a sensor address (x, y) is _BIN_ROW[y] + _BIN_COL[x]:
 # the bin row y * 36 // 180 times 36, plus the bin column x * 36 // 240.
 _BIN_ROW = (np.arange(SENSOR_HEIGHT) * FRAME_SIZE // SENSOR_HEIGHT) * FRAME_SIZE
@@ -277,12 +284,15 @@ def assemble_dataset(recordings, capacity=DEFAULT_CAPACITY, aps_target_fraction=
     to test, with no shuffling across the boundary. Shifted-exposure copies
     of training APS frames are appended until the training source mix is
     about `aps_target_fraction` APS. Returns (train, test, report).
+    `recordings` may be any iterable, such as a map that loads each from its
+    files, and is read once, in order; a recording that gives no frame
+    raises NoFramesError with its index.
     """
     train_items, test_items = [], []
-    for rec in recordings:
+    for i, rec in enumerate(recordings):
         stream = frames_from_recording(rec, capacity)
         if not stream:
-            raise ValueError("recording produced no frames")
+            raise NoFramesError(i, capacity)
         n_train = int(0.8 * len(stream))
         train_items += stream[:n_train]
         test_items += stream[n_train:]

@@ -4,7 +4,9 @@
 
 A worker is forked with an iterator of items, so what it runs is not
 pickled, and streams their answers to the parent over a pipe of its own, in
-order, without being asked; nothing goes the other way. An answer is an
+order, without being asked; nothing goes the other way. An answer is
+pickled, so it is kept small: gen-data's pool answers with a recording's
+counts, having written the recording to its files. An answer is an
 (ok, value) pair: a false ok carries the exception, which `unpack` raises in
 the parent with its class and message, and the worker computes nothing after
 it. Only the worker holds the other end of its pipe, so EOF on it means the

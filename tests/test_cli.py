@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -254,10 +255,13 @@ sys.exit(code)
         assert out.startswith("rec000: seed 1000,") and "rec001" not in out
         assert multiprocessing.active_children() == []
 
-    def test_a_parent_side_error_leaves_no_worker(self, tmp_path, monkeypatch, capsys):
-        save = cli.save_recording
+    def test_a_save_error_in_a_worker_comes_in_job_order(self, tmp_path, monkeypatch,
+                                                          capsys):
+        save, savers = cli.save_recording, tmp_path / "savers"
 
         def failing(prefix, rec):
+            with open(savers, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
             if os.path.basename(prefix) == "rec001":
                 raise OSError("no space left on device")
             save(prefix, rec)
@@ -269,17 +273,76 @@ sys.exit(code)
         assert "runtime error: OSError: no space left on device" in err
         assert out.startswith("rec000: seed 1000,") and "rec001" not in out
         assert pids and os.getpid() not in pids
+        assert {int(pid) for pid in savers.read_text().split()} <= pids  # saved by workers
         assert multiprocessing.active_children() == []
 
-    # gen-data of two recordings on two workers in a child whose wrapper has
-    # the worker of seed 1001 SIGKILL the worker of seed 1000 once that
-    # recording is back, so the killed worker holds no job; prints the
+    def test_a_parent_side_error_leaves_no_worker(self, tmp_path, monkeypatch, capsys):
+        def failing(*args, file=None, **kwargs):
+            # the parent's stdout is gone, as when a pipe's reader quits, at
+            # the first recording's line, while the worker of seed 1001 may
+            # still run
+            if file is None:
+                raise BrokenPipeError("stdout closed")
+            print(*args, file=file, **kwargs)
+
+        monkeypatch.setattr(cli, "print", failing, raising=False)
+        code, out, err, pids = self._gen_data(
+            monkeypatch, capsys, 2, tmp_path / "gen", "--set", "gen.duration=0.5")
+        assert code == EXIT_RUNTIME
+        assert (out, err) == ("", "runtime error: BrokenPipeError: stdout closed\n")
+        assert pids and os.getpid() not in pids
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "gen" / "train.ds").exists()
+
+    def test_the_workers_send_back_counts_not_recordings(self, tmp_path, monkeypatch,
+                                                         capsys):
+        receive, answers = cli.receive, []
+
+        def recorded(conn, job):
+            answer = receive(conn, job)
+            answers.append(answer)
+            return answer
+
+        monkeypatch.setattr(cli, "receive", recorded)
+        code, out, _, pids = self._gen_data(
+            monkeypatch, capsys, 2, tmp_path / "gen", "--set", "gen.duration=0.5")
+        assert code == EXIT_OK
+        assert pids and os.getpid() not in pids
+        assert len(answers) == 3
+        for ok, counts in answers:
+            assert ok is True and type(counts) is tuple
+            assert [type(count) for count in counts] == [int, int]
+        assert out.splitlines()[:3] == [
+            f"rec{i:03d}: seed {1000 + i}, {n_events} events, {n_aps} APS frames"
+            for i, (_, (n_events, n_aps)) in enumerate(answers)]
+
+    def test_the_traced_peak_grows_by_less_than_half_the_added_events(self, tmp_path,
+                                                                      monkeypatch):
+        # in one process, so tracemalloc sees every recording gen-data holds
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+        peaks, event_bytes = [], []
+        for recordings in (2, 8):
+            out = tmp_path / f"gen{recordings}"
+            argv = ["--set", "gen.duration=0.5", "gen-data", "--recordings",
+                    str(recordings), "--out", str(out)]
+            tracemalloc.start()
+            try:
+                assert main(argv) == EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            event_bytes.append(sum(path.stat().st_size for path in out.glob("*.events")))
+        assert peaks[1] - peaks[0] < (event_bytes[1] - event_bytes[0]) / 2
+
+    # gen-data of two recordings on two workers in a child whose wrappers have
+    # the worker of seed 1001 SIGKILL the worker of seed 1000 once the parent
+    # has received job 0, so the killed worker holds no job; prints the
     # children it leaves
     IDLE_KILL_SCRIPT = """
 import multiprocessing, os, signal, sys, time
 from evsteer import cli, workers
 workers.usable_cpus = lambda: 2
-generate = cli.generate_recording
+generate, receive = cli.generate_recording, cli.receive
 out = sys.argv[1]
 
 def killing(gen, seed):
@@ -287,14 +350,20 @@ def killing(gen, seed):
         with open(out + ".pid", "w") as fh:
             fh.write(str(os.getpid()))
     else:
-        while not os.path.exists(os.path.join(out, "rec000.labels")):
+        while not os.path.exists(out + ".received"):
             time.sleep(0.01)
         with open(out + ".pid") as fh:
             os.kill(int(fh.read()), signal.SIGKILL)
         open(out + ".killed", "w").close()
     return generate(gen, seed)
 
-cli.generate_recording = killing
+def received(conn, job):
+    answer = receive(conn, job)
+    if job == 0:
+        open(out + ".received", "w").close()
+    return answer
+
+cli.generate_recording, cli.receive = killing, received
 code = cli.main(["--set", "gen.duration=0.5", "gen-data", "--recordings", "2",
                  "--out", out])
 print("children left:", len(multiprocessing.active_children()))
@@ -919,6 +988,29 @@ class TestEmptyDataset:
         assert not (tmp_path / "w.net").exists()
 
 
+class TestNoFrameExitCodes:
+    SHORT = ["--set", "gen.duration=0.01", "gen-data", "--recordings", "1"]
+
+    def test_gen_data_of_a_recording_without_a_frame_is_usage_error(self, tmp_path,
+                                                                    capsys):
+        assert main([*self.SHORT, "--out", str(tmp_path / "gen")]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "gen-data: rec000 (seed 1000) gives no frame at capacity 5000: "
+            "gen.duration 0.01 s is too short\n")
+        assert not (tmp_path / "gen" / "train.ds").exists()
+
+    def test_a_sweep_over_a_recording_without_a_frame_is_data_error(self, tmp_path, weights,
+                                                                   capsys):
+        recordings = tmp_path / "gen"
+        assert main([*self.SHORT, "--out", str(recordings)]) == EXIT_USAGE
+        capsys.readouterr()
+        argv = ["eval", "--weights", weights, "--recordings", str(recordings),
+                "--sweep-capacity", "5000"]
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr() == ("", f"data error: {recordings / 'rec000'}: recording "
+                                           "gives no frame at capacity 5000\n")
+
+
 class TestReaderExitCodes:
     def test_event_address_outside_sensor_is_data_error(self, tmp_path, weights, capsys):
         events = np.zeros(2, dtype=EVENT_DTYPE)
@@ -1156,6 +1248,18 @@ class TestArgumentExitCodes:
             "", f"{command[0]}: --out {out / name}: {out} is not a directory\n")
         assert out.read_text() == "a file\n"
 
+    @pytest.mark.parametrize("command", [
+        ["--dataset", "MISSING"], ["--sweep-capacity", "5000", "--recordings", "MISSING"],
+    ], ids=["dataset", "sweep"])
+    def test_running_the_network_without_weights_is_usage_error(self, tmp_path, capsys,
+                                                                 command):
+        # refused before any work: the missing inputs are never read
+        argv = [arg.replace("MISSING", str(tmp_path / "missing")) for arg in command]
+        assert main(["eval", *argv, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", "eval: --dataset and --sweep-capacity need --weights\n")
+        assert not (tmp_path / "out").exists()
+
     def test_eval_with_nothing_to_evaluate_is_usage_error(self, tmp_path, capsys):
         # refused before the missing weights are read
         assert main(["eval", "--weights", str(tmp_path / "missing.net")]) == EXIT_USAGE
@@ -1354,6 +1458,17 @@ class TestRunlogReports:
         assert self._eval(tmp_path, weights, data) == EXIT_OK
         out = capsys.readouterr().out
         assert "records: 1\naccuracy p=0: 1.0000\n" in out and "catches: 1\n" in out
+
+    def test_a_log_is_scored_without_reading_weights(self, tmp_path, weights, capsys):
+        path = tmp_path / "run.log"
+        path.write_bytes(b"# evsteer-runlog v1\nDEC 5 DVS L L\nGT 5 0 L\nDEC 9 DVS C R\n"
+                         b"GT 9 30 R\nCATCH 9 0.000\nEND 10\n")
+        reports = []
+        for extra in ([], ["--weights", weights], ["--weights", str(tmp_path / "missing")]):
+            assert main(["eval", "--runlog", str(path), *extra]) == EXIT_OK
+            reports.append(capsys.readouterr())
+        assert reports[0].out.startswith("== runlog run.log (raw) ==\nrecords: 2\n")
+        assert reports[0] == reports[1] == reports[2]
 
     def test_eval_of_a_log_without_decisions_reports_zero_records(self, tmp_path, weights,
                                                                  capsys):
